@@ -15,6 +15,11 @@ infeasible workload — so the detector here combines:
 
 Feasibility checking can be disabled to mimic a naive utility-only stop,
 which the schedulability experiments use to demonstrate the failure mode.
+
+The vectorized backend hands the detector each iteration's feasibility
+verdict, computed from the kernel's arrays (:meth:`observe_verdict`); the
+scalar backend hands it the latencies (:meth:`observe`), which are checked
+against the task set only when the utility is stable.
 """
 
 from __future__ import annotations
@@ -55,15 +60,31 @@ class ConvergenceDetector:
         self.utility_floor = float(utility_floor)
         self._recent: Deque[float] = deque(maxlen=window + 1)
         self._last_latencies: Optional[Mapping[str, float]] = None
+        self._verdict: Optional[bool] = None
 
     def reset(self) -> None:
         self._recent.clear()
         self._last_latencies = None
+        self._verdict = None
 
     def observe(self, utility: float, latencies: Mapping[str, float]) -> None:
         """Record one iteration's outcome."""
         self._recent.append(float(utility))
         self._last_latencies = dict(latencies)
+        self._verdict = None
+
+    def observe_verdict(self, utility: float, feasible: bool) -> None:
+        """Record one iteration's outcome with its feasibility verdict at
+        ``feasibility_tol`` already computed (from the kernel's arrays)."""
+        self._recent.append(float(utility))
+        self._last_latencies = None
+        self._verdict = bool(feasible)
+
+    def revise_verdict(self, feasible: bool) -> None:
+        """Replace the last observation's verdict after the model it was
+        measured against changed (no-op unless one is held)."""
+        if self._verdict is not None:
+            self._verdict = bool(feasible)
 
     def utility_stable(self) -> bool:
         """Relative utility change below tolerance across the window.
@@ -84,6 +105,8 @@ class ConvergenceDetector:
 
     def feasible(self) -> bool:
         """Current iterate satisfies Eqs. 3–4 within tolerance."""
+        if self._verdict is not None:
+            return self._verdict
         if self._last_latencies is None:
             return False
         return self.taskset.is_feasible(  # statan: disable=REP016 -- scalar-backend feasibility fallback

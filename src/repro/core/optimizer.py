@@ -27,6 +27,8 @@ from typing import (
     TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple,
 )
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from typing import Union
 
@@ -43,6 +45,11 @@ from repro.core.prices import PathPriceUpdater, ResourcePriceUpdater
 from repro.core.state import IterationRecord, OptimizationResult, PathKey
 from repro.core.phases import PhaseTimers
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
+from repro.core.vectorized import (
+    ArrayRecord,
+    arrays_feasible,
+    observe_assignment,
+)
 from repro.model.task import TaskSet
 from repro.model.utility import check_concavity
 from repro.telemetry import NULL_TELEMETRY, Telemetry, encode_record
@@ -215,6 +222,39 @@ class LLAConfig:
         return LLAConfig(step_policy=FixedStepSize(gamma), **kwargs)
 
 
+class _ArrayResourcePrices(ResourcePriceUpdater):
+    """``LLAOptimizer.resource_prices`` on the vectorized backend.
+
+    The engine owns μ as an array.  :attr:`prices` builds the name-keyed
+    map from the latest iteration's array when first read and keeps it
+    until the next iteration, so a caller may still update it in place
+    before a (re)allocation adopts it, as with the scalar updater.
+    """
+
+    def __init__(self, taskset: TaskSet, initial_price: float,
+                 names: Tuple[str, ...]) -> None:
+        self._names = names
+        self._mu: Optional[np.ndarray] = None
+        self._prices: Optional[Dict[str, float]] = None
+        super().__init__(taskset, initial_price=initial_price)
+
+    @property
+    def prices(self) -> Dict[str, float]:
+        if self._prices is None:
+            assert self._mu is not None
+            self._prices = dict(zip(self._names, self._mu.tolist()))
+        return self._prices
+
+    @prices.setter
+    def prices(self, value: Dict[str, float]) -> None:
+        self._prices = value
+
+    def track(self, mu: np.ndarray) -> None:
+        """Follow a new iteration's μ array; the map is rebuilt on read."""
+        self._mu = mu
+        self._prices = None
+
+
 class LLAOptimizer:
     """Runs LLA on a :class:`~repro.model.task.TaskSet`.
 
@@ -229,6 +269,15 @@ class LLAOptimizer:
     backend (it must describe ``taskset`` at the configured
     ``max_latency_factor``); the always-on service uses this to skip
     recompilation across churn events.  Ignored by the scalar backend.
+
+    On the vectorized backend an iteration works from the engine's
+    :class:`~repro.core.vectorized.StepArrays` alone: the convergence
+    detector gets a feasibility verdict computed from them, and the
+    name-keyed views — the :class:`IterationRecord` fields,
+    :attr:`latencies`, ``resource_prices.prices`` — are built only when
+    something reads them.  Only the scalar backend builds the per-task
+    ``allocators`` and ``path_prices`` updaters; on the vectorized
+    backend both maps are empty.
     """
 
     def __init__(self, taskset: TaskSet, config: Optional[LLAConfig] = None,
@@ -248,21 +297,8 @@ class LLAOptimizer:
             self._check_utilities()
 
         self.step_policy = self.config.build_step_policy(taskset)
-        self.resource_prices = ResourcePriceUpdater(
-            taskset, initial_price=self.config.initial_resource_price
-        )
-        self.path_prices: Dict[str, PathPriceUpdater] = {
-            task.name: PathPriceUpdater(
-                task, initial_price=self.config.initial_path_price
-            )
-            for task in taskset.tasks
-        }
-        self.allocators: Dict[str, LatencyAllocator] = {
-            task.name: LatencyAllocator(
-                taskset, task, max_latency_factor=self.config.max_latency_factor
-            )
-            for task in taskset.tasks
-        }
+        self.path_prices: Dict[str, PathPriceUpdater] = {}
+        self.allocators: Dict[str, LatencyAllocator] = {}
         self.detector = ConvergenceDetector(
             taskset,
             utility_tol=self.config.utility_tol,
@@ -272,6 +308,11 @@ class LLAOptimizer:
             utility_floor=self.config.utility_floor,
         )
         self._engine: Optional["Engine"] = None
+        self._array_prices: Optional[_ArrayResourcePrices] = None
+        # The last vectorized iteration's record; None until a step, and
+        # again after every (re)allocation of the primal iterate.
+        self._record: Optional[ArrayRecord] = None
+        self._latencies: Optional[Dict[str, float]] = None
         if self.config.backend == "vectorized":
             if self.config.shards > 1:
                 from repro.core.sharding import ShardedEngine
@@ -285,6 +326,28 @@ class LLAOptimizer:
                                                 self.step_policy,
                                                 telemetry=self.telemetry,
                                                 structure=structure)
+            self._array_prices = _ArrayResourcePrices(
+                taskset, self.config.initial_resource_price,
+                self._engine.structure.resource_names,
+            )
+            self.resource_prices: ResourcePriceUpdater = self._array_prices
+        else:
+            self.resource_prices = ResourcePriceUpdater(
+                taskset, initial_price=self.config.initial_resource_price
+            )
+            self.path_prices = {
+                task.name: PathPriceUpdater(
+                    task, initial_price=self.config.initial_path_price
+                )
+                for task in taskset.tasks
+            }
+            self.allocators = {
+                task.name: LatencyAllocator(
+                    taskset, task,
+                    max_latency_factor=self.config.max_latency_factor,
+                )
+                for task in taskset.tasks
+            }
         self.iteration = 0
         # Trace timestamps follow the iteration counter (the optimizer's
         # virtual clock) so identical runs write identical event streams,
@@ -292,10 +355,24 @@ class LLAOptimizer:
         tracer = self.telemetry.tracer
         if tracer.enabled and not tracer.clock_injected:
             tracer.set_clock(lambda: float(self.iteration))
-        self.latencies: Dict[str, float] = self._initial_latencies()
+        self.latencies = self._initial_latencies()
         if self.config.warm_start:
             from repro.core.warmstart import apply_warm_start
             apply_warm_start(self)
+
+    @property
+    def latencies(self) -> Dict[str, float]:
+        """The current primal iterate, subtask name → latency.  On the
+        vectorized backend the map is the last record's, built on first
+        read."""
+        if self._latencies is None:
+            assert self._record is not None
+            self._latencies = self._record.latencies
+        return self._latencies
+
+    @latencies.setter
+    def latencies(self, value: Dict[str, float]) -> None:
+        self._latencies = value
 
     @property
     def structure(self) -> Optional["TaskSetStructure"]:
@@ -322,6 +399,7 @@ class LLAOptimizer:
     def _initial_latencies(self) -> Dict[str, float]:
         """Primal initialization: one allocation pass at the initial prices."""
         if self._engine is not None:
+            self._record = None
             return self._engine.reallocate(self.resource_prices.prices)
         latencies: Dict[str, float] = {}
         for task in self.taskset.tasks:
@@ -345,6 +423,29 @@ class LLAOptimizer:
             allocator.refresh_bounds()
         if self._engine is not None:
             self._engine.refresh_model()
+            # The last step's loads predate the refresh: keep its
+            # latencies, but re-measure them on the refreshed model.
+            self.latencies = self.latencies
+            self._record = None
+            self.detector.revise_verdict(self.feasible())
+
+    def feasible(self, tol: Optional[float] = None) -> bool:
+        """Whether the current iterate satisfies Eqs. 3–4 within ``tol``
+        (default: the detector's ``feasibility_tol``).
+
+        The vectorized backend reads the verdict from the last step's
+        arrays, or from the compiled structure right after a
+        (re)allocation; the scalar backend checks the task set.
+        """
+        tol = self.detector.feasibility_tol if tol is None else float(tol)
+        if self._engine is None:
+            return self.taskset.is_feasible(self.latencies, tol=tol)  # statan: disable=REP016 -- scalar backend: no compiled arrays hold the verdict
+        structure = self._engine.structure
+        if self._record is None:
+            return observe_assignment(structure, self.latencies,
+                                      tol=tol).feasible()
+        out = self._record.arrays
+        return arrays_feasible(structure, out.loads, out.path_lat, tol)
 
     def adopt_prices(self, resource_prices: Mapping[str, float]) -> None:
         """Adopt ``resource_prices`` as the dual iterate, consistently.
@@ -405,23 +506,22 @@ class LLAOptimizer:
         return record
 
     def _vectorized_iteration(self) -> IterationRecord:
-        """One iteration through the batched numpy kernel."""
-        out = self._engine.step()
-        self.latencies = out.latencies
-        self.resource_prices.prices = dict(out.resource_prices)
-        self.detector.observe(out.utility, out.latencies)
+        """One iteration through the batched numpy kernel, kept in array
+        form: the detector's feasibility verdict comes from the kernel's
+        arrays, and the record builds name-keyed fields on first read."""
+        assert self._engine is not None and self._array_prices is not None
+        structure = self._engine.structure
+        out = self._engine.step_arrays()
+        utility = out.utility()
+        self.detector.observe_verdict(utility, arrays_feasible(
+            structure, out.loads, out.path_lat,
+            self.detector.feasibility_tol,
+        ))
+        self._array_prices.track(out.mu)
         self.iteration += 1
-        return IterationRecord(
-            iteration=self.iteration,
-            utility=out.utility,
-            latencies=out.latencies,
-            resource_prices=out.resource_prices,
-            path_prices=out.path_prices,
-            resource_loads=out.resource_loads,
-            congested_resources=out.congested_resources,
-            congested_paths=out.congested_paths,
-            critical_paths=out.critical_paths,
-        )
+        self._record = ArrayRecord(self.iteration, utility, structure, out)
+        self._latencies = None
+        return self._record
 
     def _phase_timers(self) -> Optional[PhaseTimers]:
         """Phase timers while metrics are collected; ``None`` when off."""
@@ -575,6 +675,10 @@ class LLAOptimizer:
     def run(self, max_iterations: Optional[int] = None) -> OptimizationResult:
         """Run until convergence or the iteration budget is exhausted."""
         budget = max_iterations or self.config.max_iterations
+        if budget < 1:
+            raise OptimizationError(
+                f"max_iterations must be >= 1, got {max_iterations!r}"
+            )
         tracer = self.telemetry.tracer
         if tracer.enabled:
             tracer.emit(
@@ -587,6 +691,7 @@ class LLAOptimizer:
         debug = logger.isEnabledFor(logging.DEBUG)
         history = []
         converged = False
+        record: Optional[IterationRecord] = None
         for _ in range(budget):
             record = self.step()
             if debug:
@@ -603,7 +708,8 @@ class LLAOptimizer:
                 break
         if not converged and self.detector.converged():
             converged = True
-        final_utility = self.taskset.total_utility(self.latencies)  # statan: disable=REP016 -- one end-of-run summary; also serves the scalar backend
+        assert record is not None  # budget >= 1
+        final_utility = record.utility
         if converged:
             if tracer.enabled:
                 tracer.emit("convergence", iteration=self.iteration,

@@ -21,10 +21,9 @@ the number of components (a fully-connected workload runs as one shard).
 
 Two execution modes:
 
-* ``serial`` (default) — all shard engines run in-process.  No parallelism,
-  but the per-iteration cost of the adaptive step-size coverage test drops
-  from O(P·R) on the global path×resource incidence to Σ O(P_k·R_k) on the
-  block-diagonal pieces — already a large win on separable workloads.
+* ``serial`` (default) — all shard engines run in-process.  No parallelism
+  and no per-round IPC; each shard's arrays are a block of the global
+  ones, so the per-iteration work equals the unsharded engine's.
 * ``processes`` — one daemon worker process per shard, receiving its
   sub-structure as a serialized payload (:func:`structure_to_dict`) and
   publishing its per-round arrays through ``multiprocessing.shared_memory``
@@ -264,7 +263,11 @@ def extract_shard(structure: TaskSetStructure,
         ([0], np.cumsum(path_counts))
     ).astype(np.intp)[:-1]
 
-    sub.path_res_inc = structure.path_res_inc[np.ix_(paths, ress)].copy()
+    # Incidence pairs of the shard's paths; a component is never split,
+    # so every such pair's resource is the shard's too.
+    keep_pr = path_mask[structure.pr_path]
+    sub.pr_path = np.searchsorted(paths, structure.pr_path[keep_pr])
+    sub.pr_res = np.searchsorted(ress, structure.pr_res[keep_pr])
 
     # Model arrays: plain row selections.
     for name in _REFRESH_SUB_ARRAYS + ("weights", "pull_base"):
@@ -280,12 +283,15 @@ def extract_shard(structure: TaskSetStructure,
 # -- shared-memory worker pool ------------------------------------------------
 
 #: Per-shard output blocks published through shared memory, as
-#: (field, per-what, dtype) — offsets are computed from the shard's sizes.
+#: (field, per-what, dtype) — one per :class:`StepArrays` field, the
+#: byte masks last so every float block stays 8-byte aligned; offsets
+#: are computed from the shard's sizes.
 _SHM_FIELDS: Tuple[Tuple[str, str, str], ...] = (
     ("lat", "sub", "float64"),
     ("mu", "res", "float64"),
     ("lam", "path", "float64"),
     ("loads", "res", "float64"),
+    ("path_lat", "path", "float64"),
     ("per_task", "task", "float64"),
     ("crit", "task", "float64"),
     ("cong_r", "res", "uint8"),
@@ -318,14 +324,8 @@ def _shm_views(shm: SharedMemory,
 
 
 def _publish(views: Mapping[str, np.ndarray], out: StepArrays) -> None:
-    views["lat"][:] = out.lat
-    views["mu"][:] = out.mu
-    views["lam"][:] = out.lam
-    views["loads"][:] = out.loads
-    views["per_task"][:] = out.per_task
-    views["crit"][:] = out.crit
-    views["cong_r"][:] = out.cong_r
-    views["cong_p"][:] = out.cong_p
+    for name, _per, _dtype in _SHM_FIELDS:
+        views[name][:] = getattr(out, name)
 
 
 def _publish_state(views: Mapping[str, np.ndarray],
@@ -507,11 +507,12 @@ _WORKER_CONFIG_FIELDS = (
 class ShardedEngine:
     """The :class:`VectorizedEngine` facade over a sharded plan.
 
-    Exposes the same surface the optimizer drives (``step``,
-    ``reallocate``, ``path_prices_dict``, ``reset*``, ``refresh_model``)
-    plus batched :meth:`iterate`; merged outputs are assembled in global
-    canonical order, so on separable workloads every materialized value is
-    bitwise-equal to the unsharded engine's.
+    Exposes the same surface the optimizer drives (``step_arrays``,
+    ``step``, ``reallocate``, ``path_prices_dict``, ``reset*``,
+    ``refresh_model``) plus batched :meth:`iterate`; merged outputs are
+    assembled in global canonical order, so on separable workloads every
+    array and materialized value is bitwise-equal to the unsharded
+    engine's.
     """
 
     def __init__(self, taskset: TaskSet, config: "LLAConfig",
@@ -548,6 +549,16 @@ class ShardedEngine:
             )
             return
         spec = gamma_spec(policy)
+        # Each shard's global indices per index space, for the merge.
+        self._scatter = [
+            {
+                "sub": np.asarray(shard.sub_ids, dtype=np.intp),
+                "res": np.asarray(shard.resource_ids, dtype=np.intp),
+                "path": np.asarray(shard.path_ids, dtype=np.intp),
+                "task": np.asarray(shard.task_ids, dtype=np.intp),
+            }
+            for shard in self.plan.specs
+        ]
         self._structures = [
             extract_shard(self.structure, shard) for shard in self.plan.specs
         ]
@@ -569,70 +580,39 @@ class ShardedEngine:
 
     # -- merge helpers ---------------------------------------------------------
 
-    def _merge(self, outs: Sequence[Mapping[str, np.ndarray]]) -> EngineStep:
-        """Scatter per-shard arrays into global order and materialize."""
+    def _merge(self, outs: Sequence[Mapping[str, np.ndarray]]) -> StepArrays:
+        """Scatter per-shard outputs into fresh arrays in global order."""
         s = self.structure
-        n_task = len(s.task_names)
-        lat = np.empty(s.n_subtasks)
-        mu = np.empty(s.n_resources)
-        lam = np.empty(s.n_paths)
-        loads = np.empty(s.n_resources)
-        per_task = np.empty(n_task)
-        crit = np.empty(n_task)
-        cong_r = np.zeros(s.n_resources, dtype=bool)
-        cong_p = np.zeros(s.n_paths, dtype=bool)
-        for shard, out in zip(self.plan.specs, outs):
-            subs = np.asarray(shard.sub_ids, dtype=np.intp)
-            ress = np.asarray(shard.resource_ids, dtype=np.intp)
-            paths = np.asarray(shard.path_ids, dtype=np.intp)
-            tasks = np.asarray(shard.task_ids, dtype=np.intp)
-            lat[subs] = out["lat"]
-            mu[ress] = out["mu"]
-            lam[paths] = out["lam"]
-            loads[ress] = out["loads"]
-            per_task[tasks] = out["per_task"]
-            crit[tasks] = out["crit"]
-            cong_r[ress] = np.asarray(out["cong_r"], dtype=bool)
-            cong_p[paths] = np.asarray(out["cong_p"], dtype=bool)
-        # Same materialization as VectorizedEngine.step: utility summed
-        # sequentially in global task order.
-        utility = float(sum(per_task.tolist()))
-        return EngineStep(
-            utility=utility,
-            latencies=dict(zip(s.subtask_names, lat.tolist())),
-            resource_prices=dict(zip(s.resource_names, mu.tolist())),
-            path_prices=dict(zip(s.path_keys, lam.tolist())),
-            resource_loads=dict(zip(s.resource_names, loads.tolist())),
-            congested_resources=tuple(
-                s.resource_names[i] for i in np.flatnonzero(cong_r)
-            ),
-            congested_paths=tuple(
-                s.path_keys[i] for i in np.flatnonzero(cong_p)
-            ),
-            critical_paths=dict(zip(s.task_names, crit.tolist())),
-        )
-
-    @staticmethod
-    def _as_views(out: StepArrays) -> Dict[str, np.ndarray]:
-        return {
-            "lat": out.lat, "mu": out.mu, "lam": out.lam, "loads": out.loads,
-            "per_task": out.per_task, "crit": out.crit,
-            "cong_r": out.cong_r, "cong_p": out.cong_p,
+        sizes = {"sub": s.n_subtasks, "res": s.n_resources,
+                 "path": s.n_paths, "task": len(s.task_names)}
+        merged = {
+            name: np.empty(sizes[per],
+                           dtype=bool if dtype == "uint8" else np.float64)
+            for name, per, dtype in _SHM_FIELDS
         }
+        for index, out in zip(self._scatter, outs):
+            for name, per, _dtype in _SHM_FIELDS:
+                merged[name][index[per]] = out[name]
+        return StepArrays(**merged)
 
     # -- facade ----------------------------------------------------------------
 
-    def step(self) -> EngineStep:
+    def step_arrays(self) -> StepArrays:
+        """One iteration on every shard, merged into global canonical
+        order — on separable workloads bitwise-equal to the unsharded
+        engine's :meth:`VectorizedEngine.step_arrays`."""
         if self._inner is not None:
-            return self._inner.step()
+            return self._inner.step_arrays()
         if self._pool is not None:
             self._pool.broadcast("step")
             return self._merge(
                 [self._pool.views(i) for i in range(self.plan.n_shards)]
             )
-        return self._merge(
-            [self._as_views(e.step_arrays()) for e in self._engines]
-        )
+        return self._merge([vars(e.step_arrays()) for e in self._engines])
+
+    def step(self) -> EngineStep:
+        """One iteration with every output in name-keyed form."""
+        return EngineStep.of(self.structure, self.step_arrays())
 
     def iterate(self, n: int) -> None:
         """Run ``n`` iterations on every shard with a single sync point.
@@ -678,13 +658,11 @@ class ShardedEngine:
         s = self.structure
         lam = np.empty(s.n_paths)
         if self._pool is not None:
-            for i, shard in enumerate(self.plan.specs):
-                lam[np.asarray(shard.path_ids, dtype=np.intp)] = \
-                    self._pool.views(i)["lam"]
+            for i, index in enumerate(self._scatter):
+                lam[index["path"]] = self._pool.views(i)["lam"]
         else:
-            for shard, engine in zip(self.plan.specs, self._engines):
-                lam[np.asarray(shard.path_ids, dtype=np.intp)] = \
-                    engine.state_arrays()[2]
+            for index, engine in zip(self._scatter, self._engines):
+                lam[index["path"]] = engine.state_arrays()[2]
         return dict(zip(s.path_keys, lam.tolist()))
 
     def reset_step_sizes(self) -> None:

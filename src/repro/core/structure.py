@@ -72,12 +72,14 @@ UTILITY_LINEAR = 0
 UTILITY_INELASTIC = 1
 
 #: Serialization format version (bumped on incompatible layout changes).
-_STRUCTURE_FORMAT_VERSION = 1
+#: Format 2 replaced the dense path×resource matrix with a pair list.
+_STRUCTURE_FORMAT_VERSION = 2
 
 #: Integer index arrays and their serialization order.
 _INDEX_ARRAYS = (
     "sub_resource", "sub_task_ids", "path_sub_flat", "path_ids_flat",
     "sub_path_flat", "sub_ids_flat", "task_path_starts", "task_sub_starts",
+    "pr_path", "pr_res",
 )
 #: Float64 model/shape arrays and their serialization order.
 _FLOAT_ARRAYS = (
@@ -129,8 +131,11 @@ class TaskSetStructure:
     #: start offset of each task's subtask segment, shape (T+1,) — the
     #: trailing sentinel makes ``starts[t]:starts[t+1]`` a valid slice.
     task_sub_starts: np.ndarray = field(default=None)
-    #: whether path p traverses resource r, shape (P, R) bool
-    path_res_inc: np.ndarray = field(default=None)
+    #: path of each distinct (path, resource) incidence pair, sorted by
+    #: path then resource, shape (K,)
+    pr_path: np.ndarray = field(default=None)
+    #: resource of each incidence pair, shape (K,)
+    pr_res: np.ndarray = field(default=None)
     #: WCET of each subtask, shape (S,)
     sub_exec: np.ndarray = field(default=None)
 
@@ -443,11 +448,15 @@ def compile_structure(taskset: TaskSet,
     structure.sub_path_flat = np.asarray(sub_path_flat, dtype=np.intp)
     structure.sub_ids_flat = np.asarray(sub_ids_flat, dtype=np.intp)
 
-    inc = np.zeros((len(path_keys), len(resource_names)), dtype=bool)
-    for s_idx, paths in enumerate(sub_paths[: len(subtask_names)]):
-        for p_idx in paths:
-            inc[p_idx, sub_resource[s_idx]] = True
-    structure.path_res_inc = inc
+    # Distinct (path, resource) pairs, sorted by path then resource: the
+    # sparse form of "path p traverses resource r".
+    n_res = max(len(resource_names), 1)
+    pairs = np.unique(
+        structure.path_ids_flat * n_res
+        + structure.sub_resource[structure.path_sub_flat]
+    )
+    structure.pr_path = (pairs // n_res).astype(np.intp)
+    structure.pr_res = (pairs % n_res).astype(np.intp)
 
     _fill_model_arrays(structure, taskset, structure.max_latency_factor)
     return structure
@@ -467,9 +476,6 @@ def _payload_dict(s: TaskSetStructure) -> Dict[str, Any]:
         "path_keys": [[k.task, int(k.index)] for k in s.path_keys],
         "ut_kind": [int(v) for v in s.ut_kind.tolist()],
         "hyper_mask": [bool(v) for v in s.hyper_mask.tolist()],
-        "path_res_inc": [
-            [bool(v) for v in row] for row in s.path_res_inc.tolist()
-        ],
     }
     for name in _INDEX_ARRAYS:
         payload[name] = [int(v) for v in getattr(s, name).tolist()]
@@ -535,9 +541,6 @@ def structure_from_dict(
             )
         structure.ut_kind = np.asarray(data["ut_kind"], dtype=np.int8)
         structure.hyper_mask = np.asarray(data["hyper_mask"], dtype=bool)
-        structure.path_res_inc = np.asarray(
-            data["path_res_inc"], dtype=bool
-        ).reshape(structure.n_paths, structure.n_resources)
     except ModelError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -579,8 +582,12 @@ def _check_shapes(s: TaskSetStructure) -> None:
         raise ModelError(
             "structure payload subtask flattening is inconsistent"
         )
-    if s.path_res_inc.shape != (n_path, n_res):
-        raise ModelError(
-            f"structure payload path_res_inc has shape "
-            f"{s.path_res_inc.shape}, expected {(n_path, n_res)}"
-        )
+    if len(s.pr_path) != len(s.pr_res):
+        raise ModelError("structure payload incidence pairs are inconsistent")
+    for name, bound in (("pr_path", n_path), ("pr_res", n_res)):
+        values = getattr(s, name)
+        if len(values) and (values.min() < 0 or values.max() >= bound):
+            raise ModelError(
+                f"structure payload array {name!r} indexes outside "
+                f"[0, {bound})"
+            )

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import OptimizationError, ShareError
 from repro.core.allocation import _PULL_FLOOR
 from repro.core.phases import PhaseTimers
-from repro.core.state import PathKey
+from repro.core.state import IterationRecord, PathKey
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
 from repro.core.structure import TaskSetStructure, compile_structure
 from repro.model.task import TaskSet
@@ -48,6 +48,10 @@ __all__ = [
     "VectorizedEngine",
     "EngineStep",
     "StepArrays",
+    "ArrayRecord",
+    "NAMED_FIELDS",
+    "named_field",
+    "arrays_feasible",
     "ObservedAssignment",
     "compute_loads",
     "observe_assignment",
@@ -65,28 +69,16 @@ GammaSpec = Tuple[Union[str, float], ...]
 
 
 @dataclass
-class EngineStep:
-    """One iteration's outputs, materialized for the optimizer facade."""
-
-    utility: float
-    latencies: Dict[str, float]
-    resource_prices: Dict[str, float]
-    path_prices: Dict[PathKey, float]
-    resource_loads: Dict[str, float]
-    congested_resources: Tuple[str, ...]
-    congested_paths: Tuple[PathKey, ...]
-    critical_paths: Dict[str, float]
-
-
-@dataclass
 class StepArrays:
     """One iteration's outputs in array form (no dict materialization).
 
-    ``mu``/``lam`` alias the engine's live dual state; the rest are fresh
-    arrays.  This is what batched iteration (:meth:`VectorizedEngine.iterate`)
-    and the sharded engine's merge path consume — materializing the
-    :class:`EngineStep` dicts costs more than the arithmetic at 10k+
-    subtasks.
+    ``mu``/``lam`` are the engine's dual state after the iteration.  The
+    engine replaces those arrays on every update and reset instead of
+    writing into them, so a ``StepArrays`` keeps its own iteration's
+    values for as long as it is held.  This is what the optimizer's run
+    loop, batched iteration (:meth:`VectorizedEngine.iterate`) and the
+    sharded engine's merge path consume — materializing the name-keyed
+    dicts costs more than the arithmetic at 10k+ subtasks.
     """
 
     lat: np.ndarray          #: per-subtask latencies, shape (S,)
@@ -98,6 +90,107 @@ class StepArrays:
     cong_p: np.ndarray       #: congested-path mask, shape (P,) bool
     per_task: np.ndarray     #: per-task utilities, shape (T,)
     crit: np.ndarray         #: per-task critical-path latencies, shape (T,)
+
+    def utility(self) -> float:
+        """Σ_i U_i, summed in task order like ``TaskSet.total_utility``
+        (sequential Python float adds, not a pairwise numpy reduction)."""
+        return float(sum(self.per_task.tolist()))
+
+
+#: The :class:`IterationRecord` fields that exist only in name-keyed form.
+NAMED_FIELDS = (
+    "latencies", "resource_prices", "path_prices", "resource_loads",
+    "congested_resources", "congested_paths", "critical_paths",
+)
+
+
+def named_field(structure: TaskSetStructure, out: StepArrays,
+                name: str) -> Any:
+    """The name-keyed form of one :data:`NAMED_FIELDS` entry of ``out``.
+
+    The one place iteration arrays become dicts and name tuples: the
+    engines' :meth:`~VectorizedEngine.step` and the optimizer's lazy
+    :class:`ArrayRecord` both build their fields here.
+    """
+    s = structure
+    if name == "latencies":
+        return dict(zip(s.subtask_names, out.lat.tolist()))
+    if name == "resource_prices":
+        return dict(zip(s.resource_names, out.mu.tolist()))
+    if name == "path_prices":
+        return dict(zip(s.path_keys, out.lam.tolist()))
+    if name == "resource_loads":
+        return dict(zip(s.resource_names, out.loads.tolist()))
+    if name == "congested_resources":
+        return tuple(s.resource_names[i] for i in np.flatnonzero(out.cong_r))
+    if name == "congested_paths":
+        return tuple(s.path_keys[i] for i in np.flatnonzero(out.cong_p))
+    if name == "critical_paths":
+        return dict(zip(s.task_names, out.crit.tolist()))
+    raise OptimizationError(f"no name-keyed iteration field {name!r}")
+
+
+@dataclass
+class EngineStep:
+    """One iteration's outputs with every field in name-keyed form, as
+    the engines' ``step()`` returns them."""
+
+    utility: float
+    latencies: Dict[str, float]
+    resource_prices: Dict[str, float]
+    path_prices: Dict[PathKey, float]
+    resource_loads: Dict[str, float]
+    congested_resources: Tuple[str, ...]
+    congested_paths: Tuple[PathKey, ...]
+    critical_paths: Dict[str, float]
+
+    @classmethod
+    def of(cls, structure: TaskSetStructure, out: StepArrays) -> "EngineStep":
+        """Every field of ``out``, built eagerly."""
+        return cls(utility=out.utility(), **{
+            name: named_field(structure, out, name) for name in NAMED_FIELDS
+        })
+
+
+class ArrayRecord(IterationRecord):
+    """An :class:`IterationRecord` backed by one iteration's arrays.
+
+    ``iteration`` and ``utility`` are stored; each :data:`NAMED_FIELDS`
+    entry is built by :func:`named_field` the first time it is read and
+    then kept, so a run loop that reads no record builds no dicts.  The
+    record holds its own :class:`StepArrays`, whose arrays the engine never
+    writes into, so it reads the same after later steps, ``reset()`` or
+    ``adopt_prices()``.
+    """
+
+    def __init__(self, iteration: int, utility: float,
+                 structure: TaskSetStructure, arrays: StepArrays) -> None:
+        self.iteration = iteration
+        self.utility = utility
+        self.structure = structure
+        self.arrays = arrays
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only for attributes not set yet: the unread fields.
+        if name not in NAMED_FIELDS:
+            raise AttributeError(name)
+        value = named_field(self.structure, self.arrays, name)
+        setattr(self, name, value)
+        return value
+
+
+def arrays_feasible(structure: TaskSetStructure, loads: np.ndarray,
+                    path_lat: np.ndarray, tol: float) -> bool:
+    """``TaskSet.is_feasible(latencies, tol)`` from one assignment's loads
+    and path latency sums (Eqs. 3–4 within ``tol``).
+
+    The share and path-sum arithmetic is that of
+    ``TaskSet.constraint_violations``; only the order in which a
+    resource's load accumulates can differ (canonical versus declaration
+    order), which matters only within one ulp of ``B_r + tol``.
+    """
+    return not (bool((loads > structure.availability + tol).any())
+                or bool((path_lat > structure.path_crit + tol).any()))
 
 
 class _FixedGammas:
@@ -131,7 +224,8 @@ class _AdaptiveGammas:
         self._initial = float(initial_gamma)
         self._growth = float(growth)
         self._max = float(max_gamma)
-        self._inc = structure.path_res_inc
+        self._pr_path = structure.pr_path
+        self._pr_res = structure.pr_res
         self._gr = np.full(structure.n_resources, self._initial)
         self._gp = np.full(structure.n_paths, self._initial)
         self._cover = np.full(structure.n_paths, self._initial)
@@ -149,7 +243,10 @@ class _AdaptiveGammas:
         )
         # Two independent escalation states per path (resource coverage
         # vs direct constraint violation); serve the largest active one.
-        covered = (self._inc & cong_r).any(axis=1)
+        # A path is covered when any of its (path, resource) incidence
+        # pairs names a congested resource.
+        covered = np.zeros(self._gp.shape, dtype=bool)
+        covered[self._pr_path[cong_r[self._pr_res]]] = True
         self._cover = np.where(
             covered, np.minimum(self._cover * self._growth, self._max),
             self._initial,
@@ -252,9 +349,11 @@ class VectorizedEngine:
     """Array-state LLA iteration over a compiled task set.
 
     The engine owns the dual state (``μ`` per resource, ``λ`` per path) and
-    the primal iterate (latency per subtask) as float64 arrays; the
-    optimizer facade keeps its usual dict views from the materialized
-    :class:`EngineStep`.  Model mutations (error correction,
+    the primal iterate (latency per subtask) as float64 arrays, and
+    replaces rather than overwrites them, so the :class:`StepArrays` it
+    hands out stay valid.  The optimizer facade runs on
+    :meth:`step_arrays`; :meth:`step` materializes an
+    :class:`EngineStep` for callers that want dicts.  Model mutations (error correction,
     ``set_availability``) require :meth:`refresh_model`, same contract as
     the scalar allocators' ``refresh_bounds``.
     """
@@ -371,7 +470,8 @@ class VectorizedEngine:
     def step_arrays(self) -> StepArrays:
         """One LLA iteration in array form; mirrors ``_scalar_iteration``
         phase by phase.  :meth:`step` materializes the dict facade on top;
-        batched callers (:meth:`iterate`, the sharded engine) stay here."""
+        the optimizer, batched callers (:meth:`iterate`) and the sharded
+        engine stay here."""
         s = self.structure
         tol = self.config.congestion_tol
         gr, gp = self._gammas.gammas()
@@ -425,7 +525,7 @@ class VectorizedEngine:
             phases.lap("classify", mark)
 
         # Utility (Eq. 2): per-task aggregated latency through the task's
-        # utility; summed in task order by the consumer (see step()).
+        # utility; summed in task order by StepArrays.utility().
         agg = np.bincount(
             s.sub_task_ids, weights=s.weights * lat,
             minlength=len(s.task_names),
@@ -458,28 +558,8 @@ class VectorizedEngine:
         return out
 
     def step(self) -> EngineStep:
-        """One LLA iteration, materialized for the optimizer facade."""
-        s = self.structure
-        out = self.step_arrays()
-        cong_r_names = tuple(
-            s.resource_names[i] for i in np.flatnonzero(out.cong_r)
-        )
-        cong_p_keys = tuple(
-            s.path_keys[i] for i in np.flatnonzero(out.cong_p)
-        )
-        # Summed in task order like TaskSet.total_utility (sequential
-        # Python float adds, not a pairwise numpy reduction).
-        utility = float(sum(out.per_task.tolist()))
-        return EngineStep(
-            utility=utility,
-            latencies=dict(zip(s.subtask_names, out.lat.tolist())),
-            resource_prices=dict(zip(s.resource_names, out.mu.tolist())),
-            path_prices=dict(zip(s.path_keys, out.lam.tolist())),
-            resource_loads=dict(zip(s.resource_names, out.loads.tolist())),
-            congested_resources=cong_r_names,
-            congested_paths=cong_p_keys,
-            critical_paths=dict(zip(s.task_names, out.crit.tolist())),
-        )
+        """One LLA iteration with every output in name-keyed form."""
+        return EngineStep.of(self.structure, self.step_arrays())
 
     # -- facade support ---------------------------------------------------------
 
@@ -509,14 +589,18 @@ class VectorizedEngine:
 
         Used by :meth:`LLAOptimizer.adopt_prices`: adopting external
         resource prices must not carry a previous run's path prices into
-        the next primal solve."""
-        self._lam.fill(float(self.config.initial_path_price))
+        the next primal solve.  A fresh array, not a ``fill``: records of
+        earlier iterations still hold the old one."""
+        self._lam = np.full(self.structure.n_paths,
+                            float(self.config.initial_path_price))
 
     def reset(self) -> None:
         """Back to initial duals and step sizes (primal follows via
-        the optimizer's ``reallocate`` call)."""
-        self._mu.fill(float(self.config.initial_resource_price))
-        self._lam.fill(float(self.config.initial_path_price))
+        the optimizer's ``reallocate`` call); fresh arrays, as in
+        :meth:`reset_path_prices`."""
+        self._mu = np.full(self.structure.n_resources,
+                           float(self.config.initial_resource_price))
+        self.reset_path_prices()
         self._gammas.reset()
         self._lat = self._allocate()
 

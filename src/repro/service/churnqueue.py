@@ -22,6 +22,7 @@ the supervised loop can apply the whole batch through **one** recompile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -45,6 +46,11 @@ class ChurnEvent:
     ``key`` is the task name (or the resource name for ``availability``).
     ``critical_time``/``utility`` ride along on ``update`` events and on
     ``register``/``replace`` slots an update folded into.
+
+    Values are checked here, when the producer creates the event: an
+    availability must be finite and in [0, 1], a critical time finite and
+    positive.  An invalid value raises :class:`ServiceError` to the
+    producer instead of being queued to fail a later tick's rebuild.
     """
 
     kind: str
@@ -78,6 +84,20 @@ class ChurnEvent:
         elif self.kind == "availability":
             if self.availability is None:
                 raise ServiceError("availability event needs a value")
+        if self.critical_time is not None and not (
+                math.isfinite(self.critical_time)
+                and self.critical_time > 0.0):
+            raise ServiceError(
+                f"critical_time must be finite and > 0, "
+                f"got {self.critical_time!r}"
+            )
+        if self.availability is not None and not (
+                math.isfinite(self.availability)
+                and 0.0 <= self.availability <= 1.0):
+            raise ServiceError(
+                f"availability must be finite and in [0, 1], "
+                f"got {self.availability!r}"
+            )
 
 
 def _merge_updates(slot: ChurnEvent, event: ChurnEvent) -> ChurnEvent:

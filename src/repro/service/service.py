@@ -765,6 +765,14 @@ class AllocationService:
             return {}
         return dict(self._optimizer.latencies)
 
+    def feasible(self, tol: float = 1e-2) -> bool:
+        """Whether the current iterate satisfies Eqs. 3–4 within ``tol``
+        (``False`` with no tasks registered).  On the vectorized backend
+        the verdict comes from the kernel's arrays, also right after a
+        rebuild or restore (see :meth:`LLAOptimizer.feasible`)."""
+        optimizer = self._optimizer
+        return optimizer is not None and optimizer.feasible(tol)
+
     @property
     def tasks(self) -> Tuple[str, ...]:
         return tuple(self._tasks)
@@ -775,6 +783,13 @@ class AllocationService:
         if task is None:
             raise ServiceError(f"no task named {name!r} is registered")
         return task
+
+    def resource(self, name: str) -> Resource:
+        """The resource named ``name``, at its current availability."""
+        resource = self._resources.get(name)
+        if resource is None:
+            raise ServiceError(f"no resource named {name!r}")
+        return resource
 
     @property
     def taskset(self) -> Optional[TaskSet]:

@@ -352,8 +352,13 @@ class SupervisedService:
 
         Returns ``False`` when the event was shed: registrations while
         degraded (brownout sheds non-admitted work), or any new subject
-        once the queue is at capacity.
+        once the queue is at capacity.  An availability change for an
+        unknown resource raises :class:`ServiceError` here, as invalid
+        values do when the :class:`ChurnEvent` is created, so nothing that
+        would fail the next tick's rebuild is queued.
         """
+        if event.kind == "availability":
+            self.service.resource(event.key)
         if self.brownout.degraded and event.kind == "register":
             self.degraded_shed += 1
             self._shed_this_tick += 1
@@ -577,16 +582,12 @@ class SupervisedService:
 
     def _capture_last_good(self) -> None:
         """Remember the live allocation whenever it is critical-time
-        feasible — the answer degraded mode keeps serving."""
+        feasible — the answer degraded mode keeps serving.  The verdict
+        is the live iterate's, at the 1e-2 feasibility tolerance."""
         taskset = self.service.taskset
-        if taskset is None:
+        if taskset is None or not self.service.feasible(1e-2):
             return
-        latencies = self.service.allocations()
-        if not latencies:
-            return
-        if not taskset.is_feasible(latencies, tol=1e-2):  # statan: disable=REP016 -- one-shot validation of a proposed rebuild
-            return
-        self._last_good_latencies = dict(latencies)
+        self._last_good_latencies = self.service.allocations()
         self._last_good_tasks = {
             task.name: task for task in taskset.tasks
         }

@@ -1,0 +1,300 @@
+"""The array-driven vectorized run loop.
+
+On the vectorized backend :meth:`LLAOptimizer.step` works from the
+kernel's :class:`~repro.core.vectorized.StepArrays`: the convergence
+detector gets a feasibility verdict computed from the arrays, the
+name-keyed record fields and ``optimizer.latencies`` are built only when
+read, and the adaptive step size finds covered paths through the
+structure's (path, resource) pair list.  These tests pin the verdict to
+the object-graph check, the laziness to zero dict-building calls, and the
+records to their own iteration's values.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core import vectorized
+from repro.core.optimizer import LLAConfig, LLAOptimizer
+from repro.core.sharding import ShardedEngine
+from repro.core.structure import (
+    compile_structure,
+    structure_from_dict,
+    structure_to_dict,
+)
+from repro.core.vectorized import NAMED_FIELDS, VectorizedEngine
+from repro.errors import ModelError, OptimizationError
+from repro.model.share import CorrectedShare, PowerLawShare
+from repro.model.task import TaskSet
+from repro.workloads.generator import GeneratorConfig, random_workload
+from repro.workloads.paper import base_workload
+from tests.core.test_sharding import separable_taskset
+from tests.service.test_service import make_service
+
+
+def unsorted_generator_workload():
+    """A generator workload declared in reverse name order, so canonical
+    (name-sorted) and declaration order differ."""
+    ts = random_workload(GeneratorConfig(n_tasks=12, n_resources=9,
+                                         min_subtasks=3, max_subtasks=5),
+                         seed=5)
+    tasks = sorted(ts.tasks, key=lambda t: t.name, reverse=True)
+    assert [t.name for t in tasks] != sorted(t.name for t in tasks)
+    return TaskSet(tasks, ts.resources.values(),
+                   allow_shared_resources=True)
+
+
+def power_law_workload():
+    """Power-law shares on one task, corrected shares on another."""
+    ts = base_workload()
+    for sub in ts.tasks[0].subtasks:
+        ts.set_share_function(sub.name, PowerLawShare(cost=3.0, alpha=2.0))
+    for sub in ts.tasks[1].subtasks:
+        base = ts.share_function(sub.name)
+        ts.set_share_function(sub.name, CorrectedShare(base, error=0.5))
+    return ts
+
+
+def array_optimizer(taskset, **kwargs):
+    kwargs.setdefault("max_iterations", 600)
+    kwargs.setdefault("stop_on_convergence", False)
+    return LLAOptimizer(taskset, LLAConfig(backend="vectorized", **kwargs))
+
+
+def read_all(record):
+    return {name: getattr(record, name) for name in NAMED_FIELDS}
+
+
+class TestArrayVerdict:
+    @pytest.mark.parametrize("factory", [
+        base_workload, unsorted_generator_workload, power_law_workload,
+    ])
+    def test_verdict_matches_object_graph_every_iteration(self, factory):
+        """The detector's array verdict equals TaskSet.is_feasible at the
+        detector's tolerance on every iteration of a full run."""
+        taskset = factory()
+        opt = array_optimizer(taskset)
+        tol = opt.detector.feasibility_tol
+        verdicts = []
+
+        def check(record):
+            expected = taskset.is_feasible(record.latencies, tol=tol)
+            assert opt.detector.feasible() == expected, record.iteration
+            assert opt.feasible() == expected, record.iteration
+            verdicts.append(expected)
+
+        opt.on_iteration = check
+        opt.run()
+        assert len(verdicts) == 600
+        # The runs pass through both verdicts, so both branches are pinned.
+        assert True in verdicts and False in verdicts
+
+    def test_feasible_after_refresh_model_reads_the_new_model(self):
+        """An error correction after the last step makes that step's loads
+        stale; feasible() re-measures the iterate on the refreshed model."""
+        taskset = base_workload()
+        opt = array_optimizer(taskset, stop_on_convergence=True,
+                              max_iterations=3000)
+        assert opt.run().converged and opt.feasible()
+        before = dict(opt.latencies)
+        for _task, sub in taskset.subtasks_on("r1"):
+            base = taskset.share_function(sub.name)
+            taskset.set_share_function(
+                sub.name, CorrectedShare(base, error=0.5 * before[sub.name]))
+        opt.refresh_model()
+        assert opt.latencies == before
+        assert not taskset.is_feasible(before, tol=1e-2)
+        assert not opt.feasible()
+        assert not opt.detector.feasible()
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_feasible_right_after_reallocation(self, shards):
+        """Before any step (construction, reset, adopt_prices) the verdict
+        is measured on the compiled structure."""
+        taskset = separable_taskset()
+        opt = array_optimizer(taskset, shards=shards)
+        for tol in (1e-9, 1e-2, 10.0):
+            assert opt.feasible(tol) == \
+                taskset.is_feasible(opt.latencies, tol=tol)
+        opt.run(50)
+        opt.adopt_prices({r: 0.5 for r in taskset.resources})
+        assert opt.feasible(1e-2) == \
+            taskset.is_feasible(opt.latencies, tol=1e-2)
+
+
+class TestNoDictsInTheRunLoop:
+    def _counting(self, monkeypatch):
+        calls = {"is_feasible": 0, "engine_step": 0, "named": []}
+        is_feasible = TaskSet.is_feasible
+        engine_step = VectorizedEngine.step
+        sharded_step = ShardedEngine.step
+        named_field = vectorized.named_field
+
+        def counted_is_feasible(self, *args, **kwargs):
+            calls["is_feasible"] += 1
+            return is_feasible(self, *args, **kwargs)
+
+        def counted_engine_step(self):
+            calls["engine_step"] += 1
+            return engine_step(self)
+
+        def counted_sharded_step(self):
+            calls["engine_step"] += 1
+            return sharded_step(self)
+
+        def counted_named_field(structure, out, name):
+            calls["named"].append(name)
+            return named_field(structure, out, name)
+
+        monkeypatch.setattr(TaskSet, "is_feasible", counted_is_feasible)
+        monkeypatch.setattr(VectorizedEngine, "step", counted_engine_step)
+        monkeypatch.setattr(ShardedEngine, "step", counted_sharded_step)
+        monkeypatch.setattr(vectorized, "named_field", counted_named_field)
+        return calls
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_run_without_history_builds_nothing_per_iteration(
+            self, monkeypatch, shards):
+        calls = self._counting(monkeypatch)
+        opt = LLAOptimizer(separable_taskset(), LLAConfig(
+            backend="vectorized", shards=shards, record_history=False,
+            max_iterations=2000,
+        ))
+        result = opt.run()
+        assert result.converged and result.iterations > 50
+        assert calls["is_feasible"] == 0
+        assert calls["engine_step"] == 0
+        # Only the result's latency map is built, once, at the end.
+        assert calls["named"] == ["latencies"]
+
+    def test_vectorized_backend_builds_no_scalar_machinery(self):
+        opt = array_optimizer(base_workload())
+        assert opt.allocators == {} and opt.path_prices == {}
+
+    def test_run_rejects_a_negative_budget(self):
+        with pytest.raises(OptimizationError):
+            array_optimizer(base_workload()).run(-1)
+
+
+class TestRecordsOwnTheirArrays:
+    @pytest.mark.parametrize("mutate", ["reset", "adopt_prices", "steps"])
+    @pytest.mark.parametrize("factory, shards", [
+        (base_workload, 1), (separable_taskset, 2),
+    ])
+    def test_record_read_later_shows_its_iteration(self, mutate, factory,
+                                                   shards):
+        """A record read after reset()/adopt_prices()/more steps still
+        shows the values an eager read at its own iteration saw."""
+        lazy = array_optimizer(factory(), shards=shards)
+        eager = array_optimizer(factory(), shards=shards)
+        for _ in range(30):
+            held = lazy.step()
+            expected = read_all(eager.step())
+        if shards == 1:
+            # Nonzero λ, so a reset that wrote into the held array shows.
+            assert max(expected["path_prices"].values()) > 0.0
+        if mutate == "reset":
+            lazy.reset()
+        elif mutate == "adopt_prices":
+            lazy.adopt_prices({r: 0.25 for r in lazy.taskset.resources})
+        else:
+            for _ in range(5):
+                lazy.step()
+        assert read_all(held) == expected
+
+    @pytest.mark.parametrize("mutate", ["reset", "adopt_prices"])
+    def test_latencies_after_reallocation_are_the_new_iterate(self, mutate):
+        opt = array_optimizer(base_workload())
+        fresh = array_optimizer(base_workload())
+        for _ in range(40):
+            opt.step()
+        if mutate == "reset":
+            opt.reset()
+        else:
+            prices = {r: 0.75 for r in opt.taskset.resources}
+            opt.adopt_prices(prices)
+            fresh.adopt_prices(prices)
+        assert opt.latencies == fresh.latencies
+        assert opt.resource_prices.prices == fresh.resource_prices.prices
+        assert read_all(opt.step()) == read_all(fresh.step())
+
+    def test_latencies_are_the_records_map(self):
+        opt = array_optimizer(base_workload())
+        record = opt.step()
+        assert opt.latencies is record.latencies
+
+    def test_resource_prices_follow_the_engine(self):
+        opt = array_optimizer(base_workload())
+        for _ in range(20):
+            record = opt.step()
+        assert opt.resource_prices.prices == record.resource_prices
+        assert opt.resource_prices.prices is not record.resource_prices
+
+
+class TestShardedArrays:
+    @pytest.mark.parametrize("mode", ["serial", "processes"])
+    def test_merged_arrays_match_unsharded_bitwise(self, mode):
+        taskset = separable_taskset()
+        config = LLAConfig(backend="vectorized")
+        plain = VectorizedEngine(taskset, config,
+                                 config.build_step_policy(taskset))
+        sharded_config = LLAConfig(backend="vectorized", shards=2,
+                                   shard_mode=mode)
+        other = separable_taskset()
+        with ShardedEngine(other, sharded_config,
+                           sharded_config.build_step_policy(other)) as eng:
+            assert eng.plan.n_shards == 2
+            for _ in range(40):
+                a, b = plain.step_arrays(), eng.step_arrays()
+                for name in vars(a):
+                    assert np.array_equal(getattr(a, name),
+                                          getattr(b, name)), name
+                    assert getattr(b, name).dtype == getattr(a, name).dtype
+
+
+class TestPairIncidence:
+    @pytest.mark.parametrize("factory", [
+        base_workload, unsorted_generator_workload,
+    ])
+    def test_pairs_are_the_distinct_path_resource_incidences(self, factory):
+        taskset = factory()
+        s = compile_structure(taskset)
+        expected = set()
+        for p, key in enumerate(s.path_keys):
+            task = next(t for t in taskset.tasks if t.name == key.task)
+            for name in task.graph.paths[key.index]:
+                resource = task.subtask(name).resource
+                expected.add((p, s.resource_names.index(resource)))
+        pairs = list(zip(s.pr_path.tolist(), s.pr_res.tolist()))
+        assert pairs == sorted(expected)
+
+    def _format_1(self, payload):
+        """The same structure in the dense-matrix layout of format 1."""
+        old = dict(payload)
+        old["format"] = 1
+        n_path, n_res = len(old["path_keys"]), len(old["resource_names"])
+        dense = [[False] * n_res for _ in range(n_path)]
+        for p, r in zip(old.pop("pr_path"), old.pop("pr_res")):
+            dense[p][r] = True
+        old["path_res_inc"] = dense
+        return old
+
+    def test_format_1_payload_is_rejected(self):
+        payload = structure_to_dict(compile_structure(base_workload()))
+        assert payload["format"] == 2
+        with pytest.raises(ModelError, match="format"):
+            structure_from_dict(self._format_1(payload))
+
+    def test_format_1_snapshot_demotes_restore_to_cold(self):
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        stored = service.snapshots._checkpoints["service"]
+        stored.state["structure"] = self._format_1(stored.state["structure"])
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
+
+    def test_out_of_range_pair_is_rejected(self):
+        payload = structure_to_dict(compile_structure(base_workload()))
+        payload["pr_res"][0] = len(payload["resource_names"])
+        with pytest.raises(ModelError, match="pr_res"):
+            structure_from_dict(payload)

@@ -25,9 +25,7 @@ from repro.model.task import TaskSet
 from repro.workloads.generator import GeneratorConfig, random_workload
 from repro.workloads.paper import base_workload
 
-_ALL_ARRAYS = _INDEX_ARRAYS + _FLOAT_ARRAYS + (
-    "ut_kind", "hyper_mask", "path_res_inc",
-)
+_ALL_ARRAYS = _INDEX_ARRAYS + _FLOAT_ARRAYS + ("ut_kind", "hyper_mask")
 
 
 def _assert_structures_equal(a, b):

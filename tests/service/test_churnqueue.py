@@ -42,6 +42,21 @@ class TestChurnEvent:
             ChurnEvent(kind="availability", key="r0")
 
 
+    @pytest.mark.parametrize("value", [
+        -0.5, 1.01, float("nan"), float("inf"),
+    ])
+    def test_rejects_availability_outside_unit_interval(self, value):
+        with pytest.raises(ServiceError, match="availability"):
+            ChurnEvent(kind="availability", key="r0", availability=value)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -3.0, float("nan"), float("inf"),
+    ])
+    def test_rejects_nonpositive_or_nonfinite_critical_time(self, value):
+        with pytest.raises(ServiceError, match="critical_time"):
+            ChurnEvent(kind="update", key="t0", critical_time=value)
+
+
 class TestCoalescing:
     def test_register_then_deregister_cancels(self):
         queue = ChurnQueue()

@@ -5,11 +5,13 @@ import pytest
 
 from repro.distributed.faults import ChurnStorm, FaultPlan, LossBurst, LoopStall
 from repro.errors import ServiceError
+from repro.model.task import TaskSet
 from repro.service import (
     BrownoutConfig,
     ChurnEvent,
     HardeningConfig,
     RetryPolicy,
+    ServiceConfig,
     ServiceFaultInjector,
     SupervisedService,
     Watchdog,
@@ -116,6 +118,89 @@ class TestBatchedChurn:
         assert accepted == 12              # all coalesce, none shed
         svc.tick()
         assert set(svc.service.tasks) == {"t0", "t1", "t2"}
+
+
+class TestInvalidChurn:
+    """Invalid churn is refused to its producer; before, it was queued and
+    the next tick raised out of the batched rebuild."""
+
+    @pytest.mark.parametrize("resource, value", [
+        ("r0", 1.5), ("r0", -0.1), ("r0", float("nan")),
+        ("r0", float("inf")), ("ghost", 0.5),
+    ])
+    def test_bad_availability_raises_and_queues_nothing(self, resource,
+                                                        value):
+        svc = make_supervised()
+        svc.tick()
+        with pytest.raises(ServiceError):
+            svc.set_availability(resource, value)
+        assert svc.queue.depth == 0
+        svc.run_ticks(2)                   # the loop keeps running
+
+    @pytest.mark.parametrize("critical_time", [
+        0.0, -1.0, float("nan"), float("inf"),
+    ])
+    def test_bad_critical_time_raises_and_queues_nothing(self,
+                                                         critical_time):
+        svc = make_supervised()
+        svc.tick()
+        with pytest.raises(ServiceError):
+            svc.update_task("t0", critical_time=critical_time)
+        assert svc.queue.depth == 0
+        svc.run_ticks(2)
+        assert svc.service.task("t0").critical_time == 40.0
+
+    def test_valid_edges_are_accepted(self):
+        svc = make_supervised()
+        svc.tick()
+        assert svc.set_availability("r2", 0.0)
+        assert svc.set_availability("r1", 1.0)
+        svc.tick()
+        assert svc.service.resource("r1").availability == 1.0
+
+
+class TestLastGoodCapture:
+    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    def test_capture_follows_the_live_verdict(self, backend):
+        svc = make_supervised(service=ServiceConfig(backend=backend))
+        svc.run_ticks(5)
+        live = svc.service
+        assert live.feasible(1e-2) == live.taskset.is_feasible(
+            live.allocations(), tol=1e-2)
+        assert svc._last_good_latencies == live.allocations()
+
+    def test_vectorized_capture_makes_no_object_graph_check(self,
+                                                            monkeypatch):
+        calls = []
+        original = TaskSet.is_feasible
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        svc = make_supervised()
+        monkeypatch.setattr(TaskSet, "is_feasible", counted)
+        svc.run_ticks(5)
+        assert calls == []
+        assert svc._last_good_tick == 5
+
+    def test_verdict_right_after_a_rebuild_and_a_restore(self):
+        """Before any step of a fresh epoch the verdict is measured on the
+        compiled structure, and agrees with the object graph."""
+        svc = make_supervised(stall_deadline=10)
+        svc.run_ticks(5)
+        svc.inject_stall(2)
+        assert svc.update_task("t0", critical_time=30.0)
+        svc.tick()                         # rebuild, no step (stalled)
+        live = svc.service
+        for tol in (1e-9, 1e-2):
+            assert live.feasible(tol) == live.taskset.is_feasible(
+                live.allocations(), tol=tol)
+        live.snapshot()
+        live.step(20)
+        assert live.restore()
+        assert live.feasible(1e-2) == live.taskset.is_feasible(
+            live.allocations(), tol=1e-2)
 
 
 class TestSupervisorRestart:
