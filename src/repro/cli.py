@@ -110,9 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("--iterations", type=int, default=1500)
     opt.add_argument("--warm-start", action="store_true")
     opt.add_argument("--backend", choices=("scalar", "vectorized"),
-                     default="scalar",
-                     help="LLA iteration kernel (identical iterates; "
-                          "'vectorized' is faster on large workloads)")
+                     default=None,
+                     help="LLA iteration kernel (default: LLAConfig's, "
+                          "vectorized; identical iterates; 'scalar' also "
+                          "runs exponential utilities and custom share "
+                          "functions)")
     opt.add_argument("--shards", type=int, default=1,
                      help="partition the vectorized kernel by resource-"
                           "connectivity components (bitwise-identical "
@@ -377,7 +379,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     taskset = _load_taskset(args.workload)
-    backend = "vectorized" if args.shards > 1 else args.backend
+    backend = "vectorized" if args.shards > 1 \
+        else args.backend or LLAConfig.backend
     config = LLAConfig(max_iterations=args.iterations,
                        warm_start=args.warm_start,
                        backend=backend,

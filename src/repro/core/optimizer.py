@@ -99,12 +99,16 @@ class LLAConfig:
         ``initial_resource_price``.  Exact in the overprovisioned regime;
         a large head start elsewhere.
     backend:
-        ``"scalar"`` (the reference per-subtask/per-path loops) or
-        ``"vectorized"`` (the batched numpy kernel of
-        :mod:`repro.core.vectorized`).  Both produce the same iterates and
-        the same :class:`~repro.core.state.IterationRecord` stream; the
-        vectorized backend requires the paper's closed-form model family
-        (power-law shares, linear or inelastic utilities).
+        ``"vectorized"`` (the default: the batched numpy kernel of
+        :mod:`repro.core.vectorized`) or ``"scalar"`` (the reference
+        per-subtask/per-path loops).  Both produce the same iterates and
+        the same :class:`~repro.core.state.IterationRecord` stream on the
+        kernel's model family — power-law shares with linear, inelastic,
+        log or quadratic utilities (see :func:`repro.core.structure.task_model`).
+        Outside it (the convex ``ExponentialUtility``, custom share
+        classes) the vectorized backend raises
+        :class:`~repro.errors.OptimizationError` and the scalar backend,
+        with its per-task L-BFGS-B solve, is the only path.
     shards:
         Maximum number of shards for the vectorized backend (see
         :mod:`repro.core.sharding`).  The compiled structure is partitioned
@@ -137,7 +141,7 @@ class LLAConfig:
     max_latency_factor: float = 1.0
     stop_on_convergence: bool = True
     warm_start: bool = False
-    backend: str = "scalar"
+    backend: str = "vectorized"
     shards: int = 1
     shard_mode: str = "serial"
 

@@ -52,6 +52,7 @@ from repro.errors import OptimizationError
 from repro.core.state import PathKey
 from repro.core.stepsize import StepSizePolicy
 from repro.core.structure import (
+    UTILITY_ARRAYS,
     TaskSetStructure,
     compile_structure,
     structure_from_dict,
@@ -202,9 +203,10 @@ def plan_shards(structure: TaskSetStructure, shards: int) -> ShardPlan:
 #: Model arrays refreshed by :meth:`TaskSetStructure.refresh_model`, split
 #: by the index space they are sliced over when pushed into shards.
 _REFRESH_SUB_ARRAYS = (
-    "alpha", "cost", "err", "hyper_mask", "inv_exp", "lo", "hi",
+    "alpha", "cost", "err", "hyper_mask", "inv_exp", "lo", "hi", "pull_base",
 )
 _REFRESH_RES_ARRAYS = ("availability",)
+_REFRESH_TASK_ARRAYS = ("ut_kind",) + UTILITY_ARRAYS
 
 
 def extract_shard(structure: TaskSetStructure,
@@ -270,14 +272,28 @@ def extract_shard(structure: TaskSetStructure,
     sub.pr_res = np.searchsorted(ress, structure.pr_res[keep_pr])
 
     # Model arrays: plain row selections.
-    for name in _REFRESH_SUB_ARRAYS + ("weights", "pull_base"):
-        setattr(sub, name, getattr(structure, name)[subs].copy())
-    for name in _REFRESH_RES_ARRAYS:
-        setattr(sub, name, getattr(structure, name)[ress].copy())
+    sub.weights = structure.weights[subs].copy()
     sub.path_crit = structure.path_crit[paths].copy()
-    for name in ("ut_kind", "ut_kc", "ut_slope", "ut_umax", "ut_crit"):
-        setattr(sub, name, getattr(structure, name)[tasks].copy())
+    for name, rows in _model_rows(structure, spec).items():
+        setattr(sub, name, rows)
     return sub
+
+
+def _model_rows(structure: TaskSetStructure,
+                spec: ShardSpec) -> Dict[str, np.ndarray]:
+    """The shard's rows of every refreshable model array."""
+    index = {
+        "sub": np.asarray(spec.sub_ids, dtype=np.intp),
+        "res": np.asarray(spec.resource_ids, dtype=np.intp),
+        "task": np.asarray(spec.task_ids, dtype=np.intp),
+    }
+    return {
+        name: getattr(structure, name)[index[per]].copy()
+        for per, names in (("sub", _REFRESH_SUB_ARRAYS),
+                           ("res", _REFRESH_RES_ARRAYS),
+                           ("task", _REFRESH_TASK_ARRAYS))
+        for name in names
+    }
 
 
 # -- shared-memory worker pool ------------------------------------------------
@@ -384,9 +400,7 @@ def _shard_worker_main(conn: Connection, payload: Dict[str, Any],
                 engine.reset_step_sizes()
                 conn.send(("ok",))
             elif cmd == "set_model":
-                for name, values in msg[1].items():
-                    setattr(structure, name, np.asarray(values))
-                structure.inv_exp = 1.0 / (structure.alpha + 1.0)
+                structure.set_model_arrays(msg[1])
                 conn.send(("ok",))
             else:  # pragma: no cover - defensive
                 conn.send(("error", f"unknown command {cmd!r}"))
@@ -700,17 +714,9 @@ class ShardedEngine:
         self.structure.refresh_model()
         for i, (shard, sub) in enumerate(
                 zip(self.plan.specs, self._structures)):
-            subs = np.asarray(shard.sub_ids, dtype=np.intp)
-            ress = np.asarray(shard.resource_ids, dtype=np.intp)
-            for name in _REFRESH_SUB_ARRAYS:
-                setattr(sub, name, getattr(self.structure, name)[subs].copy())
-            for name in _REFRESH_RES_ARRAYS:
-                setattr(sub, name, getattr(self.structure, name)[ress].copy())
+            arrays = _model_rows(self.structure, shard)
+            sub.set_model_arrays(arrays)
             if self._pool is not None:
-                arrays = {
-                    name: getattr(sub, name)
-                    for name in _REFRESH_SUB_ARRAYS + _REFRESH_RES_ARRAYS
-                }
                 self._pool.send_one(i, "set_model", arrays)
 
     def close(self) -> None:

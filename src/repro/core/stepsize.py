@@ -17,7 +17,7 @@ and the distributed agents are policy-agnostic.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.errors import OptimizationError
 from repro.core.state import PathKey
@@ -102,6 +102,12 @@ class AdaptiveStepSize(StepSizePolicy):
 
     The paper obtained its best results starting from γ = 1.
 
+    The per-name state (which paths traverse each resource, one γ per
+    resource and path) is built on the first :meth:`resource_gamma`,
+    :meth:`path_gamma` or :meth:`observe` call.  The vectorized kernel
+    keeps its own γ arrays and reads only the three parameters, so on
+    that backend the index is never built.
+
     Deviation from the paper: growth is capped at ``max_gamma`` (default 8).
     With our reconstructed Figure-4 topology, unbounded doubling overshoots
     so far that latencies slam between their clamps and the iteration never
@@ -120,12 +126,21 @@ class AdaptiveStepSize(StepSizePolicy):
         self.initial_gamma = float(initial_gamma)
         self.growth = float(growth)
         self.max_gamma = float(max_gamma)
-        self._paths_by_resource = self._index_paths(taskset)
+        self._taskset = taskset
+        self._paths_by_resource: Optional[
+            Dict[str, Tuple[PathKey, ...]]] = None
         self._resource_gamma: Dict[str, float] = {}
         self._path_gamma: Dict[PathKey, float] = {}
         self._cover_gamma: Dict[PathKey, float] = {}
         self._direct_gamma: Dict[PathKey, float] = {}
-        self.reset()
+
+    def _index(self) -> Dict[str, Tuple[PathKey, ...]]:
+        """The resource→paths index, with every γ at its initial value
+        when first built."""
+        if self._paths_by_resource is None:
+            self._paths_by_resource = self._index_paths(self._taskset)
+            self.reset()
+        return self._paths_by_resource
 
     @staticmethod
     def _index_paths(taskset: TaskSet) -> Dict[str, Tuple[PathKey, ...]]:
@@ -141,34 +156,38 @@ class AdaptiveStepSize(StepSizePolicy):
         return {r: tuple(paths) for r, paths in index.items()}
 
     def reset(self) -> None:
-        self._resource_gamma = {
-            r: self.initial_gamma for r in self._paths_by_resource
-        }
+        index = self._paths_by_resource
+        if index is None:
+            return  # nothing built yet: every γ is still the initial one
+        self._resource_gamma = {r: self.initial_gamma for r in index}
         all_paths: Set[PathKey] = set()
-        for paths in self._paths_by_resource.values():
+        for paths in index.values():
             all_paths.update(paths)
         self._path_gamma = {p: self.initial_gamma for p in all_paths}
         self._cover_gamma = {p: self.initial_gamma for p in all_paths}
         self._direct_gamma = {p: self.initial_gamma for p in all_paths}
 
     def resource_gamma(self, resource: str) -> float:
+        self._index()
         return self._resource_gamma.get(resource, self.initial_gamma)
 
     def path_gamma(self, path: PathKey) -> float:
+        self._index()
         return self._path_gamma.get(path, self.initial_gamma)
 
     def observe(self, congested_resources: Iterable[str],
                 congested_paths: Iterable[PathKey]) -> None:
+        index = self._index()
         congested = set(congested_resources)
         direct = set(congested_paths)
         covered: Set[PathKey] = set()
-        for resource in self._paths_by_resource:
+        for resource in index:
             if resource in congested:
                 self._resource_gamma[resource] = min(
                     self._resource_gamma[resource] * self.growth,
                     self.max_gamma,
                 )
-                covered.update(self._paths_by_resource[resource])
+                covered.update(index[resource])
             else:
                 self._resource_gamma[resource] = self.initial_gamma
         for path in self._path_gamma:

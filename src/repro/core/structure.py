@@ -39,17 +39,26 @@ Because compilation is canonical, permuted-but-equal task sets produce the
 same structure fingerprint; checkpoints and snapshots stamped with it can
 be validated on restore, and corrupt payloads are detected by the hash.
 
-Only the paper's closed-form model family compiles: power-law share
-functions (:class:`HyperbolicShare`, :class:`PowerLawShare`, optionally
-wrapped in one :class:`CorrectedShare`) and linear or inelastic utilities.
-Anything else raises :class:`~repro.errors.OptimizationError` at
-compile time — run those workloads on the scalar backend.
+What compiles: power-law share functions (:class:`HyperbolicShare`,
+:class:`PowerLawShare`, optionally wrapped in one :class:`CorrectedShare`)
+with linear, inelastic, logarithmic or quadratic utilities.  Linear and
+inelastic tasks take the paper's closed-form Eq. 7 solve; log and
+quadratic tasks take the exact batched solve of
+:func:`~repro.core.allocation.solve_concave`, which needs each task's
+utility parameters (``ut_scale``/``ut_soft`` for log, ``ut_umax``/
+``ut_curv`` for quadratic).  :func:`task_model` is the one per-task gate
+of that family: compilation, :meth:`TaskSetStructure.refresh_model`, the
+service's admission check and :class:`~repro.core.allocation.LatencyAllocator`
+all go through it.  Anything else (the convex
+:class:`~repro.model.utility.ExponentialUtility`, custom share classes)
+raises :class:`~repro.errors.OptimizationError` — run those workloads on
+the scalar backend, whose per-task L-BFGS-B solve handles them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,23 +66,44 @@ from repro.errors import ModelError, OptimizationError
 from repro.core.state import PathKey
 from repro.model.fingerprint import structure_fingerprint
 from repro.model.share import CorrectedShare, HyperbolicShare, PowerLawShare
-from repro.model.task import Task, TaskSet
-from repro.model.utility import InelasticUtility, LinearUtility
+from repro.model.task import Subtask, Task, TaskSet
+from repro.model.utility import (
+    InelasticUtility,
+    LinearUtility,
+    LogUtility,
+    QuadraticUtility,
+)
 
 __all__ = [
     "TaskSetStructure",
+    "TaskModel",
+    "ConcaveBlock",
     "compile_structure",
+    "task_model",
+    "latency_bounds",
     "structure_to_dict",
     "structure_from_dict",
 ]
 
-#: Utility-kind codes in the per-task arrays.
+#: Utility-kind codes in the per-task arrays.  Codes from
+#: :data:`UTILITY_LOG` on are the concave nonlinear kinds solved by
+#: :func:`~repro.core.allocation.solve_concave`.
 UTILITY_LINEAR = 0
 UTILITY_INELASTIC = 1
+UTILITY_LOG = 2
+UTILITY_QUADRATIC = 3
 
 #: Serialization format version (bumped on incompatible layout changes).
-#: Format 2 replaced the dense path×resource matrix with a pair list.
-_STRUCTURE_FORMAT_VERSION = 2
+#: Format 2 replaced the dense path×resource matrix with a pair list;
+#: format 3 added the log/quadratic utility arrays.
+_STRUCTURE_FORMAT_VERSION = 3
+
+#: Per-task utility parameter arrays (besides ``ut_kind``), filled from
+#: :func:`task_model`'s utility row; a parameter a kind does not use is 0.
+UTILITY_ARRAYS = (
+    "ut_kc", "ut_slope", "ut_umax", "ut_crit", "ut_scale", "ut_soft",
+    "ut_curv",
+)
 
 #: Integer index arrays and their serialization order.
 _INDEX_ARRAYS = (
@@ -84,9 +114,8 @@ _INDEX_ARRAYS = (
 #: Float64 model/shape arrays and their serialization order.
 _FLOAT_ARRAYS = (
     "sub_exec", "weights", "pull_base", "alpha", "cost", "err", "inv_exp",
-    "lo", "hi", "availability", "path_crit", "ut_kc", "ut_slope", "ut_umax",
-    "ut_crit",
-)
+    "lo", "hi", "availability", "path_crit",
+) + UTILITY_ARRAYS
 
 
 @dataclass
@@ -95,8 +124,8 @@ class TaskSetStructure:
 
     Static shape data (orderings, incidence) is immutable after
     compilation; model coefficients that can change at run time — share
-    parameters, latency bounds, availabilities — live in arrays refreshed
-    in place by :meth:`refresh_model`.
+    parameters, latency bounds, availabilities, utilities — live in arrays
+    refreshed in place by :meth:`refresh_model`.
 
     ``taskset`` is the bound source task set, or ``None`` for structures
     rebuilt from a serialized payload (:func:`structure_from_dict`) — an
@@ -142,7 +171,9 @@ class TaskSetStructure:
     # -- per-subtask model (refreshable) ----------------------------------------
     #: aggregation weight w_s, shape (S,)
     weights: np.ndarray = field(default=None)
-    #: w_s · slope_i — the utility component of the Eq. 7 pull, shape (S,)
+    #: w_s · slope_i — the utility component of the Eq. 7 pull; 0 for
+    #: inelastic tasks and for log/quadratic ones, whose pull depends on
+    #: the aggregated latency, shape (S,)
     pull_base: np.ndarray = field(default=None)
     #: power-law exponent α_s, shape (S,)
     alpha: np.ndarray = field(default=None)
@@ -163,19 +194,33 @@ class TaskSetStructure:
     availability: np.ndarray = field(default=None)
     #: critical time of the path's owning task, shape (P,)
     path_crit: np.ndarray = field(default=None)
-    #: utility kind codes, shape (T,)
+    #: utility kind codes, shape (T,) (refreshable, as are all ``ut_*``)
     ut_kind: np.ndarray = field(default=None)
     #: precomputed k_i · C_i for linear utilities, shape (T,)
     ut_kc: np.ndarray = field(default=None)
     #: linear slope, shape (T,)
     ut_slope: np.ndarray = field(default=None)
-    #: inelastic step height u_max, shape (T,)
+    #: u_max: the inelastic step height, the quadratic's value at 0,
+    #: shape (T,)
     ut_umax: np.ndarray = field(default=None)
-    #: inelastic step edge (the utility's own critical time), shape (T,)
+    #: the utility's own critical time: the inelastic step edge, the log
+    #: utility's slack anchor, shape (T,)
     ut_crit: np.ndarray = field(default=None)
+    #: log utility scale, shape (T,)
+    ut_scale: np.ndarray = field(default=None)
+    #: log utility softness, shape (T,)
+    ut_soft: np.ndarray = field(default=None)
+    #: quadratic curvature a in u_max − a·A², shape (T,)
+    ut_curv: np.ndarray = field(default=None)
 
-    #: cached canonical fingerprint; invalidated by :meth:`refresh_model`.
+    #: cached canonical fingerprint; invalidated with the model arrays.
     _fingerprint: Optional[str] = field(default=None, repr=False)
+    #: cached :class:`ConcaveBlock` (``False`` until first built);
+    #: invalidated with the model arrays.
+    _concave: Any = field(default=False, repr=False)
+    #: cached :attr:`kind_rows`; invalidated with the model arrays.
+    _kind_rows: Optional[Tuple[Tuple[int, np.ndarray], ...]] = field(
+        default=None, repr=False)
 
     @property
     def n_subtasks(self) -> int:
@@ -230,6 +275,27 @@ class TaskSetStructure:
             else self.n_paths
         return slice(int(starts[task_idx]), end)
 
+    @property
+    def concave(self) -> Optional["ConcaveBlock"]:
+        """The log/quadratic tasks gathered for the exact Eq. 7 solve, or
+        ``None`` when every task is linear or inelastic (built on first
+        read, then kept until the model arrays change)."""
+        if self._concave is False:
+            self._concave = ConcaveBlock.of_structure(self)
+        return self._concave
+
+    @property
+    def kind_rows(self) -> Tuple[Tuple[int, np.ndarray], ...]:
+        """``(kind code, task indices)`` of each utility kind present, in
+        ascending kind order (built on first read, then kept until the
+        model arrays change)."""
+        if self._kind_rows is None:
+            self._kind_rows = tuple(
+                (int(kind), np.flatnonzero(self.ut_kind == kind))
+                for kind in np.unique(self.ut_kind)
+            )
+        return self._kind_rows
+
     def refresh_model(self) -> None:
         """Re-read the mutable model state from the task set.
 
@@ -237,7 +303,8 @@ class TaskSetStructure:
         error correction swaps/retunes share functions and
         :meth:`TaskSet.set_availability` replaces resources, so share
         coefficients, latency clamps and B_r must all be recomputed.
-        Invalidates the cached :attr:`fingerprint`.
+        Invalidates the cached :attr:`fingerprint`, :attr:`concave` and
+        :attr:`kind_rows`.
         """
         if self.taskset is None:
             raise ModelError(
@@ -245,7 +312,21 @@ class TaskSetStructure:
                 "(deserialized without a task set)"
             )
         _fill_model_arrays(self, self.taskset, self.max_latency_factor)
+        self._model_changed()
+
+    def set_model_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
+        """Install refreshed model arrays computed elsewhere (the sharded
+        engine pushes row selections of its parent's arrays into shard
+        sub-structures); re-derives ``inv_exp`` and drops the caches."""
+        for name, values in arrays.items():
+            setattr(self, name, np.asarray(values))
+        self.inv_exp = 1.0 / (self.alpha + 1.0)
+        self._model_changed()
+
+    def _model_changed(self) -> None:
         self._fingerprint = None
+        self._concave = False
+        self._kind_rows = None
 
 
 def _unsupported(what: str) -> OptimizationError:
@@ -277,6 +358,83 @@ def _share_params(taskset: TaskSet,
     )
 
 
+def _utility_row(task: Task) -> Tuple[int, Dict[str, float]]:
+    """(kind code, non-zero :data:`UTILITY_ARRAYS` entries) of one task."""
+    u = task.utility
+    if isinstance(u, LinearUtility):
+        return UTILITY_LINEAR, {"ut_kc": u.k * u.critical_time,
+                                "ut_slope": u.slope}
+    if isinstance(u, InelasticUtility):
+        # The Eq. 7 solve gives inelastic tasks zero utility pull; only
+        # the paper's step shape is representable.
+        return UTILITY_INELASTIC, {"ut_umax": u.u_max,
+                                   "ut_crit": u.critical_time}
+    if isinstance(u, LogUtility):
+        return UTILITY_LOG, {"ut_crit": u.critical_time, "ut_scale": u.scale,
+                             "ut_soft": u.softness}
+    if isinstance(u, QuadraticUtility):
+        return UTILITY_QUADRATIC, {"ut_umax": u.u_max, "ut_curv": u.a}
+    raise _unsupported(
+        f"utility {type(u).__name__} on task {task.name!r} "
+        "(needs the numeric per-task solver)"
+    )
+
+
+def latency_bounds(taskset: TaskSet, task: Task, sub: Subtask,
+                   max_latency_factor: float) -> Tuple[float, float]:
+    """The ``[lo, hi]`` latency clamp of one subtask.
+
+    * lower bound: the latency achievable with the resource's full
+      availability (share cannot exceed ``B_r``);
+    * upper bound: the critical time (one subtask alone may not exceed
+      any path budget), further capped by the *minimum rate share*
+      ``rate × WCET`` of Section 6.2 — a subtask granted less than its
+      rate share falls behind its arrivals and queues without bound.
+    """
+    fn = taskset.share_function(sub.name)
+    avail = taskset.resources[sub.resource].availability
+    low = fn.min_latency(avail)
+    high = task.critical_time * max_latency_factor
+    if task.trigger is not None:
+        min_share = task.trigger.mean_rate() * sub.exec_time
+        if 0.0 < min_share < avail:
+            high = min(high, fn.latency_for_share(min_share))
+    return low, max(low, high)
+
+
+class TaskModel(NamedTuple):
+    """One task's compiled model rows (see :func:`task_model`)."""
+
+    #: utility kind code (``UTILITY_*``)
+    kind: int
+    #: the task's non-zero :data:`UTILITY_ARRAYS` entries
+    utility: Dict[str, float]
+    #: per subtask, in declaration order:
+    #: ``(alpha, cost, err, is_hyperbolic, lo, hi)``
+    subtasks: Tuple[Tuple[float, float, float, bool, float, float], ...]
+
+
+def task_model(taskset: TaskSet, task: Task,
+               max_latency_factor: float = 1.0) -> TaskModel:
+    """Compile one task of ``taskset`` into its model rows.
+
+    The single gate of the kernel's model family: compilation and
+    :meth:`TaskSetStructure.refresh_model` fill their model arrays from
+    it, the service screens arrivals with it before a rebuild, and
+    :class:`~repro.core.allocation.LatencyAllocator` builds its log and
+    quadratic solves from it.  Raises
+    :class:`~repro.errors.OptimizationError` for a utility or share
+    function outside the family (see the module docstring).
+    """
+    kind, utility = _utility_row(task)
+    rows = []
+    for sub in task.subtasks:
+        alpha, cost, err, hyper = _share_params(taskset, sub.name)
+        lo, hi = latency_bounds(taskset, task, sub, max_latency_factor)
+        rows.append((alpha, cost, err, hyper, lo, hi))
+    return TaskModel(kind, utility, tuple(rows))
+
+
 def _canonical_tasks(taskset: TaskSet) -> List[Task]:
     """The canonical (name-sorted) compile order of ``taskset``'s tasks."""
     return sorted(taskset.tasks, key=lambda t: t.name)
@@ -284,7 +442,8 @@ def _canonical_tasks(taskset: TaskSet) -> List[Task]:
 
 def _fill_model_arrays(s: TaskSetStructure, taskset: TaskSet,
                        max_latency_factor: float) -> None:
-    """(Re)compute the refreshable per-subtask/per-resource arrays."""
+    """(Re)compute the refreshable per-subtask/per-resource/per-task
+    arrays from :func:`task_model`."""
     n = s.n_subtasks
     alpha = np.empty(n)
     cost = np.empty(n)
@@ -292,23 +451,20 @@ def _fill_model_arrays(s: TaskSetStructure, taskset: TaskSet,
     hyper = np.empty(n, dtype=bool)
     lo = np.empty(n)
     hi = np.empty(n)
+    pull_base = np.empty(n)
+    tasks = _canonical_tasks(taskset)
+    kinds = np.empty(len(tasks), dtype=np.int8)
+    utility = {name: np.zeros(len(tasks)) for name in UTILITY_ARRAYS}
     i = 0
-    for task in _canonical_tasks(taskset):
-        for sub in task.subtasks:
-            alpha[i], cost[i], err[i], hyper[i] = _share_params(
-                taskset, sub.name
-            )
-            # Identical bound logic to LatencyAllocator.refresh_bounds.
-            fn = taskset.share_function(sub.name)
-            avail = taskset.resources[sub.resource].availability
-            low = fn.min_latency(avail)
-            high = task.critical_time * max_latency_factor
-            if task.trigger is not None:
-                min_share = task.trigger.mean_rate() * sub.exec_time
-                if 0.0 < min_share < avail:
-                    high = min(high, fn.latency_for_share(min_share))
-            lo[i] = low
-            hi[i] = max(low, high)
+    for t, task in enumerate(tasks):
+        model = task_model(taskset, task, max_latency_factor)
+        kinds[t] = model.kind
+        for name, value in model.utility.items():
+            utility[name][t] = value
+        slope = model.utility.get("ut_slope", 0.0)
+        for sub, row in zip(task.subtasks, model.subtasks):
+            alpha[i], cost[i], err[i], hyper[i], lo[i], hi[i] = row
+            pull_base[i] = task.weight(sub.name) * slope
             i += 1
     s.alpha = alpha
     s.cost = cost
@@ -317,9 +473,120 @@ def _fill_model_arrays(s: TaskSetStructure, taskset: TaskSet,
     s.inv_exp = 1.0 / (alpha + 1.0)
     s.lo = lo
     s.hi = hi
+    s.pull_base = pull_base
+    s.ut_kind = kinds
+    for name, values in utility.items():
+        setattr(s, name, values)
     s.availability = np.array(
         [taskset.resources[r].availability for r in s.resource_names]
     )
+
+
+@dataclass
+class ConcaveBlock:
+    """The rows of the log/quadratic tasks, gathered for
+    :func:`~repro.core.allocation.solve_concave`.
+
+    Row arrays have one entry per subtask of those tasks (task by task,
+    declaration order within a task); task arrays one per such task.
+    Built from a compiled structure (:meth:`of_structure`, cached as
+    :attr:`TaskSetStructure.concave`) or from one :class:`TaskModel`
+    (:meth:`of_task`) — equal inputs give equal arrays, so both solve bit
+    for bit alike.
+    """
+
+    #: structure subtask index of each row (``arange`` for one task)
+    subs: np.ndarray
+    #: block task index of each row
+    task_of: np.ndarray
+    weights: np.ndarray
+    alpha: np.ndarray
+    cost: np.ndarray
+    err: np.ndarray
+    hyper_mask: np.ndarray
+    inv_exp: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    #: per task: log (``True``) or quadratic utility
+    is_log: np.ndarray
+    #: log utility parameters (neutral 0/1 entries on quadratic tasks)
+    crit: np.ndarray
+    scale: np.ndarray
+    soft: np.ndarray
+    #: quadratic curvature (0 on log tasks)
+    curv: np.ndarray
+    #: Σ w·lo and Σ w·hi per task: the bracket of the aggregated latency
+    lo_sum: np.ndarray
+    hi_sum: np.ndarray
+    #: w²/(α+1) per row, the constant factor of ∂lat/∂A
+    w2_inv_exp: np.ndarray
+    #: whether every row's share is hyperbolic
+    all_hyper: bool
+
+    @classmethod
+    def build(cls, subs: np.ndarray, task_of: np.ndarray,
+              rows: Mapping[str, np.ndarray],
+              tasks: Mapping[str, np.ndarray]) -> "ConcaveBlock":
+        """A block from row arrays (``weights``, ``alpha``, ``cost``,
+        ``err``, ``hyper_mask``, ``lo``, ``hi``) and task arrays
+        (``ut_kind`` and the log/quadratic :data:`UTILITY_ARRAYS`)."""
+        n_tasks = len(tasks["ut_kind"])
+        is_log = np.asarray(tasks["ut_kind"]) == UTILITY_LOG
+        w = np.asarray(rows["weights"], dtype=np.float64)
+        alpha = np.asarray(rows["alpha"], dtype=np.float64)
+        lo = np.asarray(rows["lo"], dtype=np.float64)
+        hi = np.asarray(rows["hi"], dtype=np.float64)
+        hyper_mask = np.asarray(rows["hyper_mask"], dtype=bool)
+        inv_exp = 1.0 / (alpha + 1.0)
+        return cls(
+            subs=subs, task_of=task_of, weights=w, alpha=alpha,
+            cost=np.asarray(rows["cost"], dtype=np.float64),
+            err=np.asarray(rows["err"], dtype=np.float64),
+            hyper_mask=hyper_mask, inv_exp=inv_exp, lo=lo, hi=hi,
+            is_log=is_log,
+            crit=np.where(is_log, tasks["ut_crit"], 0.0),
+            scale=np.where(is_log, tasks["ut_scale"], 1.0),
+            soft=np.where(is_log, tasks["ut_soft"], 1.0),
+            curv=np.where(is_log, 0.0, tasks["ut_curv"]),
+            lo_sum=np.bincount(task_of, weights=w * lo, minlength=n_tasks),
+            hi_sum=np.bincount(task_of, weights=w * hi, minlength=n_tasks),
+            w2_inv_exp=w * w * inv_exp,
+            all_hyper=bool(hyper_mask.all()),
+        )
+
+    @classmethod
+    def of_task(cls, task: Task, model: TaskModel) -> "ConcaveBlock":
+        """The one-task block of a log/quadratic ``task``."""
+        n = len(task.subtasks)
+        columns = list(zip(*model.subtasks))
+        rows: Dict[str, Any] = {
+            "weights": [task.weight(sub.name) for sub in task.subtasks],
+        }
+        for name, column in zip(
+                ("alpha", "cost", "err", "hyper_mask", "lo", "hi"), columns):
+            rows[name] = column
+        tasks = {name: np.array([model.utility.get(name, 0.0)])
+                 for name in UTILITY_ARRAYS}
+        tasks["ut_kind"] = np.array([model.kind], dtype=np.int8)
+        return cls.build(np.arange(n), np.zeros(n, dtype=np.intp), rows,
+                         tasks)
+
+    @classmethod
+    def of_structure(cls,
+                     s: TaskSetStructure) -> Optional["ConcaveBlock"]:
+        """The block of ``s``'s log/quadratic tasks; ``None`` when it has
+        none."""
+        tasks = np.flatnonzero(s.ut_kind >= UTILITY_LOG)
+        if not tasks.size:
+            return None
+        subs = np.flatnonzero(np.isin(s.sub_task_ids, tasks))
+        rows = {name: getattr(s, name)[subs]
+                for name in ("weights", "alpha", "cost", "err",
+                             "hyper_mask", "lo", "hi")}
+        task_arrays = {name: getattr(s, name)[tasks]
+                       for name in ("ut_kind",) + UTILITY_ARRAYS}
+        return cls.build(subs, np.searchsorted(tasks, s.sub_task_ids[subs]),
+                         rows, task_arrays)
 
 
 def compile_structure(taskset: TaskSet,
@@ -330,7 +597,7 @@ def compile_structure(taskset: TaskSet,
     describing the same problem compile to byte-identical arrays (and the
     same :attr:`~TaskSetStructure.fingerprint`) regardless of declaration
     order.  Raises :class:`~repro.errors.OptimizationError` when the
-    workload falls outside the closed-form model family (see module
+    workload falls outside the kernel's model family (see module
     docstring).
     """
     tasks = _canonical_tasks(taskset)
@@ -342,7 +609,6 @@ def compile_structure(taskset: TaskSet,
     sub_task_ids = []
     sub_exec = []
     weights = []
-    pull_base = []
     path_keys = []
     path_crit = []
     path_sub_flat = []
@@ -350,37 +616,9 @@ def compile_structure(taskset: TaskSet,
     task_path_starts = []
     task_sub_starts = [0]
     sub_paths = []  # per-subtask list of global path indices, global order
-    ut_kind = []
-    ut_kc = []
-    ut_slope = []
-    ut_umax = []
-    ut_crit = []
 
     sub_index = {}
     for task in tasks:
-        utility = task.utility
-        if isinstance(utility, LinearUtility):
-            slope = utility.slope
-            ut_kind.append(UTILITY_LINEAR)
-            ut_kc.append(utility.k * utility.critical_time)
-            ut_slope.append(slope)
-            ut_umax.append(0.0)
-            ut_crit.append(0.0)
-        elif isinstance(utility, InelasticUtility):
-            # The scalar closed form treats inelastic tasks with zero
-            # utility pull; only the paper's step shape is representable.
-            slope = 0.0
-            ut_kind.append(UTILITY_INELASTIC)
-            ut_kc.append(0.0)
-            ut_slope.append(0.0)
-            ut_umax.append(utility.u_max)
-            ut_crit.append(utility.critical_time)
-        else:
-            raise _unsupported(
-                f"utility {type(utility).__name__} on task {task.name!r} "
-                "(needs the numeric per-task solver)"
-            )
-
         task_idx = len(task_path_starts)
         for sub in task.subtasks:
             sub_index[sub.name] = len(subtask_names)
@@ -388,9 +626,7 @@ def compile_structure(taskset: TaskSet,
             sub_resource.append(resource_index[sub.resource])
             sub_task_ids.append(task_idx)
             sub_exec.append(float(sub.exec_time))
-            w = task.weight(sub.name)
-            weights.append(w)
-            pull_base.append(w * slope)
+            weights.append(task.weight(sub.name))
             sub_paths.append([])
         task_sub_starts.append(len(subtask_names))
 
@@ -432,13 +668,7 @@ def compile_structure(taskset: TaskSet,
     structure.task_sub_starts = np.asarray(task_sub_starts, dtype=np.intp)
     structure.sub_exec = np.asarray(sub_exec)
     structure.weights = np.asarray(weights)
-    structure.pull_base = np.asarray(pull_base)
     structure.path_crit = np.asarray(path_crit)
-    structure.ut_kind = np.asarray(ut_kind, dtype=np.int8)
-    structure.ut_kc = np.asarray(ut_kc)
-    structure.ut_slope = np.asarray(ut_slope)
-    structure.ut_umax = np.asarray(ut_umax)
-    structure.ut_crit = np.asarray(ut_crit)
 
     sub_path_flat = []
     sub_ids_flat = []
@@ -566,9 +796,9 @@ def _check_shapes(s: TaskSetStructure) -> None:
         "err": n_sub, "hyper_mask": n_sub, "inv_exp": n_sub, "lo": n_sub,
         "hi": n_sub, "availability": n_res, "path_crit": n_path,
         "task_path_starts": n_task, "task_sub_starts": n_task + 1,
-        "ut_kind": n_task, "ut_kc": n_task, "ut_slope": n_task,
-        "ut_umax": n_task, "ut_crit": n_task,
+        "ut_kind": n_task,
     }
+    expected.update({name: n_task for name in UTILITY_ARRAYS})
     for name, size in expected.items():
         actual = len(getattr(s, name))
         if actual != size:

@@ -2,10 +2,11 @@
 
 ``VectorizedEngine`` executes the exact iteration of
 :meth:`LLAOptimizer._scalar_iteration` — Eq. 9 path-price step from the old
-latencies, Eq. 7 closed-form allocation, Eq. 8 resource-price step,
-congestion classification, step-size feedback, utility — as whole-array
-operations over the structure precompiled by
-:mod:`repro.core.structure`.
+latencies, Eq. 7 allocation (closed form for linear and inelastic tasks,
+the exact batched solve of :func:`~repro.core.allocation.solve_concave`
+for log and quadratic ones), Eq. 8 resource-price step, congestion
+classification, step-size feedback, utility — as whole-array operations
+over the structure precompiled by :mod:`repro.core.structure`.
 
 The two backends are *trajectory-identical*, not just approximately equal:
 every reduction is ordered like its scalar counterpart (see the structure
@@ -26,6 +27,7 @@ per-name interface, which preserves semantics at scalar-ish speed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
@@ -33,12 +35,20 @@ from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import OptimizationError, ShareError
-from repro.core.allocation import _PULL_FLOOR
+from repro.core.allocation import closed_form_latencies, solve_concave
 from repro.core.phases import PhaseTimers
 from repro.core.state import IterationRecord, PathKey
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
-from repro.core.structure import TaskSetStructure, compile_structure
+from repro.core.structure import (
+    UTILITY_INELASTIC,
+    UTILITY_LINEAR,
+    UTILITY_LOG,
+    UTILITY_QUADRATIC,
+    TaskSetStructure,
+    compile_structure,
+)
 from repro.model.task import TaskSet
+from repro.model.utility import LogUtility
 from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -54,6 +64,8 @@ __all__ = [
     "arrays_feasible",
     "ObservedAssignment",
     "compute_loads",
+    "task_utilities",
+    "task_utility",
     "observe_assignment",
     "gamma_spec",
     "make_gamma_supplier",
@@ -432,32 +444,24 @@ class VectorizedEngine:
     # -- allocation (Eq. 7) -----------------------------------------------------
 
     def _allocate(self) -> np.ndarray:
-        """Closed-form stationarity solve + clamp at the current duals."""
+        """Eq. 7 at the current duals: the closed form for every row, then
+        the exact solve over the log/quadratic tasks' rows (skipped when
+        the structure has none)."""
         s = self.structure
         lam_sum = np.bincount(
             s.sub_ids_flat, weights=self._lam[s.sub_path_flat],
             minlength=s.n_subtasks,
         )
-        pull = s.pull_base + lam_sum
         price = self._mu[s.sub_resource]
-        free = price <= 0.0
-        slack = pull <= _PULL_FLOOR
-        with np.errstate(all="ignore"):
-            arg = price * s.alpha * s.cost / pull
-            if s.hyper_mask.all():
-                raw = np.sqrt(arg)
-            else:
-                raw = np.empty_like(arg)
-                np.sqrt(arg, out=raw, where=s.hyper_mask)
-                pw = ~s.hyper_mask
-                raw[pw] = arg[pw] ** s.inv_exp[pw]
-        lat = s.err + raw
-        # Same precedence as stationary_latency: a free resource wins over
-        # a zero pull, and both are applied before the correction offset is
-        # even considered (the scalar returns early).
-        lat = np.where(slack, np.inf, lat)
-        lat = np.where(free, 0.0, lat)
-        return np.clip(lat, s.lo, s.hi)
+        lat = closed_form_latencies(
+            price, s.pull_base + lam_sum, s.alpha, s.cost, s.err,
+            s.hyper_mask, s.inv_exp, s.lo, s.hi,
+        )
+        block = s.concave
+        if block is not None:
+            rows = block.subs
+            lat[rows] = solve_concave(block, price[rows], lam_sum[rows])
+        return lat
 
     # -- load model (Eq. 3 LHS) -------------------------------------------------
 
@@ -530,11 +534,7 @@ class VectorizedEngine:
             s.sub_task_ids, weights=s.weights * lat,
             minlength=len(s.task_names),
         )
-        per_task = np.where(
-            s.ut_kind == 0,
-            s.ut_kc - s.ut_slope * agg,
-            np.where(agg <= s.ut_crit, s.ut_umax, 0.0),
-        )
+        per_task = task_utilities(s, agg)
 
         # Critical-path latencies are observational (they feed records, not
         # the iteration), computed as the max over the task's path sums.
@@ -649,6 +649,69 @@ def compute_loads(structure: TaskSetStructure, lat: np.ndarray) -> np.ndarray:
     )
 
 
+#: ``log(eps)`` of the log utility's linear extension, as the scalar
+#: :meth:`LogUtility.value` computes it.
+_LOG_EPS = LogUtility.EXTENSION_EPS
+_LOG_OF_EPS = math.log(_LOG_EPS)
+
+
+# U_i(A) per utility kind, over task rows ``t`` of a structure: an index
+# array (or ``slice(None)``) with the matching ``agg`` array, or one task
+# index with its aggregated latency.  Linear, inelastic and quadratic
+# values are bitwise those of Task.utility_value; a log value goes through
+# numpy's log, which can differ from math.log in the last ulp.
+
+
+def _linear_value(s: TaskSetStructure, t: Any, agg: Any) -> Any:
+    return s.ut_kc[t] - s.ut_slope[t] * agg
+
+
+def _inelastic_value(s: TaskSetStructure, t: Any, agg: Any) -> Any:
+    return np.where(agg <= s.ut_crit[t], s.ut_umax[t], 0.0)
+
+
+def _log_value(s: TaskSetStructure, t: Any, agg: Any) -> Any:
+    scale = s.ut_scale[t]
+    arg = 1.0 + (s.ut_crit[t] - agg) / s.ut_soft[t]
+    return np.where(
+        arg >= _LOG_EPS,
+        scale * np.log(np.maximum(arg, _LOG_EPS)),
+        scale * (_LOG_OF_EPS + (arg - _LOG_EPS) / _LOG_EPS),
+    )
+
+
+def _quadratic_value(s: TaskSetStructure, t: Any, agg: Any) -> Any:
+    return s.ut_umax[t] - s.ut_curv[t] * agg ** 2
+
+
+_UTILITY_VALUE = {
+    UTILITY_LINEAR: _linear_value,
+    UTILITY_INELASTIC: _inelastic_value,
+    UTILITY_LOG: _log_value,
+    UTILITY_QUADRATIC: _quadratic_value,
+}
+
+
+def task_utilities(structure: TaskSetStructure,
+                   agg: np.ndarray) -> np.ndarray:
+    """Per-task utilities ``U_i(A_i)`` from the compiled utility arrays,
+    given every task's aggregated latency (the kernel's step and
+    :func:`observe_assignment`)."""
+    groups = structure.kind_rows
+    if len(groups) == 1:
+        return _UTILITY_VALUE[groups[0][0]](structure, slice(None), agg)
+    out = np.empty(len(agg))
+    for kind, rows in groups:
+        out[rows] = _UTILITY_VALUE[kind](structure, rows, agg[rows])
+    return out
+
+
+def task_utility(structure: TaskSetStructure, t: int, agg: float) -> float:
+    """Task ``t``'s utility at aggregated latency ``agg``: the formula of
+    :func:`task_utilities`, on one task (the service's query path)."""
+    return float(_UTILITY_VALUE[int(structure.ut_kind[t])](structure, t, agg))
+
+
 @dataclass
 class ObservedAssignment:
     """Global facts about one latency assignment, in array form."""
@@ -688,11 +751,7 @@ def observe_assignment(structure: TaskSetStructure,
         s.sub_task_ids, weights=s.weights * lat,
         minlength=len(s.task_names),
     )
-    per_task = np.where(
-        s.ut_kind == 0,
-        s.ut_kc - s.ut_slope * agg,
-        np.where(agg <= s.ut_crit, s.ut_umax, 0.0),
-    )
+    per_task = task_utilities(s, agg)
     crit = np.maximum.reduceat(path_lat, s.task_path_starts)
     return ObservedAssignment(
         lat=lat, loads=loads, path_lat=path_lat, cong_r=cong_r,

@@ -137,7 +137,7 @@ class LogUtility(UtilityFunction):
     #: Below this slack argument the log is linearly extended (first-order
     #: Taylor), keeping the function finite, concave and differentiable for
     #: any latency — numeric solvers may evaluate far beyond the deadline.
-    _EXTENSION_EPS = 0.05
+    EXTENSION_EPS = 0.05
 
     def _slack_arg(self, latency: float) -> float:
         return 1.0 + (self.critical_time - latency) / self.softness
@@ -145,14 +145,14 @@ class LogUtility(UtilityFunction):
     def value(self, latency: float) -> float:
         self._require_positive(latency)
         arg = self._slack_arg(latency)
-        eps = self._EXTENSION_EPS
+        eps = self.EXTENSION_EPS
         if arg >= eps:
             return self.scale * math.log(arg)
         return self.scale * (math.log(eps) + (arg - eps) / eps)
 
     def derivative(self, latency: float) -> float:
         self._require_positive(latency)
-        arg = max(self._slack_arg(latency), self._EXTENSION_EPS)
+        arg = max(self._slack_arg(latency), self.EXTENSION_EPS)
         return -self.scale / (self.softness * arg)
 
     def __repr__(self) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +46,12 @@ from repro.core.structure import (
     TaskSetStructure,
     structure_from_dict,
     structure_to_dict,
+    task_model,
 )
+from repro.core.vectorized import task_utility
 from repro.core.warmstart import warm_start_resource_prices
 from repro.distributed.checkpoint import CheckpointStore
-from repro.errors import ModelError, ServiceError
+from repro.errors import ModelError, OptimizationError, ServiceError
 from repro.model.fingerprint import taskset_fingerprint
 from repro.model.resources import Resource
 from repro.model.task import Task, TaskSet
@@ -319,12 +321,32 @@ class AllocationService:
         tracer = self.telemetry.tracer
         if tracer.enabled and not tracer.clock_injected:
             tracer.set_clock(lambda: float(self._total_iterations))
-        for task in tasks or ():
-            decision = self.register(task)
-            if not decision.admitted:
+        if tasks:
+            self._install(tasks)
+
+    def _install(self, tasks: List[Task]) -> None:
+        """Admit the initial tasks as one membership, with one rebuild.
+
+        Each task is screened on its own (duplicate name, unknown
+        resource, the kernel's model family), then the infeasibility
+        certificate runs once over the whole set.  The certificate only
+        grows with membership, so it fires exactly when registering the
+        tasks one at a time would have rejected one of them; a rejection
+        raises :class:`ServiceError`.
+        """
+        members: Dict[str, Task] = {}
+        for task in tasks:
+            if task.name in members:
                 raise ServiceError(
-                    f"initial task {task.name!r} rejected: {decision.reason}"
+                    f"initial task {task.name!r} rejected: a task named "
+                    f"{task.name!r} is already registered"
                 )
+            members[task.name] = task
+        reason = self._membership_reason(members, tasks)
+        if reason is not None:
+            raise ServiceError(f"initial tasks rejected: {reason}")
+        self._tasks = members
+        self._rebuild()
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -412,11 +434,10 @@ class AllocationService:
                 "update_task needs a critical_time and/or a utility"
             )
         replacement = _mutated_task(old, critical_time, utility)
-        del self._tasks[name]
-        reason = self._admission_reason(replacement)
+        reason = self._replacement_reason(replacement)
         if reason is not None:
-            self._tasks[name] = old  # restore; nothing changed
             return self._reject(name, reason)
+        del self._tasks[name]
         self._tasks[name] = replacement
         self._rebuild()
         return AdmissionDecision(
@@ -476,13 +497,12 @@ class AllocationService:
                     candidate = _mutated_task(
                         candidate, event.critical_time, event.utility,
                     )
-                old = self._tasks.pop(event.key, None)
-                reason = self._admission_reason(candidate)
+                reason = self._replacement_reason(candidate)
                 if reason is not None:
-                    if old is not None:
-                        self._tasks[event.key] = old  # keep the live body
+                    # The live body, if any, stays.
                     decisions.append(self._reject(event.key, reason))
                     continue
+                self._tasks.pop(event.key, None)
                 self._tasks[event.key] = candidate
                 mutated = True
                 decisions.append(AdmissionDecision(
@@ -500,12 +520,11 @@ class AllocationService:
                 replacement = _mutated_task(
                     old, event.critical_time, event.utility,
                 )
-                del self._tasks[event.key]
-                reason = self._admission_reason(replacement)
+                reason = self._replacement_reason(replacement)
                 if reason is not None:
-                    self._tasks[event.key] = old
                     decisions.append(self._reject(event.key, reason))
                     continue
+                del self._tasks[event.key]
                 self._tasks[event.key] = replacement
                 mutated = True
                 decisions.append(AdmissionDecision(
@@ -520,18 +539,43 @@ class AllocationService:
         """Why ``task`` cannot be admitted; ``None`` when it can."""
         if task.name in self._tasks:
             return f"a task named {task.name!r} is already registered"
-        for sub in task.subtasks:
-            if sub.resource not in self._resources:
-                return (
-                    f"subtask {sub.name!r} references unknown resource "
-                    f"{sub.resource!r}"
-                )
-        candidate = dict(self._tasks)
-        candidate[task.name] = task
+        return self._replacement_reason(task)
+
+    def _replacement_reason(self, task: Task) -> Optional[str]:
+        """Why ``task`` cannot join, or replace the registered task of its
+        name; ``None`` when it can.  Leaves the task map untouched."""
+        members = dict(self._tasks)
+        members[task.name] = task
+        return self._membership_reason(members, [task])
+
+    def _membership_reason(self, members: Mapping[str, Task],
+                           arrivals: Sequence[Task]) -> Optional[str]:
+        """Why the membership ``members``, of which ``arrivals`` are new,
+        cannot be admitted; ``None`` when it can.
+
+        On the vectorized backend an arrival must fit the kernel's model
+        family (:func:`~repro.core.structure.task_model`): a task the
+        rebuild could not compile is rejected here, before the task map
+        changes, with the compile error as the reason.
+        """
+        for task in arrivals:
+            for sub in task.subtasks:
+                if sub.resource not in self._resources:
+                    return (
+                        f"subtask {sub.name!r} references unknown resource "
+                        f"{sub.resource!r}"
+                    )
         try:
-            taskset = self._make_taskset(candidate)
+            taskset = self._make_taskset(members)
         except ModelError as exc:
             return str(exc)
+        lla = self.config.optimizer_config()
+        if lla.backend == "vectorized":
+            for task in arrivals:
+                try:
+                    task_model(taskset, task, lla.max_latency_factor)
+                except OptimizationError as exc:
+                    return str(exc)
         if self.config.admission_control:
             certificate = certify_infeasible(taskset)
             if certificate is not None:
@@ -721,7 +765,9 @@ class AllocationService:
         Matches the scalar path value-for-value: the weighted aggregate
         and per-path sums run as sequential Python float additions in the
         same operand order :meth:`Task.aggregated_latency` and the graph's
-        critical-path walk use.
+        critical-path walk use, and the utility is the kernel's own
+        formula (:func:`~repro.core.vectorized.task_utility`, whose log
+        values may differ from ``math.log``'s in the last ulp).
         """
         s = structure
         t = s.task_index(task_name)
@@ -732,11 +778,7 @@ class AllocationService:
         agg = 0.0
         for w, lat in zip(s.weights[ssl.start:ssl.stop].tolist(), local):
             agg += w * lat
-        if int(s.ut_kind[t]) == 0:  # linear
-            utility = float(s.ut_kc[t]) - float(s.ut_slope[t]) * agg
-        else:  # inelastic
-            utility = float(s.ut_umax[t]) \
-                if agg <= float(s.ut_crit[t]) else 0.0
+        utility = task_utility(s, t, agg)
         psl = s.task_path_slice(t)
         # The flattened path membership is grouped by ascending path id,
         # so the task's entries form one contiguous run.

@@ -280,7 +280,7 @@ class TestPairIncidence:
 
     def test_format_1_payload_is_rejected(self):
         payload = structure_to_dict(compile_structure(base_workload()))
-        assert payload["format"] == 2
+        assert payload["format"] == 3
         with pytest.raises(ModelError, match="format"):
             structure_from_dict(self._format_1(payload))
 

@@ -143,13 +143,15 @@ class TestConfig:
             LLAOptimizer(ts, LLAConfig(strict=True))
 
     def test_non_strict_allows_nonconcave(self):
+        # Only the scalar backend's numeric solver runs a convex utility.
         ts = make_chain_taskset()
         ts.tasks[0].utility = ExponentialUtility(ts.tasks[0].critical_time)
-        LLAOptimizer(ts, LLAConfig(strict=False))  # must not raise
+        LLAOptimizer(ts, LLAConfig(strict=False, backend="scalar"))
 
     def test_refresh_model_after_share_swap(self, base_ts):
         from repro.model.share import CorrectedShare
-        opt = LLAOptimizer(base_ts, LLAConfig())
+        # The per-task allocators exist on the scalar backend only.
+        opt = LLAOptimizer(base_ts, LLAConfig(backend="scalar"))
         base = base_ts.share_function("T11")
         base_ts.set_share_function("T11", CorrectedShare(base, error=2.0))
         opt.refresh_model()

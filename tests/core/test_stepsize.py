@@ -191,3 +191,49 @@ class TestChurnRobustness:
             assert new.resource_gamma(rname) == 1.0
         for key, gamma in new._path_gamma.items():
             assert gamma == 1.0
+
+
+class TestLazyIndex:
+    """The per-name index is built on first use, so the vectorized
+    kernel, which keeps its own γ arrays, never pays for it."""
+
+    def _count(self, monkeypatch):
+        calls = []
+        original = AdaptiveStepSize._index_paths
+
+        def counting(taskset):
+            calls.append(taskset)
+            return original(taskset)
+
+        monkeypatch.setattr(AdaptiveStepSize, "_index_paths",
+                            staticmethod(counting))
+        return calls
+
+    def test_vectorized_run_never_builds_it(self, monkeypatch, base_ts):
+        from repro.core.optimizer import LLAConfig, LLAOptimizer
+        calls = self._count(monkeypatch)
+        opt = LLAOptimizer(base_ts, LLAConfig(backend="vectorized",
+                                              max_iterations=50))
+        opt.run()
+        opt.reset()
+        assert calls == []
+
+    def test_scalar_run_builds_it_once(self, monkeypatch, base_ts):
+        from repro.core.optimizer import LLAConfig, LLAOptimizer
+        calls = self._count(monkeypatch)
+        opt = LLAOptimizer(base_ts, LLAConfig(backend="scalar",
+                                              max_iterations=50))
+        opt.run()
+        opt.reset()
+        opt.run()
+        assert len(calls) == 1
+
+    def test_reset_before_first_use_is_harmless(self, base_ts):
+        policy = AdaptiveStepSize(base_ts, initial_gamma=1.0)
+        policy.reset()
+        assert policy.path_gamma(PathKey("T1", 0)) == 1.0
+        policy.observe(["r3"], [])
+        assert policy.resource_gamma("r3") == 2.0
+        assert policy.path_gamma(PathKey("T1", 0)) in (1.0, 2.0)
+        policy.reset()
+        assert policy.resource_gamma("r3") == 1.0

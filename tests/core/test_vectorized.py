@@ -17,7 +17,7 @@ from repro.errors import OptimizationError
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.model.share import PowerLawShare, ShareFunction
-from repro.model.utility import LogUtility
+from repro.model.utility import ExponentialUtility
 from repro.workloads.paper import base_workload
 from tests.conftest import make_chain_taskset
 from tests.core.test_inelastic import mixed_taskset
@@ -157,8 +157,10 @@ class TestFacadeParity:
 
 class TestUnsupportedModels:
     def test_nonclosed_form_utility_rejected(self):
+        # Log and quadratic utilities compile; the convex exponential
+        # utility still needs the scalar backend's numeric solver.
         ts = make_chain_taskset()
-        ts.tasks[0].utility = LogUtility(ts.tasks[0].critical_time)
+        ts.tasks[0].utility = ExponentialUtility(ts.tasks[0].critical_time)
         with pytest.raises(OptimizationError, match="backend='scalar'"):
             LLAOptimizer(ts, LLAConfig(backend="vectorized"))
 

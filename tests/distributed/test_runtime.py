@@ -46,6 +46,23 @@ class TestEquivalence:
             assert distributed.resource_prices[rname] == \
                 pytest.approx(price, abs=1e-12)
 
+    def test_matches_centralized_with_log_and_quadratic_utilities(self):
+        """The task controllers solve log/quadratic tasks with the
+        kernel's own exact solve, so the runtime stays bitwise-equal to
+        the (vectorized) in-process optimizer."""
+        from tests.core.test_concave import nonlinear_taskset
+        central = LLAOptimizer(
+            nonlinear_taskset(),
+            LLAConfig(step_policy=FixedStepSize(1.0), max_iterations=100,
+                      stop_on_convergence=False),
+        ).run()
+        distributed = DistributedLLARuntime(
+            nonlinear_taskset(),
+            DistributedConfig(rounds=100, adaptive=False),
+        ).run()
+        assert distributed.latencies == central.latencies
+        assert distributed.resource_prices == central.resource_prices
+
     def test_adaptive_converges_to_optimum(self):
         ts = base_workload()
         result = DistributedLLARuntime(

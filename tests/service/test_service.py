@@ -12,7 +12,7 @@ from repro.model.events import PeriodicEvent
 from repro.model.graph import SubtaskGraph
 from repro.model.resources import Resource
 from repro.model.task import Subtask, Task
-from repro.model.utility import LinearUtility, LogUtility
+from repro.model.utility import ExponentialUtility, LinearUtility, LogUtility
 from repro.service import AllocationService, ServiceConfig
 from repro.telemetry import Telemetry
 
@@ -96,6 +96,42 @@ class TestConstruction:
         assert service.tasks == ()
         assert service.taskset is None
         assert service.step(10) == 0
+
+    def test_initial_tasks_install_with_one_rebuild(self):
+        tasks = [make_task(f"t{i}") for i in range(4)]
+        service = AllocationService(make_resources(), tasks)
+        assert service.stats().epoch == 1
+        assert service.tasks == tuple(t.name for t in tasks)
+
+    def test_one_rebuild_matches_one_at_a_time_registration(self):
+        """Installing the initial set at once leaves the same iterates,
+        bit for bit, as registering its tasks one after another."""
+        batch = AllocationService(make_resources(),
+                                  [make_task(f"t{i}") for i in range(4)])
+        serial = AllocationService(make_resources())
+        for i in range(4):
+            assert serial.register(make_task(f"t{i}")).admitted
+        for _ in range(5):
+            batch.step(13)
+            serial.step(13)
+            assert batch.allocations() == serial.allocations()
+            assert batch._optimizer.resource_prices.prices == \
+                serial._optimizer.resource_prices.prices
+        assert batch.fingerprint == serial.fingerprint
+
+    def test_initial_set_failing_the_certificate_raises(self):
+        # Each task alone is admissible; together they overload r0.
+        tasks = [make_task(f"t{i}", exec_time=9.0, critical_time=40.0)
+                 for i in range(6)]
+        alone = AllocationService(make_resources(), tasks[:1])
+        assert alone.tasks == ("t0",)
+        with pytest.raises(ServiceError, match="provably infeasible"):
+            AllocationService(make_resources(), tasks)
+
+    def test_duplicate_initial_task_raises(self):
+        with pytest.raises(ServiceError, match="already registered"):
+            AllocationService(make_resources(),
+                              [make_task("t0"), make_task("t0")])
 
 
 class TestChurn:
@@ -192,10 +228,16 @@ class TestChurn:
         assert task.utility.k == 2.0
 
     def test_update_task_accepts_new_utility(self):
-        # LogUtility needs the numeric per-task solver → scalar backend.
-        service = make_service(n_tasks=1, backend="scalar")
-        service.update_task("t0", utility=LogUtility(40.0))
-        assert isinstance(service.taskset.task("t0").utility, LogUtility)
+        # Log utilities compile, so both backends take the update.
+        for backend in ("scalar", "vectorized"):
+            service = make_service(n_tasks=1, backend=backend)
+            decision = service.update_task("t0", utility=LogUtility(40.0))
+            assert decision.admitted, backend
+            assert isinstance(service.taskset.task("t0").utility, LogUtility)
+            service.step(5)
+            assert service.query("t0").utility == pytest.approx(
+                LogUtility(40.0).value(service.query("t0").aggregated_latency)
+            )
 
     def test_update_task_rejection_restores_old_task(self):
         service = make_service(n_tasks=1)
@@ -230,6 +272,64 @@ class TestChurn:
         assert service.fingerprint is None
         assert service.step(5) == 0
         assert service.allocations() == {}
+
+
+class TestUncompilableTasks:
+    """On the vectorized backend a task outside the kernel's model family
+    is rejected at admission; the service stays as it was."""
+
+    def _assert_unchanged(self, service, fingerprint, names):
+        """The task map, the task set and the live optimizer still agree
+        on the old membership."""
+        assert service.fingerprint == fingerprint
+        assert service.tasks == names
+        assert tuple(t.name for t in service.taskset.tasks) == names
+        assert service._optimizer.structure.task_names == names
+
+    def _churn_still_works(self, service):
+        assert service.register(make_task("fresh")).admitted
+        service.deregister("t1")
+        assert service.update_task("t0", critical_time=45.0).admitted
+        service.step(20)
+        assert set(service._optimizer.structure.task_names) == \
+            {"t0", "fresh"}
+        assert service.query("fresh").task == "fresh"
+
+    def test_register_rejects_with_the_compile_reason(self):
+        service = make_service(n_tasks=2)
+        fingerprint = service.fingerprint
+        odd = make_task("odd")
+        odd.utility = ExponentialUtility(40.0)
+        decision = service.register(odd)
+        assert not decision.admitted
+        assert "ExponentialUtility" in decision.reason
+        self._assert_unchanged(service, fingerprint, ("t0", "t1"))
+        self._churn_still_works(service)
+
+    def test_update_task_rejects_with_the_compile_reason(self):
+        service = make_service(n_tasks=3)
+        fingerprint = service.fingerprint
+        decision = service.update_task("t0",
+                                       utility=ExponentialUtility(40.0))
+        assert not decision.admitted
+        assert "ExponentialUtility" in decision.reason
+        assert isinstance(service.task("t0").utility, LinearUtility)
+        self._assert_unchanged(service, fingerprint, ("t0", "t1", "t2"))
+        service.deregister("t2")
+        self._churn_still_works(service)
+
+    def test_scalar_backend_still_admits_it(self):
+        service = make_service(n_tasks=1, backend="scalar")
+        decision = service.update_task("t0",
+                                       utility=ExponentialUtility(40.0))
+        assert decision.admitted
+        service.step(5)
+
+    def test_uncompilable_initial_task_raises(self):
+        odd = make_task("odd")
+        odd.utility = ExponentialUtility(40.0)
+        with pytest.raises(ServiceError, match="ExponentialUtility"):
+            AllocationService(make_resources(), [make_task("t0"), odd])
 
 
 class TestQueries:
@@ -309,6 +409,20 @@ class TestSnapshots:
             service.snapshots._checkpoints["service"].state
         assert service.restore() is True
         assert service.stats().snapshot_fallbacks == 0
+
+    def test_format_2_structure_payload_demotes_to_cold_reset(self):
+        """A snapshot written before the log/quadratic utility arrays
+        (structure format 2) cannot be verified and restores cold."""
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        stored = service.snapshots._checkpoints["service"]
+        payload = stored.state["structure"]
+        for name in ("ut_scale", "ut_soft", "ut_curv"):
+            del payload[name]
+        payload["format"] = 2
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
 
     def test_snapshot_needs_tasks(self):
         empty = AllocationService(make_resources())
