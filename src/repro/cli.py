@@ -115,14 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "vectorized; identical iterates; 'scalar' also "
                           "runs exponential utilities and custom share "
                           "functions)")
-    opt.add_argument("--shards", type=int, default=1,
-                     help="partition the vectorized kernel by resource-"
-                          "connectivity components (bitwise-identical "
-                          "iterates; implies --backend vectorized)")
-    opt.add_argument("--shard-mode", choices=("serial", "processes"),
-                     default="serial",
-                     help="run shards in-process or one worker process "
-                          "per shard (default serial)")
     opt.add_argument("-o", "--output",
                      help="write the allocation as JSON to this file")
     opt.add_argument("--trace",
@@ -191,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="relative change beyond which a directional "
                           "metric counts as regressed (default 0.25)")
     bdf.add_argument("--ignore-timing", action="store_true",
-                     help="never flag wall-time metrics (noisy runners)")
+                     help="never flag wall-time metrics or the rates "
+                          "derived from them (noisy runners)")
     bdf.add_argument("--verbose", action="store_true",
                      help="also list non-regressed deltas")
     bdf.add_argument("-o", "--output",
@@ -245,14 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--backend", choices=("scalar", "vectorized"),
                      default="vectorized",
                      help="optimizer backend for the live solve")
-    srv.add_argument("--shards", type=int, default=1,
-                     help="shard the vectorized live solve by resource-"
-                          "connectivity components (bitwise-identical "
-                          "iterates; default 1 = unsharded)")
-    srv.add_argument("--shard-mode", choices=("serial", "processes"),
-                     default="serial",
-                     help="run shards in-process or one worker process "
-                          "per shard (default serial)")
     srv.add_argument("--cold", action="store_true",
                      help="disable churn warm starts (baseline mode)")
     srv.add_argument("--smoke", action="store_true",
@@ -379,13 +364,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     taskset = _load_taskset(args.workload)
-    backend = "vectorized" if args.shards > 1 \
-        else args.backend or LLAConfig.backend
     config = LLAConfig(max_iterations=args.iterations,
                        warm_start=args.warm_start,
-                       backend=backend,
-                       shards=args.shards,
-                       shard_mode=args.shard_mode)
+                       backend=args.backend or LLAConfig.backend)
     telemetry = Telemetry.to_file(args.trace) if args.trace else None
     try:
         result = LLAOptimizer(taskset, config, telemetry=telemetry).run()
@@ -681,6 +662,7 @@ def _serve_hardened(args: argparse.Namespace, taskset: "TaskSet",
     from repro.service import (
         BrownoutConfig,
         HardeningConfig,
+        ServiceConfig,
         SupervisedService,
     )
 
@@ -706,6 +688,7 @@ def _serve_hardened(args: argparse.Namespace, taskset: "TaskSet",
             brownout=BrownoutConfig(enter_after=2, exit_after=5),
             reconverge_patience=max(200, args.ticks),
             seed=0,
+            service=ServiceConfig(lla=LLAConfig(backend=args.backend)),
         )
         service = SupervisedService(
             list(taskset.resources.values()), tasks,
@@ -786,10 +769,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_hardened(args, taskset, telemetry, deadline)
     service = AllocationService(
         list(taskset.resources.values()),
-        config=ServiceConfig(backend=args.backend,
-                             warm_start_churn=not args.cold,
-                             shards=args.shards,
-                             shard_mode=args.shard_mode),
+        config=ServiceConfig(lla=LLAConfig(backend=args.backend),
+                             warm_start_churn=not args.cold),
         telemetry=telemetry,
     )
     tasks = list(taskset.tasks)

@@ -13,8 +13,9 @@ Understands both artifact shapes the repo produces:
 Direction is inferred from the metric name: throughputs (``ops_per_sec``,
 ``_rate``) regress downward, durations (``seconds``, ``_time``) regress
 upward, everything else is reported as changed but never flagged.  Timing
-comparisons can be suppressed wholesale (``--ignore-timing``) for noisy
-CI runners while still catching status flips and count changes.
+comparisons — durations and the wall-clock rates derived from them
+(``per_sec``) — can be suppressed wholesale (``--ignore-timing``) for
+noisy CI runners while still catching status flips and count changes.
 """
 
 from __future__ import annotations
@@ -54,8 +55,10 @@ def _direction(name: str) -> Optional[str]:
 
 
 def _is_timing(name: str) -> bool:
+    """Wall-clock measurements and the rates derived from them
+    (``ops_per_sec``, ``per_second``), which follow host speed."""
     lowered = name.lower()
-    return "seconds" in lowered or "_time" in lowered
+    return any(token in lowered for token in ("seconds", "_time", "per_sec"))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from repro.core.prices import (
     update_path_price,
     update_resource_price,
 )
-from repro.core.sharding import ShardedEngine, ShardPlan, plan_shards
 from repro.core.state import IterationRecord, OptimizationResult, PathKey
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
 from repro.core.structure import (
@@ -73,7 +72,4 @@ __all__ = [
     "compile_structure",
     "structure_to_dict",
     "structure_from_dict",
-    "ShardedEngine",
-    "ShardPlan",
-    "plan_shards",
 ]

@@ -30,13 +30,7 @@ from typing import (
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from typing import Union
-
-    from repro.core.sharding import ShardedEngine
     from repro.core.structure import TaskSetStructure
-    from repro.core.vectorized import VectorizedEngine
-
-    Engine = Union["VectorizedEngine", "ShardedEngine"]
 
 from repro.errors import OptimizationError
 from repro.core.allocation import LatencyAllocator
@@ -47,6 +41,7 @@ from repro.core.phases import PhaseTimers
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
 from repro.core.vectorized import (
     ArrayRecord,
+    VectorizedEngine,
     arrays_feasible,
     observe_assignment,
 )
@@ -108,21 +103,10 @@ class LLAConfig:
         Outside it (the convex ``ExponentialUtility``, custom share
         classes) the vectorized backend raises
         :class:`~repro.errors.OptimizationError` and the scalar backend,
-        with its per-task L-BFGS-B solve, is the only path.
-    shards:
-        Maximum number of shards for the vectorized backend (see
-        :mod:`repro.core.sharding`).  The compiled structure is partitioned
-        by resource-connectivity components — never splitting one — so a
-        sharded run is bitwise-identical to an unsharded one; the effective
-        count is capped by the number of components.  ``1`` (the default)
-        runs the plain unsharded kernel.  Requires ``backend="vectorized"``
-        and a ``FixedStepSize``/``AdaptiveStepSize`` step policy.
-    shard_mode:
-        ``"serial"`` runs every shard engine in-process (deterministic,
-        no IPC; still wins on separable workloads because per-shard work
-        is block-diagonal), ``"processes"`` runs one worker process per
-        shard with shared-memory result arrays (multi-core speedup for
-        batched iteration).
+        with its per-task L-BFGS-B solve, is the only path.  The same
+        holds for step policies: the vectorized backend folds an exact
+        ``FixedStepSize`` or ``AdaptiveStepSize`` and raises on any other
+        ``StepSizePolicy``.
     """
 
     max_iterations: int = 500
@@ -142,8 +126,6 @@ class LLAConfig:
     stop_on_convergence: bool = True
     warm_start: bool = False
     backend: str = "vectorized"
-    shards: int = 1
-    shard_mode: str = "serial"
 
     def __post_init__(self) -> None:
         """Reject inconsistent knobs at construction (REP008): a bad
@@ -199,20 +181,6 @@ class LLAConfig:
             raise OptimizationError(
                 f"max_latency_factor must be >= 1, "
                 f"got {self.max_latency_factor!r}"
-            )
-        if self.shards < 1:
-            raise OptimizationError(
-                f"shards must be >= 1, got {self.shards!r}"
-            )
-        if self.shards > 1 and self.backend != "vectorized":
-            raise OptimizationError(
-                "shards > 1 requires backend='vectorized', "
-                f"got backend={self.backend!r}"
-            )
-        if self.shard_mode not in ("serial", "processes"):
-            raise OptimizationError(
-                f"unknown shard_mode {self.shard_mode!r}; "
-                "expected 'serial' or 'processes'"
             )
 
     def build_step_policy(self, taskset: TaskSet) -> StepSizePolicy:
@@ -311,25 +279,17 @@ class LLAOptimizer:
             require_feasible=self.config.require_feasible,
             utility_floor=self.config.utility_floor,
         )
-        self._engine: Optional["Engine"] = None
+        self._engine: Optional[VectorizedEngine] = None
         self._array_prices: Optional[_ArrayResourcePrices] = None
         # The last vectorized iteration's record; None until a step, and
         # again after every (re)allocation of the primal iterate.
         self._record: Optional[ArrayRecord] = None
         self._latencies: Optional[Dict[str, float]] = None
         if self.config.backend == "vectorized":
-            if self.config.shards > 1:
-                from repro.core.sharding import ShardedEngine
-                self._engine = ShardedEngine(taskset, self.config,
-                                             self.step_policy,
-                                             telemetry=self.telemetry,
-                                             structure=structure)
-            else:
-                from repro.core.vectorized import VectorizedEngine
-                self._engine = VectorizedEngine(taskset, self.config,
-                                                self.step_policy,
-                                                telemetry=self.telemetry,
-                                                structure=structure)
+            self._engine = VectorizedEngine(taskset, self.config,
+                                            self.step_policy,
+                                            telemetry=self.telemetry,
+                                            structure=structure)
             self._array_prices = _ArrayResourcePrices(
                 taskset, self.config.initial_resource_price,
                 self._engine.structure.resource_names,
@@ -677,8 +637,10 @@ class LLAOptimizer:
             self._prev_congested = congested
 
     def run(self, max_iterations: Optional[int] = None) -> OptimizationResult:
-        """Run until convergence or the iteration budget is exhausted."""
-        budget = max_iterations or self.config.max_iterations
+        """Run until convergence or the iteration budget is exhausted
+        (``max_iterations`` iterations, default the configured budget)."""
+        budget = self.config.max_iterations if max_iterations is None \
+            else max_iterations
         if budget < 1:
             raise OptimizationError(
                 f"max_iterations must be >= 1, got {max_iterations!r}"

@@ -2,9 +2,9 @@
 
 The compiled :class:`TaskSetStructure` is the system's **canonical**
 representation of a task set: the vectorized LLA backend iterates over it,
-the sharded engine partitions it, the always-on service caches and
-snapshots it, and the distributed runtime derives its per-round
-observations from it.  Compiling the workload's *shape* — which subtask
+the always-on service caches and snapshots it, and the distributed
+runtime derives its per-round observations from it.  Compiling the
+workload's *shape* — which subtask
 runs on which resource, which paths contain which subtasks, per-subtask
 model coefficients and latency bounds — once per run (and once more after
 every model mutation) is what turns the per-iteration cost from thousands
@@ -312,18 +312,6 @@ class TaskSetStructure:
                 "(deserialized without a task set)"
             )
         _fill_model_arrays(self, self.taskset, self.max_latency_factor)
-        self._model_changed()
-
-    def set_model_arrays(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Install refreshed model arrays computed elsewhere (the sharded
-        engine pushes row selections of its parent's arrays into shard
-        sub-structures); re-derives ``inv_exp`` and drops the caches."""
-        for name, values in arrays.items():
-            setattr(self, name, np.asarray(values))
-        self.inv_exp = 1.0 / (self.alpha + 1.0)
-        self._model_changed()
-
-    def _model_changed(self) -> None:
         self._fingerprint = None
         self._concave = False
         self._kind_rows = None

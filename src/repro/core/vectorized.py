@@ -21,8 +21,9 @@ bitwise-equal traces over full figure runs.
 Step-size handling: :class:`FixedStepSize` folds to two scalars;
 :class:`AdaptiveStepSize` is re-implemented as array updates with
 engine-owned γ state (the policy object is bypassed — its dicts stay at
-their initial values); any other policy is driven through its public
-per-name interface, which preserves semantics at scalar-ish speed.
+their initial values).  Only those two exact types fold; any other
+policy raises :class:`~repro.errors.OptimizationError` at construction
+and runs on the scalar backend.
 """
 
 from __future__ import annotations
@@ -67,17 +68,10 @@ __all__ = [
     "task_utilities",
     "task_utility",
     "observe_assignment",
-    "gamma_spec",
-    "make_gamma_supplier",
 ]
 
 #: γ suppliers return either two scalars (fixed policy) or two arrays.
 GammaPair = Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]
-
-#: A picklable description of a fixed/adaptive γ supplier (see
-#: :func:`gamma_spec`) — what shard worker processes receive instead of a
-#: policy object, which can drag a whole ``TaskSet`` through pickle.
-GammaSpec = Tuple[Union[str, float], ...]
 
 
 @dataclass
@@ -88,9 +82,8 @@ class StepArrays:
     engine replaces those arrays on every update and reset instead of
     writing into them, so a ``StepArrays`` keeps its own iteration's
     values for as long as it is held.  This is what the optimizer's run
-    loop, batched iteration (:meth:`VectorizedEngine.iterate`) and the
-    sharded engine's merge path consume — materializing the name-keyed
-    dicts costs more than the arithmetic at 10k+ subtasks.
+    loop consumes — materializing the name-keyed dicts costs more than
+    the arithmetic at 10k+ subtasks.
     """
 
     lat: np.ndarray          #: per-subtask latencies, shape (S,)
@@ -121,7 +114,7 @@ def named_field(structure: TaskSetStructure, out: StepArrays,
     """The name-keyed form of one :data:`NAMED_FIELDS` entry of ``out``.
 
     The one place iteration arrays become dicts and name tuples: the
-    engines' :meth:`~VectorizedEngine.step` and the optimizer's lazy
+    engine's :meth:`~VectorizedEngine.step` and the optimizer's lazy
     :class:`ArrayRecord` both build their fields here.
     """
     s = structure
@@ -145,7 +138,7 @@ def named_field(structure: TaskSetStructure, out: StepArrays,
 @dataclass
 class EngineStep:
     """One iteration's outputs with every field in name-keyed form, as
-    the engines' ``step()`` returns them."""
+    the engine's ``step()`` returns them."""
 
     utility: float
     latencies: Dict[str, float]
@@ -215,9 +208,7 @@ class _FixedGammas:
     def gammas(self) -> GammaPair:
         return self._gr, self._gp
 
-    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray,
-                cong_r_names: Tuple[str, ...],
-                cong_p_keys: Tuple[PathKey, ...]) -> None:
+    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray) -> None:
         pass
 
     def reset(self) -> None:
@@ -246,9 +237,7 @@ class _AdaptiveGammas:
     def gammas(self) -> GammaPair:
         return self._gr, self._gp
 
-    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray,
-                cong_r_names: Tuple[str, ...],
-                cong_p_keys: Tuple[PathKey, ...]) -> None:
+    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray) -> None:
         self._gr = np.where(
             cong_r, np.minimum(self._gr * self._growth, self._max),
             self._initial,
@@ -280,39 +269,15 @@ class _AdaptiveGammas:
         self._direct = np.full_like(self._direct, self._initial)
 
 
-class _GenericGammas:
-    """Fallback for custom policies: gather γ per name, feed observe()."""
-
-    def __init__(self, policy: StepSizePolicy, structure: TaskSetStructure) -> None:
-        self._policy = policy
-        self._structure = structure
-
-    def gammas(self) -> GammaPair:
-        s = self._structure
-        gr = np.array([self._policy.resource_gamma(r)
-                       for r in s.resource_names])
-        gp = np.array([self._policy.path_gamma(k) for k in s.path_keys])
-        return gr, gp
-
-    def observe(self, cong_r: np.ndarray, cong_p: np.ndarray,
-                cong_r_names: Tuple[str, ...],
-                cong_p_keys: Tuple[PathKey, ...]) -> None:
-        self._policy.observe(cong_r_names, cong_p_keys)
-
-    def reset(self) -> None:
-        # The optimizer already resets the policy object itself.
-        pass
-
-
 #: The union of γ supplier implementations.
-GammaSupplier = Union["_FixedGammas", "_AdaptiveGammas", "_GenericGammas"]
+GammaSupplier = Union["_FixedGammas", "_AdaptiveGammas"]
 
 
 def _make_gammas(
     policy: StepSizePolicy, structure: TaskSetStructure,
 ) -> GammaSupplier:
-    # Exact types only: subclasses may override behaviour, so they take the
-    # generic (public-interface) route.
+    # Exact types only: a subclass may override behaviour the array
+    # forms do not reproduce.
     if type(policy) is FixedStepSize:
         return _FixedGammas(
             policy.resource_gamma(structure.resource_names[0]),
@@ -322,39 +287,11 @@ def _make_gammas(
         return _AdaptiveGammas(
             policy.initial_gamma, policy.growth, policy.max_gamma, structure
         )
-    return _GenericGammas(policy, structure)
-
-
-def gamma_spec(policy: StepSizePolicy) -> GammaSpec:
-    """A picklable spec of ``policy`` for taskset-free reconstruction.
-
-    Only the exact :class:`FixedStepSize` and :class:`AdaptiveStepSize`
-    types fold to parameter tuples; custom policies keep per-name state the
-    sharded engine cannot partition, so they raise.
-    """
-    if type(policy) is FixedStepSize:
-        probe = PathKey("", 0)
-        return ("fixed", policy.resource_gamma(""), policy.path_gamma(probe))
-    if type(policy) is AdaptiveStepSize:
-        return ("adaptive", policy.initial_gamma, policy.growth,
-                policy.max_gamma)
     raise OptimizationError(
-        f"shards > 1 supports only FixedStepSize/AdaptiveStepSize step "
-        f"policies, got {type(policy).__name__}"
+        "backend='vectorized' supports only FixedStepSize/AdaptiveStepSize "
+        f"step policies, got {type(policy).__name__}; use backend='scalar' "
+        "for a custom policy"
     )
-
-
-def make_gamma_supplier(spec: GammaSpec,
-                        structure: TaskSetStructure) -> GammaSupplier:
-    """Rebuild the γ supplier described by :func:`gamma_spec` over
-    ``structure`` (used by shard workers, which have no policy object)."""
-    if spec[0] == "fixed":
-        return _FixedGammas(float(spec[1]), float(spec[2]))
-    if spec[0] == "adaptive":
-        return _AdaptiveGammas(
-            float(spec[1]), float(spec[2]), float(spec[3]), structure
-        )
-    raise OptimizationError(f"unknown gamma spec {spec!r}")
 
 
 class VectorizedEngine:
@@ -402,37 +339,6 @@ class VectorizedEngine:
         self._lam = np.full(s.n_paths, float(config.initial_path_price))
         self._lat = self._allocate()
 
-    @classmethod
-    def from_structure(cls, structure: TaskSetStructure, config: "LLAConfig",
-                       gammas: GammaSupplier,
-                       telemetry: Optional[Telemetry] = None,
-                       ) -> "VectorizedEngine":
-        """An engine over ``structure`` alone — no bound task set.
-
-        The sharded engine and its worker processes drive shard
-        sub-structures (often deserialized, ``structure.taskset is None``)
-        that never see the model objects; they supply a prebuilt γ
-        supplier instead of a policy.
-        """
-        engine = cls.__new__(cls)
-        engine.structure = structure
-        engine.config = config
-        engine._gammas = gammas
-        engine._telemetry = telemetry
-        engine._phases = None
-        engine._mu = np.full(
-            structure.n_resources, float(config.initial_resource_price)
-        )
-        engine._lam = np.full(
-            structure.n_paths, float(config.initial_path_price)
-        )
-        engine._lat = engine._allocate()
-        return engine
-
-    def state_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The live ``(latencies, μ, λ)`` arrays (not copies)."""
-        return self._lat, self._mu, self._lam
-
     def _phase_timers(self) -> Optional[PhaseTimers]:
         """Phase timers while metrics are collected; ``None`` when off."""
         if self._telemetry is None or not self._telemetry.registry.enabled:
@@ -474,8 +380,7 @@ class VectorizedEngine:
     def step_arrays(self) -> StepArrays:
         """One LLA iteration in array form; mirrors ``_scalar_iteration``
         phase by phase.  :meth:`step` materializes the dict facade on top;
-        the optimizer, batched callers (:meth:`iterate`) and the sharded
-        engine stay here."""
+        the optimizer stays here."""
         s = self.structure
         tol = self.config.congestion_tol
         gr, gp = self._gammas.gammas()
@@ -504,27 +409,14 @@ class VectorizedEngine:
         if phases is not None:
             mark = phases.lap("price_update", mark)
 
-        # (3) Congestion classification + step-size feedback.  Only a
-        # generic (custom) policy consumes the *name* tuples; the fixed and
-        # adaptive suppliers work on the masks, so batched iteration skips
-        # materializing names.
+        # (3) Congestion classification + step-size feedback on the masks.
         cong_r = loads > s.availability + tol
         path_lat_new = np.bincount(
             s.path_ids_flat, weights=lat[s.path_sub_flat],
             minlength=s.n_paths,
         )
         cong_p = path_lat_new > s.path_crit + tol
-        if isinstance(self._gammas, _GenericGammas):
-            cong_r_names = tuple(
-                s.resource_names[i] for i in np.flatnonzero(cong_r)
-            )
-            cong_p_keys = tuple(
-                s.path_keys[i] for i in np.flatnonzero(cong_p)
-            )
-        else:
-            cong_r_names = ()
-            cong_p_keys = ()
-        self._gammas.observe(cong_r, cong_p, cong_r_names, cong_p_keys)
+        self._gammas.observe(cong_r, cong_p)
         if phases is not None:
             phases.lap("classify", mark)
 
@@ -545,17 +437,6 @@ class VectorizedEngine:
             path_lat=path_lat_new, cong_r=cong_r, cong_p=cong_p,
             per_task=per_task, crit=crit,
         )
-
-    def iterate(self, n: int) -> Optional[StepArrays]:
-        """Run ``n`` iterations without materializing dicts.
-
-        Returns the last iteration's :class:`StepArrays` (``None`` when
-        ``n == 0``).  The trajectory is identical to ``n`` calls of
-        :meth:`step` — the dict facade is pure observation."""
-        out: Optional[StepArrays] = None
-        for _ in range(n):
-            out = self.step_arrays()
-        return out
 
     def step(self) -> EngineStep:
         """One LLA iteration with every output in name-keyed form."""

@@ -80,10 +80,6 @@ class ServiceConfig:
 
     Attributes
     ----------
-    backend:
-        Optimizer backend for the live solve (``"vectorized"`` by
-        default — the service exists to run continuously, so the batched
-        kernel's per-iteration cost matters).
     admission_control:
         Screen arriving tasks with the closed-form infeasibility
         certificate before rebuilding.
@@ -96,39 +92,23 @@ class ServiceConfig:
     batch_size:
         Optimizer iterations per :meth:`run` slice between event-loop
         yields.
-    shards:
-        Maximum shard count for the live solve (vectorized backend only;
-        see :mod:`repro.core.sharding`).  Sharding partitions the compiled
-        structure by resource-connectivity components, so iterates are
-        bitwise-identical to the unsharded solve; ``1`` (default) runs the
-        plain kernel.
-    shard_mode:
-        ``"serial"`` or ``"processes"`` — forwarded to
-        :attr:`~repro.core.optimizer.LLAConfig.shard_mode`.
     lla:
-        Optimizer configuration; ``None`` builds the paper defaults on
-        the configured backend.  When given, its ``backend``/``shards``/
-        ``shard_mode`` must match the service's, and its ``step_policy``
-        must be ``None`` (a shared policy object would leak step-size
-        escalation across churn epochs).
+        Optimizer configuration of every epoch, backend included; ``None``
+        builds the paper defaults on the vectorized backend (the service
+        exists to run continuously, so the batched kernel's per-iteration
+        cost matters).  Its ``step_policy`` must be ``None`` (a shared
+        policy object would leak step-size escalation across churn
+        epochs).
     """
 
-    backend: str = "vectorized"
     admission_control: bool = True
     warm_start_churn: bool = True
     cache_capacity: int = 64
     batch_size: int = 32
-    shards: int = 1
-    shard_mode: str = "serial"
     lla: Optional[LLAConfig] = None
 
     def __post_init__(self) -> None:
         """Reject inconsistent knobs at construction (REP008)."""
-        if self.backend not in ("scalar", "vectorized"):
-            raise ServiceError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'scalar' or 'vectorized'"
-            )
         if self.cache_capacity < 1:
             raise ServiceError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity!r}"
@@ -137,46 +117,16 @@ class ServiceConfig:
             raise ServiceError(
                 f"batch_size must be >= 1, got {self.batch_size!r}"
             )
-        if self.shards < 1:
+        if self.lla is not None and self.lla.step_policy is not None:
             raise ServiceError(
-                f"shards must be >= 1, got {self.shards!r}"
+                "lla.step_policy must be None for the service: a shared "
+                "policy object would carry step-size escalation across "
+                "churn epochs"
             )
-        if self.shards > 1 and self.backend != "vectorized":
-            raise ServiceError(
-                "shards > 1 requires the vectorized backend, "
-                f"got backend={self.backend!r}"
-            )
-        if self.shard_mode not in ("serial", "processes"):
-            raise ServiceError(
-                f"unknown shard_mode {self.shard_mode!r}; "
-                "expected 'serial' or 'processes'"
-            )
-        if self.lla is not None:
-            if self.lla.backend != self.backend:
-                raise ServiceError(
-                    f"lla.backend {self.lla.backend!r} contradicts service "
-                    f"backend {self.backend!r}"
-                )
-            if self.lla.shards != self.shards or \
-                    self.lla.shard_mode != self.shard_mode:
-                raise ServiceError(
-                    f"lla sharding ({self.lla.shards!r}, "
-                    f"{self.lla.shard_mode!r}) contradicts service sharding "
-                    f"({self.shards!r}, {self.shard_mode!r})"
-                )
-            if self.lla.step_policy is not None:
-                raise ServiceError(
-                    "lla.step_policy must be None for the service: a shared "
-                    "policy object would carry step-size escalation across "
-                    "churn epochs"
-                )
 
     def optimizer_config(self) -> LLAConfig:
         """The effective per-epoch optimizer configuration."""
-        if self.lla is not None:
-            return self.lla
-        return LLAConfig(backend=self.backend, shards=self.shards,
-                         shard_mode=self.shard_mode)
+        return self.lla or LLAConfig()
 
 
 @dataclass(frozen=True)

@@ -49,10 +49,11 @@ class StructureBypass(Rule):
     name = "object-graph-hot-path"
     rationale = (
         "The compiled TaskSetStructure is the single representation of a "
-        "task set that the optimizer, shards, service and simulator share. "
-        "Re-traversing the TaskSet object graph on a hot path recomputes "
-        "facts the structure already holds as arrays, costs O(objects) per "
-        "call, and can disagree with the compiled model after a live "
+        "task set that the optimizer, distributed runtime, service and "
+        "simulator share. Re-traversing the TaskSet object graph on a hot "
+        "path recomputes facts the structure already holds as arrays, "
+        "costs O(objects) per call, and can disagree with the compiled "
+        "model after a live "
         "refresh (capacity shock, error correction). Observers in the hot "
         "packages must read the structure (repro.core.vectorized exposes "
         "compute_loads/observe_assignment); the scalar reference "

@@ -48,8 +48,8 @@ class GeneratorConfig:
     #: When set, the resource pool is split into this many disjoint groups
     #: and each task draws all its resources from one group (round-robin
     #: by task index).  The task↔resource incidence graph then has exactly
-    #: ``partitions`` connected components — the separable regime the
-    #: sharded engine (:mod:`repro.core.sharding`) exploits.
+    #: ``partitions`` connected components — a separable problem, since
+    #: no two components share a resource.
     partitions: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -95,6 +95,14 @@ class TestBenchDiff:
             ignore_timing=True,
         )
         assert diff.ok
+        # A rate derived from wall time (pytest-benchmark's 1/mean) is
+        # timing too.
+        diff = diff_artifacts(
+            bench({"t.ops_per_sec": {"type": "gauge", "value": 10.0}}),
+            bench({"t.ops_per_sec": {"type": "gauge", "value": 2.0}}),
+            ignore_timing=True,
+        )
+        assert diff.ok
 
     def test_directionless_metrics_never_flag(self):
         diff = diff_artifacts(

@@ -5,7 +5,7 @@ for the concave nonlinear utilities.  It must return the exact box
 maximizer of each task's Lagrangian (checked against the box-KKT
 conditions), never do worse than the numeric solver it replaces, give
 each task the same bits whichever tasks share the call, and keep the
-scalar, vectorized and sharded backends bitwise-identical.
+scalar and vectorized backends bitwise-identical.
 """
 
 import math
@@ -291,53 +291,30 @@ class TestBackendParity:
             # Log utilities go through numpy's log on the kernel side.
             assert vec.utility == pytest.approx(ref.utility, rel=1e-12)
 
-    @pytest.mark.parametrize("mode", ["serial", "processes"])
-    def test_sharded_bitwise(self, mode):
+    def test_refresh_after_model_change(self):
+        """A share swap and a utility swap reach the kernel through
+        refresh_model: it stays bitwise equal to the scalar reference,
+        which recompiles nothing."""
         def make():
             return nonlinear_taskset(seed=3, partitions=2, n_tasks=8)
-        plain = LLAOptimizer(make(), LLAConfig(stop_on_convergence=False))
-        sharded = LLAOptimizer(make(), LLAConfig(
-            stop_on_convergence=False, shards=2, shard_mode=mode))
-        try:
-            assert sharded._engine.plan.n_shards == 2
-            assert sharded.structure.concave is not None
-            for _ in range(self.ITERATIONS):
-                ref, out = plain.step(), sharded.step()
-                self._assert_bitwise(ref, out)
-                assert out.utility == ref.utility
-        finally:
-            sharded._engine.close()
-
-    @pytest.mark.parametrize("mode", ["serial", "processes"])
-    def test_refresh_after_model_change(self, mode):
-        """A share swap and a utility swap reach the kernel and every
-        shard through refresh_model: all three backends stay bitwise
-        equal to the scalar reference, which recompiles nothing."""
-        def make():
-            return nonlinear_taskset(seed=3, partitions=2, n_tasks=8)
-        configs = [{"backend": "scalar"}, {},
-                   {"shards": 2, "shard_mode": mode}]
+        configs = [{"backend": "scalar"}, {}]
         tasksets = [make() for _ in configs]
         opts = [LLAOptimizer(ts, LLAConfig(stop_on_convergence=False, **kw))
                 for ts, kw in zip(tasksets, configs)]
-        try:
-            for _ in range(40):
-                for opt in opts:
-                    opt.step()
-            for ts, opt in zip(tasksets, opts):
-                name = ts.subtask_names[0]
-                ts.set_share_function(name, CorrectedShare(
-                    ts.share_function(name), error=0.25))
-                log_task = next(t for t in ts.tasks
-                                if isinstance(t.utility, LogUtility))
-                log_task.utility = QuadraticUtility(log_task.critical_time)
-                opt.refresh_model()
-            for _ in range(40):
-                ref, *others = [opt.step() for opt in opts]
-                for out in others:
-                    self._assert_bitwise(ref, out)
-        finally:
-            opts[2]._engine.close()
+        for _ in range(40):
+            for opt in opts:
+                opt.step()
+        for ts, opt in zip(tasksets, opts):
+            name = ts.subtask_names[0]
+            ts.set_share_function(name, CorrectedShare(
+                ts.share_function(name), error=0.25))
+            log_task = next(t for t in ts.tasks
+                            if isinstance(t.utility, LogUtility))
+            log_task.utility = QuadraticUtility(log_task.critical_time)
+            opt.refresh_model()
+        for _ in range(40):
+            ref, out = [opt.step() for opt in opts]
+            self._assert_bitwise(ref, out)
 
     def test_task_controller_allocator_gives_the_kernel_bits(self):
         """The per-task allocator the distributed controllers run gives
@@ -348,11 +325,9 @@ class TestBackendParity:
             opt.step()
         engine = opt._engine
         kernel = engine._allocate()
-        _lat, mu, lam = engine.state_arrays()
-        s = engine.structure
-        prices = dict(zip(s.resource_names, mu.tolist()))
-        path_prices = dict(zip(s.path_keys, lam.tolist()))
-        expected = dict(zip(s.subtask_names, kernel.tolist()))
+        prices = opt.resource_prices.prices
+        path_prices = engine.path_prices_dict()
+        expected = dict(zip(engine.structure.subtask_names, kernel.tolist()))
         for task in ts.tasks:
             got = LatencyAllocator(ts, task).allocate(prices, path_prices)
             assert got == {n: expected[n] for n in task.subtask_names}

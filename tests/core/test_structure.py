@@ -2,8 +2,8 @@
 fingerprints, and corruption detection.
 
 ``TaskSetStructure`` is the single shared representation of a compiled
-task set — the vectorized engine, the shard planner, the distributed
-runtime, the simulator and the service snapshots all consume it — so its
+task set — the vectorized engine, the distributed runtime, the
+simulator and the service snapshots all consume it — so its
 serialization must round-trip bit-exactly and its fingerprint must be a
 pure function of the *problem*, not of declaration order or transport.
 """
@@ -43,7 +43,7 @@ def _assert_structures_equal(a, b):
 
 class TestCanonicalOrdering:
     def test_task_declaration_order_is_irrelevant(self):
-        """Regression for the sharded/serialized world: a permuted task
+        """Regression for the serialized world: a permuted task
         declaration must compile to the identical structure — same
         arrays, same fingerprint — or fingerprint-keyed caches and
         snapshot verification would miss on equal problems."""

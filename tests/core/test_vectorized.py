@@ -77,10 +77,14 @@ class TestFigureRunParity:
 
 
 class TestRecordParity:
-    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
-    def test_fixed_step_records(self, gamma):
+    @pytest.mark.parametrize("gamma, path_gamma", [
+        (0.1, None), (1.0, None), (10.0, None),
+        # Distinct γ_r/γ_p, as the γ-ratio ablation and Fig. 7 run them.
+        (1.0, 0.02),
+    ], ids=["0.1", "1.0", "10.0", "1.0-path0.02"])
+    def test_fixed_step_records(self, gamma, path_gamma):
         s_opt, v_opt = _pair(
-            base_workload, step_policy=FixedStepSize(gamma),
+            base_workload, step_policy=FixedStepSize(gamma, path_gamma),
             max_iterations=200, stop_on_convergence=False,
         )
         for _ in range(200):
@@ -182,6 +186,22 @@ class TestUnsupportedModels:
         ts.set_share_function("s0", OddShare())
         with pytest.raises(OptimizationError, match="backend='scalar'"):
             LLAOptimizer(ts, LLAConfig(backend="vectorized"))
+
+    def test_custom_step_policy_rejected(self):
+        """Only exact FixedStepSize/AdaptiveStepSize fold into the kernel;
+        any other policy is refused by name and runs on the scalar
+        backend."""
+        class HalvedPaths(FixedStepSize):
+            def path_gamma(self, path):
+                return 0.5 * super().path_gamma(path)
+
+        with pytest.raises(OptimizationError, match="HalvedPaths"):
+            LLAOptimizer(make_chain_taskset(), LLAConfig(
+                backend="vectorized", step_policy=HalvedPaths(1.0)))
+        result = LLAOptimizer(make_chain_taskset(), LLAConfig(
+            backend="scalar", step_policy=HalvedPaths(1.0),
+            max_iterations=50, stop_on_convergence=False)).run()
+        assert result.iterations == 50
 
     def test_bad_backend_name_rejected(self, base_ts):
         with pytest.raises(OptimizationError, match="backend"):

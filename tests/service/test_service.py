@@ -47,34 +47,25 @@ def make_service(n_tasks=2, **config_kwargs):
 
 
 class TestServiceConfig:
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(backend="gpu")
-
     def test_rejects_bad_capacity_and_batch(self):
         with pytest.raises(ServiceError):
             ServiceConfig(cache_capacity=0)
         with pytest.raises(ServiceError):
             ServiceConfig(batch_size=0)
 
-    def test_rejects_contradictory_lla_backend(self):
-        with pytest.raises(ServiceError):
-            ServiceConfig(backend="vectorized",
-                          lla=LLAConfig(backend="scalar"))
-
     def test_rejects_shared_step_policy(self):
         """A shared policy object would carry step-size escalation across
         churn epochs — the service demands per-epoch policies."""
         with pytest.raises(ServiceError):
             ServiceConfig(
-                backend="scalar",
                 lla=LLAConfig(backend="scalar",
                               step_policy=FixedStepSize(1.0)),
             )
 
     def test_optimizer_config_follows_backend(self):
-        assert ServiceConfig(backend="scalar").optimizer_config() \
-            .backend == "scalar"
+        assert ServiceConfig().optimizer_config().backend == "vectorized"
+        assert ServiceConfig(lla=LLAConfig(backend="scalar")) \
+            .optimizer_config().backend == "scalar"
 
 
 class TestConstruction:
@@ -230,7 +221,8 @@ class TestChurn:
     def test_update_task_accepts_new_utility(self):
         # Log utilities compile, so both backends take the update.
         for backend in ("scalar", "vectorized"):
-            service = make_service(n_tasks=1, backend=backend)
+            service = make_service(n_tasks=1,
+                                   lla=LLAConfig(backend=backend))
             decision = service.update_task("t0", utility=LogUtility(40.0))
             assert decision.admitted, backend
             assert isinstance(service.taskset.task("t0").utility, LogUtility)
@@ -319,7 +311,7 @@ class TestUncompilableTasks:
         self._churn_still_works(service)
 
     def test_scalar_backend_still_admits_it(self):
-        service = make_service(n_tasks=1, backend="scalar")
+        service = make_service(n_tasks=1, lla=LLAConfig(backend="scalar"))
         decision = service.update_task("t0",
                                        utility=ExponentialUtility(40.0))
         assert decision.admitted

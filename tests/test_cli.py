@@ -6,6 +6,7 @@ import pytest
 
 from repro import harness
 from repro.cli import build_parser, main
+from repro.service import AllocationService
 
 
 class TestParser:
@@ -387,6 +388,20 @@ class TestServe:
         code = main(["serve", "--smoke", "--deadline", "0.01"])
         assert code == 2
         assert "deadline" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--harden", "--ticks", "105"]],
+                             ids=["plain", "harden"])
+    def test_backend_flag_reaches_the_live_solve(self, monkeypatch, mode):
+        seen = []
+        init = AllocationService.__init__
+
+        def recording(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            seen.append(self.config.optimizer_config().backend)
+
+        monkeypatch.setattr(AllocationService, "__init__", recording)
+        assert main(["serve", "--smoke", "--backend", "scalar", *mode]) == 0
+        assert seen and set(seen) == {"scalar"}
 
     def test_harden_rejects_short_fault_schedules(self, capsys):
         code = main(["serve", "--smoke", "--harden", "--ticks", "50"])
