@@ -10,6 +10,7 @@ Section 6.4 — the optimizer step must be microseconds-scale per subtask.
 import pytest
 
 import _report
+from repro.core.allocation import LatencyAllocator
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.distributed import DistributedConfig, DistributedLLARuntime
 from repro.sim import SimulatedSystem
@@ -36,14 +37,12 @@ def test_lla_iteration_12_tasks(benchmark):
 
 @pytest.mark.benchmark(group="micro")
 def test_latency_allocation(benchmark):
-    """The closed-form per-task allocation (the controller's inner step)."""
+    """The closed-form per-task allocation (the controller's inner step),
+    at the prices of a 50-iteration run."""
     taskset = base_workload()
-    optimizer = LLAOptimizer(taskset, LLAConfig(record_history=False))
-    optimizer.run(50)
-    allocator = optimizer.allocators["T2"]
-    prices = optimizer.resource_prices.prices
-    path_prices = optimizer.path_prices["T2"].prices
-    benchmark(allocator.allocate, prices, path_prices)
+    result = LLAOptimizer(taskset, LLAConfig(record_history=False)).run(50)
+    allocator = LatencyAllocator(taskset, taskset.task("T2"))
+    benchmark(allocator.allocate, result.resource_prices, result.path_prices)
 
 
 @pytest.mark.benchmark(group="micro")

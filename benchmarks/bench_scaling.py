@@ -2,13 +2,15 @@
 
 Section 6.4 claims the optimizer's overhead is small; this bench measures
 how the per-iteration cost grows with workload size on random provisioned
-workloads (10 → 40 → 80 subtasks).  The iteration is a per-task loop of
-closed-form per-subtask solves plus per-resource sums, so the cost must
-grow roughly linearly in the subtask count — far from the quadratic-or-
-worse growth a centralized re-solve would show.
+workloads (about 10 → 40 → 80 subtasks).  The iteration is a batch of
+closed-form per-subtask solves plus per-resource sums, so the cost per
+subtask must not grow with size — far from the quadratic-or-worse growth
+a centralized re-solve would show.  At these sizes the kernel's fixed
+per-iteration cost dominates, so the cost per subtask falls as size grows.
 """
 
 import time
+from typing import Tuple
 
 import pytest
 
@@ -20,8 +22,8 @@ _BENCH = _report.bench_name(__file__)
 
 
 def _mean_iteration_cost(n_tasks: int, n_resources: int,
-                         iterations: int = 300,
-                         backend: str = "scalar") -> float:
+                         iterations: int = 300) -> Tuple[float, int]:
+    """(seconds per iteration, subtask count) of one random workload."""
     taskset = random_workload(
         GeneratorConfig(
             n_tasks=n_tasks, n_resources=n_resources,
@@ -29,9 +31,7 @@ def _mean_iteration_cost(n_tasks: int, n_resources: int,
         ),
         seed=123,
     )
-    optimizer = LLAOptimizer(
-        taskset, LLAConfig(record_history=False, backend=backend)
-    )
+    optimizer = LLAOptimizer(taskset, LLAConfig(record_history=False))
     start = time.perf_counter()
     for _ in range(iterations):
         optimizer.step()
@@ -49,13 +49,11 @@ def test_iteration_cost_scales_linearly(benchmark):
         ]
 
     points = benchmark.pedantic(run, rounds=1, iterations=1)
-    costs = [c for c, _n in points]
-    sizes = [n for _c, n in points]
-    # Cost per subtask must stay roughly flat: the largest workload's
-    # per-subtask cost within 3x of the smallest's (sub-quadratic growth).
+    # Cost per subtask must not grow: the largest workload's per-subtask
+    # cost within 3x of the smallest's (sub-quadratic growth).
     per_subtask = [c / n for c, n in points]
-    assert max(per_subtask) <= 3.0 * min(per_subtask), (
-        f"per-subtask iteration cost not flat: {per_subtask}"
+    assert per_subtask[-1] <= 3.0 * per_subtask[0], (
+        f"per-subtask iteration cost grows with size: {per_subtask}"
     )
     print()
     for (cost, n) in points:
@@ -65,24 +63,3 @@ def test_iteration_cost_scales_linearly(benchmark):
         print(f"  {n:3d} subtasks: {1e6 * cost:7.1f} us/iteration "
               f"({1e6 * cost / n:.2f} us/subtask)")
 
-
-@pytest.mark.benchmark(group="scaling")
-def test_vectorized_iteration_cost(benchmark):
-    """Same sweep through the batched kernel — its per-subtask cost should
-    *fall* with size as the python-loop overhead amortizes (see
-    ``bench_vectorized`` for the head-to-head speedup gate)."""
-    def run():
-        return [
-            _mean_iteration_cost(2, 6, backend="vectorized"),
-            _mean_iteration_cost(8, 12, backend="vectorized"),
-            _mean_iteration_cost(16, 24, backend="vectorized"),
-        ]
-
-    points = benchmark.pedantic(run, rounds=1, iterations=1)
-    print()
-    for (cost, n) in points:
-        _report.record_value(
-            _BENCH, f"iterations_per_sec.vectorized.{n}_subtasks", 1.0 / cost
-        )
-        print(f"  {n:3d} subtasks: {1e6 * cost:7.1f} us/iteration "
-              f"({1e6 * cost / n:.2f} us/subtask)")

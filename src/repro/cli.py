@@ -4,7 +4,7 @@ Commands:
 
 * ``experiment`` — run registered paper experiments against their claim
   checks: ``--list`` shows the registry, ``NAME`` runs one spec (with
-  uniform ``--backend/--seed/--iterations/--set key=value`` overrides and
+  uniform ``--seed/--iterations/--set key=value`` overrides and
   ``-o`` writing the RunResult artifact), ``--all`` runs every spec and
   prints the reproduction scorecard (non-zero exit on any failed claim);
 * ``optimize <workload.json>`` — load a serialized workload, run LLA, and
@@ -89,10 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seed", type=int, default=None,
                      help="seed recorded in the artifact and forwarded "
                           "when the experiment takes one")
-    exp.add_argument("--backend", choices=("scalar", "vectorized"),
-                     default=None,
-                     help="LLA iteration kernel (experiments with a "
-                          "'backend' parameter only)")
     exp.add_argument("--iterations", type=int, default=None,
                      help="iteration budget override (experiments with an "
                           "iteration-budget parameter only)")
@@ -109,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     opt.add_argument("workload", help="path to a serialized workload")
     opt.add_argument("--iterations", type=int, default=1500)
     opt.add_argument("--warm-start", action="store_true")
-    opt.add_argument("--backend", choices=("scalar", "vectorized"),
-                     default=None,
-                     help="LLA iteration kernel (default: LLAConfig's, "
-                          "vectorized; identical iterates; 'scalar' also "
-                          "runs exponential utilities and custom share "
-                          "functions)")
     opt.add_argument("-o", "--output",
                      help="write the allocation as JSON to this file")
     opt.add_argument("--trace",
@@ -235,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deregister/re-register churn cycles")
     srv.add_argument("--queries", type=int, default=1000,
                      help="allocation queries timed after the last epoch")
-    srv.add_argument("--backend", choices=("scalar", "vectorized"),
-                     default="vectorized",
-                     help="optimizer backend for the live solve")
     srv.add_argument("--cold", action="store_true",
                      help="disable churn warm starts (baseline mode)")
     srv.add_argument("--smoke", action="store_true",
@@ -312,10 +299,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 0
 
     if (args.all_specs
-            and (args.overrides or args.backend or args.iterations)):
+            and (args.overrides or args.iterations)):
         raise SystemExit(
-            "--set/--backend/--iterations apply to a single experiment, "
-            "not --all"
+            "--set/--iterations apply to a single experiment, not --all"
         )
 
     telemetry = Telemetry.to_file(args.trace) if args.trace else None
@@ -338,8 +324,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         try:
             run = harness.execute(
                 args.name, _parse_overrides(args.overrides),
-                seed=args.seed, backend=args.backend,
-                iterations=args.iterations, quick=args.quick,
+                seed=args.seed, iterations=args.iterations, quick=args.quick,
                 telemetry=telemetry,
             )
         except HarnessError as exc:
@@ -365,8 +350,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     taskset = _load_taskset(args.workload)
     config = LLAConfig(max_iterations=args.iterations,
-                       warm_start=args.warm_start,
-                       backend=args.backend or LLAConfig.backend)
+                       warm_start=args.warm_start)
     telemetry = Telemetry.to_file(args.trace) if args.trace else None
     try:
         result = LLAOptimizer(taskset, config, telemetry=telemetry).run()
@@ -662,7 +646,6 @@ def _serve_hardened(args: argparse.Namespace, taskset: "TaskSet",
     from repro.service import (
         BrownoutConfig,
         HardeningConfig,
-        ServiceConfig,
         SupervisedService,
     )
 
@@ -688,7 +671,6 @@ def _serve_hardened(args: argparse.Namespace, taskset: "TaskSet",
             brownout=BrownoutConfig(enter_after=2, exit_after=5),
             reconverge_patience=max(200, args.ticks),
             seed=0,
-            service=ServiceConfig(lla=LLAConfig(backend=args.backend)),
         )
         service = SupervisedService(
             list(taskset.resources.values()), tasks,
@@ -734,7 +716,6 @@ def _serve_hardened(args: argparse.Namespace, taskset: "TaskSet",
         payload = {
             "command": "serve",
             "mode": "hardened",
-            "backend": args.backend,
             "ticks": args.ticks,
             "healthy": healthy,
             "degraded_answers": degraded_answers,
@@ -769,8 +750,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_hardened(args, taskset, telemetry, deadline)
     service = AllocationService(
         list(taskset.resources.values()),
-        config=ServiceConfig(lla=LLAConfig(backend=args.backend),
-                             warm_start_churn=not args.cold),
+        config=ServiceConfig(warm_start_churn=not args.cold),
         telemetry=telemetry,
     )
     tasks = list(taskset.tasks)
@@ -806,8 +786,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     stats = service.stats()
     mode = "cold" if args.cold else "warm"
-    print(f"always-on service ({mode} churn restarts, "
-          f"{args.backend} backend)")
+    print(f"always-on service ({mode} churn restarts)")
     print(f"  tasks {stats.tasks}, epochs {stats.epoch}, "
           f"iterations {stats.iterations}")
     print(f"  re-convergence rounds per epoch: "
@@ -827,7 +806,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         payload = {
             "command": "serve",
             "mode": mode,
-            "backend": args.backend,
             "epoch_iterations": epoch_iters,
             "cycles": cycles,
             "healthy": healthy,

@@ -11,7 +11,7 @@ emit — with ANSI screen-clearing as the only terminal-specific piece
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.diagnostics.engine import DiagnosticsEngine
 from repro.diagnostics.findings import Finding

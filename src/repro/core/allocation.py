@@ -10,7 +10,8 @@ latency achievable with the full resource availability and ``lat_max_s``
 defaults to the task's critical time (one subtask alone may not exceed any
 path budget it sits on).
 
-Three solve strategies:
+Two solve strategies, over the kernel's model family
+(:func:`~repro.core.structure.task_model`):
 
 * **Closed form** (the paper's experimental configuration): with a linear
   utility ``∂U_i/∂lat_s`` is the constant ``−w_s·slope``, so stationarity
@@ -29,13 +30,8 @@ Three solve strategies:
   found by a safeguarded Newton iteration batched over tasks; the
   clipped closed form at that root is the exact box maximizer of the
   task-local Lagrangian.  The vectorized kernel and this module's
-  :class:`LatencyAllocator` call the same function, so both backends
-  produce the same bits.
-
-* **Numeric**: for the remaining utilities (the convex
-  :class:`~repro.model.utility.ExponentialUtility`) and share functions
-  outside the power-law family, the controller maximizes the task-local
-  Lagrangian jointly with projected L-BFGS-B.
+  :class:`LatencyAllocator` call the same function, so both produce the
+  same bits.
 """
 
 from __future__ import annotations
@@ -46,15 +42,8 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 from scipy import optimize
 
-from repro.errors import OptimizationError
 from repro.core.state import PathKey
-from repro.core.structure import (
-    UTILITY_LOG,
-    ConcaveBlock,
-    TaskModel,
-    latency_bounds,
-    task_model,
-)
+from repro.core.structure import UTILITY_LOG, ConcaveBlock, task_model
 from repro.model.share import (
     CorrectedShare,
     HyperbolicShare,
@@ -159,7 +148,7 @@ def closed_form_latencies(price: np.ndarray, pull: np.ndarray,
     lat = err + raw
     # Same precedence as stationary_latency: a free resource wins over
     # a zero pull, and both are applied before the correction offset is
-    # even considered (the scalar returns early).
+    # even considered (stationary_latency returns early).
     lat = np.where(slack, np.inf, lat)
     lat = np.where(free, 0.0, lat)
     return np.clip(lat, lo, hi)
@@ -262,6 +251,8 @@ class LatencyAllocator:
     Stateless apart from precomputed structure (bounds, weights, path
     memberships), so one instance per task can be reused every iteration —
     this mirrors the task controller's role in the distributed algorithm.
+    A task outside the kernel's model family raises
+    :class:`~repro.errors.OptimizationError` at construction.
     """
 
     def __init__(self, taskset: TaskSet, task: Task,
@@ -283,29 +274,18 @@ class LatencyAllocator:
 
     def refresh_bounds(self) -> None:
         """(Re)compute per-subtask latency bounds from the current model
-        (:func:`~repro.core.structure.latency_bounds`), and the one-task
+        (:func:`~repro.core.structure.task_model`), and the one-task
         :class:`~repro.core.structure.ConcaveBlock` of a log or quadratic
         task.
 
         Called again whenever error correction swaps a share function on
         the task set (Section 6.3), since both bounds shift with the model.
         """
-        task = self.task
-        factor = self._max_latency_factor
-        try:
-            model: Optional[TaskModel] = task_model(self.taskset, task, factor)
-        except OptimizationError:
-            # Outside the kernel's model family: the closed form or
-            # L-BFGS-B, depending on the utility.
-            model = None
-        if model is None:
-            bounds = [latency_bounds(self.taskset, task, sub, factor)
-                      for sub in task.subtasks]
-        else:
-            bounds = [(row[4], row[5]) for row in model.subtasks]
-        self._bounds = dict(zip(self._names, bounds))
-        self._concave = ConcaveBlock.of_task(task, model) \
-            if model is not None and model.kind >= UTILITY_LOG else None
+        model = task_model(self.taskset, self.task, self._max_latency_factor)
+        self._bounds = {name: (row[4], row[5])
+                        for name, row in zip(self._names, model.subtasks)}
+        self._concave = ConcaveBlock.of_task(self.task, model) \
+            if model.kind >= UTILITY_LOG else None
 
     def path_price_sum(self, subtask: str,
                        path_prices: Mapping[PathKey, float]) -> float:
@@ -316,20 +296,13 @@ class LatencyAllocator:
         self,
         resource_prices: Mapping[str, float],
         path_prices: Mapping[PathKey, float],
-        current: Optional[Mapping[str, float]] = None,
     ) -> Dict[str, float]:
-        """New latencies for all subtasks of this task (Eq. 7).
-
-        ``current`` seeds the numeric solver, which only utilities and
-        share functions outside the kernel's model family still take; the
-        closed form and the exact concave solve ignore it.
-        """
+        """New latencies for all subtasks of this task (Eq. 7): the exact
+        concave solve for log and quadratic utilities, the closed form
+        for linear and inelastic ones."""
         if self._concave is not None:
             return self._allocate_concave(resource_prices, path_prices)
-        if isinstance(self.task.utility, LinearUtility) or \
-                not self.task.utility.is_elastic():
-            return self._allocate_closed_form(resource_prices, path_prices)
-        return self._allocate_numeric(resource_prices, path_prices, current)
+        return self._allocate_closed_form(resource_prices, path_prices)
 
     # -- exact concave solve (log and quadratic utilities) ----------------------
 
@@ -370,67 +343,3 @@ class LatencyAllocator:
             lo, hi = self._bounds[sub.name]
             latencies[sub.name] = min(max(lat, lo), hi)
         return latencies
-
-    # -- numeric (outside the kernel's model family) -----------------------------
-
-    def _allocate_numeric(
-        self,
-        resource_prices: Mapping[str, float],
-        path_prices: Mapping[PathKey, float],
-        current: Optional[Mapping[str, float]],
-    ) -> Dict[str, float]:
-        names = list(self._names)
-        share_fns = [self.taskset.share_function(n) for n in names]
-        prices = np.array([
-            resource_prices.get(self.task.subtask(n).resource, 0.0)
-            for n in names
-        ])
-        lambdas = np.array([
-            self.path_price_sum(n, path_prices) for n in names
-        ])
-        lo = np.array([self._bounds[n][0] for n in names])
-        hi = np.array([self._bounds[n][1] for n in names])
-
-        if current:
-            x0 = np.array([current.get(n, (l + h) / 2.0)
-                           for n, l, h in zip(names, lo, hi)])
-            x0 = np.clip(x0, lo, hi)
-        else:
-            x0 = (lo + hi) / 2.0
-
-        task = self.task
-
-        def negative_lagrangian(x: np.ndarray) -> float:
-            lat_map = dict(zip(names, x))
-            value = task.utility_value(lat_map)  # statan: disable=REP016 -- task-local scalar probe in the latency-bound derivation
-            value -= float(lambdas @ x)
-            value -= sum(
-                p * fn.share(xi) for p, fn, xi in zip(prices, share_fns, x)
-            )
-            return -value
-
-        def negative_gradient(x: np.ndarray) -> np.ndarray:
-            lat_map = dict(zip(names, x))
-            grad_u = task.utility_gradient(lat_map)
-            grad = np.array([grad_u[n] for n in names])
-            grad -= lambdas
-            grad -= np.array([
-                p * fn.dshare_dlat(xi)
-                for p, fn, xi in zip(prices, share_fns, x)
-            ])
-            return -grad
-
-        result = optimize.minimize(
-            negative_lagrangian,
-            x0,
-            jac=negative_gradient,
-            bounds=list(zip(lo, hi)),
-            method="L-BFGS-B",
-        )
-        if not result.success and not np.all(np.isfinite(result.x)):
-            raise OptimizationError(
-                f"latency allocation failed for task {task.name!r}: "
-                f"{result.message}"
-            )
-        x = np.clip(result.x, lo, hi)
-        return dict(zip(names, x.tolist()))

@@ -16,18 +16,15 @@ infeasible workload — so the detector here combines:
 Feasibility checking can be disabled to mimic a naive utility-only stop,
 which the schedulability experiments use to demonstrate the failure mode.
 
-The vectorized backend hands the detector each iteration's feasibility
-verdict, computed from the kernel's arrays (:meth:`observe_verdict`); the
-scalar backend hands it the latencies (:meth:`observe`), which are checked
-against the task set only when the utility is stable.
+The optimizer hands the detector each iteration's utility with its
+feasibility verdict, computed from the kernel's arrays
+(:meth:`observe_verdict`).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Mapping, Optional
-
-from repro.model.task import TaskSet
+from typing import Deque, Optional
 
 __all__ = ["ConvergenceDetector"]
 
@@ -37,7 +34,6 @@ class ConvergenceDetector:
 
     def __init__(
         self,
-        taskset: TaskSet,
         utility_tol: float = 1e-4,
         window: int = 10,
         feasibility_tol: float = 1e-3,
@@ -52,32 +48,22 @@ class ConvergenceDetector:
             raise ValueError(
                 f"utility_floor must be positive, got {utility_floor!r}"
             )
-        self.taskset = taskset
         self.utility_tol = float(utility_tol)
         self.window = int(window)
         self.feasibility_tol = float(feasibility_tol)
         self.require_feasible = bool(require_feasible)
         self.utility_floor = float(utility_floor)
         self._recent: Deque[float] = deque(maxlen=window + 1)
-        self._last_latencies: Optional[Mapping[str, float]] = None
         self._verdict: Optional[bool] = None
 
     def reset(self) -> None:
         self._recent.clear()
-        self._last_latencies = None
-        self._verdict = None
-
-    def observe(self, utility: float, latencies: Mapping[str, float]) -> None:
-        """Record one iteration's outcome."""
-        self._recent.append(float(utility))
-        self._last_latencies = dict(latencies)
         self._verdict = None
 
     def observe_verdict(self, utility: float, feasible: bool) -> None:
         """Record one iteration's outcome with its feasibility verdict at
         ``feasibility_tol`` already computed (from the kernel's arrays)."""
         self._recent.append(float(utility))
-        self._last_latencies = None
         self._verdict = bool(feasible)
 
     def revise_verdict(self, feasible: bool) -> None:
@@ -104,14 +90,9 @@ class ConvergenceDetector:
         return spread / scale <= self.utility_tol
 
     def feasible(self) -> bool:
-        """Current iterate satisfies Eqs. 3–4 within tolerance."""
-        if self._verdict is not None:
-            return self._verdict
-        if self._last_latencies is None:
-            return False
-        return self.taskset.is_feasible(  # statan: disable=REP016 -- scalar-backend feasibility fallback
-            self._last_latencies, tol=self.feasibility_tol
-        )
+        """Current iterate satisfies Eqs. 3–4 within tolerance (the last
+        observation's verdict; ``False`` before any)."""
+        return bool(self._verdict)
 
     def converged(self) -> bool:
         if not self.utility_stable():

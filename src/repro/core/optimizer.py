@@ -13,6 +13,13 @@ describe, in order:
 3. the step-size policy observes which resources/paths are congested (the
    adaptive heuristic of Section 5.2).
 
+The iteration runs as whole-array operations on the batched kernel of
+:mod:`repro.core.vectorized`, over the compiled
+:class:`~repro.core.structure.TaskSetStructure`.  Its model family is the
+paper's: power-law shares with linear, inelastic, log or quadratic
+utilities (:func:`repro.core.structure.task_model`); anything else is
+refused at construction.
+
 The message-passing form with explicit controller/resource agents lives in
 :mod:`repro.distributed`; it produces identical iterates under a lossless
 synchronous bus (asserted by integration tests).
@@ -33,11 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.structure import TaskSetStructure
 
 from repro.errors import OptimizationError
-from repro.core.allocation import LatencyAllocator
 from repro.core.convergence import ConvergenceDetector
-from repro.core.prices import PathPriceUpdater, ResourcePriceUpdater
 from repro.core.state import IterationRecord, OptimizationResult, PathKey
-from repro.core.phases import PhaseTimers
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
 from repro.core.vectorized import (
     ArrayRecord,
@@ -46,7 +50,6 @@ from repro.core.vectorized import (
     observe_assignment,
 )
 from repro.model.task import TaskSet
-from repro.model.utility import check_concavity
 from repro.telemetry import NULL_TELEMETRY, Telemetry, encode_record
 
 __all__ = ["LLAConfig", "LLAOptimizer"]
@@ -66,8 +69,11 @@ class LLAConfig:
     max_iterations:
         Iteration budget (Section 5 runs use 100–1500).
     step_policy:
-        A :class:`~repro.core.stepsize.StepSizePolicy`, or ``None`` to build
-        the paper's adaptive policy with ``initial_gamma``.
+        An exact :class:`~repro.core.stepsize.FixedStepSize` or
+        :class:`~repro.core.stepsize.AdaptiveStepSize` (the kernel folds
+        these two and raises :class:`~repro.errors.OptimizationError` on
+        any other type), or ``None`` to build the paper's adaptive policy
+        with ``initial_gamma``.
     initial_gamma:
         Starting γ for the default adaptive policy.
     initial_resource_price / initial_path_price:
@@ -81,8 +87,6 @@ class LLAConfig:
         classifying congestion for the adaptive heuristic.
     record_history:
         Keep an :class:`~repro.core.state.IterationRecord` per iteration.
-    strict:
-        Verify utility concavity on ``(0, C_i)`` before running.
     max_latency_factor:
         Upper latency clamp as a multiple of the critical time.
     stop_on_convergence:
@@ -94,19 +98,8 @@ class LLAConfig:
         ``initial_resource_price``.  Exact in the overprovisioned regime;
         a large head start elsewhere.
     backend:
-        ``"vectorized"`` (the default: the batched numpy kernel of
-        :mod:`repro.core.vectorized`) or ``"scalar"`` (the reference
-        per-subtask/per-path loops).  Both produce the same iterates and
-        the same :class:`~repro.core.state.IterationRecord` stream on the
-        kernel's model family — power-law shares with linear, inelastic,
-        log or quadratic utilities (see :func:`repro.core.structure.task_model`).
-        Outside it (the convex ``ExponentialUtility``, custom share
-        classes) the vectorized backend raises
-        :class:`~repro.errors.OptimizationError` and the scalar backend,
-        with its per-task L-BFGS-B solve, is the only path.  The same
-        holds for step policies: the vectorized backend folds an exact
-        ``FixedStepSize`` or ``AdaptiveStepSize`` and raises on any other
-        ``StepSizePolicy``.
+        Only ``"vectorized"``, the one LLA kernel; any other value raises
+        :class:`~repro.errors.OptimizationError`.
     """
 
     max_iterations: int = 500
@@ -121,7 +114,6 @@ class LLAConfig:
     utility_floor: float = 1e-6
     congestion_tol: float = 1e-9
     record_history: bool = True
-    strict: bool = False
     max_latency_factor: float = 1.0
     stop_on_convergence: bool = True
     warm_start: bool = False
@@ -135,10 +127,10 @@ class LLAConfig:
             raise OptimizationError(
                 f"max_iterations must be >= 1, got {self.max_iterations!r}"
             )
-        if self.backend not in ("scalar", "vectorized"):
+        if self.backend != "vectorized":
             raise OptimizationError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'scalar' or 'vectorized'"
+                f"unknown backend {self.backend!r}; LLA runs on one "
+                "kernel, 'vectorized'"
             )
         if self.initial_gamma <= 0.0:
             raise OptimizationError(
@@ -194,21 +186,23 @@ class LLAConfig:
         return LLAConfig(step_policy=FixedStepSize(gamma), **kwargs)
 
 
-class _ArrayResourcePrices(ResourcePriceUpdater):
-    """``LLAOptimizer.resource_prices`` on the vectorized backend.
+class _ArrayResourcePrices:
+    """``LLAOptimizer.resource_prices``: the engine's μ as a name-keyed map.
 
-    The engine owns μ as an array.  :attr:`prices` builds the name-keyed
-    map from the latest iteration's array when first read and keeps it
-    until the next iteration, so a caller may still update it in place
-    before a (re)allocation adopts it, as with the scalar updater.
+    The engine owns μ as an array.  :attr:`prices` builds the map from
+    the latest iteration's array when first read and keeps it until the
+    next iteration, so a caller may still update it in place before a
+    (re)allocation adopts it.
     """
 
     def __init__(self, taskset: TaskSet, initial_price: float,
                  names: Tuple[str, ...]) -> None:
+        self.taskset = taskset
+        self.initial_price = float(initial_price)
         self._names = names
         self._mu: Optional[np.ndarray] = None
         self._prices: Optional[Dict[str, float]] = None
-        super().__init__(taskset, initial_price=initial_price)
+        self.reset()
 
     @property
     def prices(self) -> Dict[str, float]:
@@ -217,14 +211,15 @@ class _ArrayResourcePrices(ResourcePriceUpdater):
             self._prices = dict(zip(self._names, self._mu.tolist()))
         return self._prices
 
-    @prices.setter
-    def prices(self, value: Dict[str, float]) -> None:
-        self._prices = value
-
     def track(self, mu: np.ndarray) -> None:
         """Follow a new iteration's μ array; the map is rebuilt on read."""
         self._mu = mu
         self._prices = None
+
+    def reset(self) -> None:
+        """Every price back to the initial one."""
+        self._mu = None
+        self._prices = {r: self.initial_price for r in self.taskset.resources}
 
 
 class LLAOptimizer:
@@ -237,19 +232,18 @@ class LLAOptimizer:
     manually.
 
     ``structure`` optionally supplies a precompiled
-    :class:`~repro.core.structure.TaskSetStructure` for the vectorized
-    backend (it must describe ``taskset`` at the configured
-    ``max_latency_factor``); the always-on service uses this to skip
-    recompilation across churn events.  Ignored by the scalar backend.
+    :class:`~repro.core.structure.TaskSetStructure` (it must describe
+    ``taskset`` at the configured ``max_latency_factor``); the always-on
+    service uses this to skip recompilation across churn events.  A task
+    set outside the kernel's model family raises
+    :class:`~repro.errors.OptimizationError` naming the offending model.
 
-    On the vectorized backend an iteration works from the engine's
+    An iteration works from the engine's
     :class:`~repro.core.vectorized.StepArrays` alone: the convergence
     detector gets a feasibility verdict computed from them, and the
     name-keyed views — the :class:`IterationRecord` fields,
     :attr:`latencies`, ``resource_prices.prices`` — are built only when
-    something reads them.  Only the scalar backend builds the per-task
-    ``allocators`` and ``path_prices`` updaters; on the vectorized
-    backend both maps are empty.
+    something reads them.
     """
 
     def __init__(self, taskset: TaskSet, config: Optional[LLAConfig] = None,
@@ -261,57 +255,30 @@ class LLAOptimizer:
         self.on_iteration = on_iteration
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._metrics: Optional[Dict[str, Any]] = None
-        self._phases: Optional[PhaseTimers] = None
         self._prev_congested: Optional[
             Tuple[FrozenSet[str], FrozenSet[PathKey]]
         ] = None
-        if self.config.strict:
-            self._check_utilities()
 
         self.step_policy = self.config.build_step_policy(taskset)
-        self.path_prices: Dict[str, PathPriceUpdater] = {}
-        self.allocators: Dict[str, LatencyAllocator] = {}
         self.detector = ConvergenceDetector(
-            taskset,
             utility_tol=self.config.utility_tol,
             window=self.config.convergence_window,
             feasibility_tol=self.config.feasibility_tol,
             require_feasible=self.config.require_feasible,
             utility_floor=self.config.utility_floor,
         )
-        self._engine: Optional[VectorizedEngine] = None
-        self._array_prices: Optional[_ArrayResourcePrices] = None
-        # The last vectorized iteration's record; None until a step, and
-        # again after every (re)allocation of the primal iterate.
+        self._engine = VectorizedEngine(taskset, self.config,
+                                        self.step_policy,
+                                        telemetry=self.telemetry,
+                                        structure=structure)
+        self.resource_prices = _ArrayResourcePrices(
+            taskset, self.config.initial_resource_price,
+            self._engine.structure.resource_names,
+        )
+        # The last iteration's record; None until a step, and again after
+        # every (re)allocation of the primal iterate.
         self._record: Optional[ArrayRecord] = None
         self._latencies: Optional[Dict[str, float]] = None
-        if self.config.backend == "vectorized":
-            self._engine = VectorizedEngine(taskset, self.config,
-                                            self.step_policy,
-                                            telemetry=self.telemetry,
-                                            structure=structure)
-            self._array_prices = _ArrayResourcePrices(
-                taskset, self.config.initial_resource_price,
-                self._engine.structure.resource_names,
-            )
-            self.resource_prices: ResourcePriceUpdater = self._array_prices
-        else:
-            self.resource_prices = ResourcePriceUpdater(
-                taskset, initial_price=self.config.initial_resource_price
-            )
-            self.path_prices = {
-                task.name: PathPriceUpdater(
-                    task, initial_price=self.config.initial_path_price
-                )
-                for task in taskset.tasks
-            }
-            self.allocators = {
-                task.name: LatencyAllocator(
-                    taskset, task,
-                    max_latency_factor=self.config.max_latency_factor,
-                )
-                for task in taskset.tasks
-            }
         self.iteration = 0
         # Trace timestamps follow the iteration counter (the optimizer's
         # virtual clock) so identical runs write identical event streams,
@@ -326,9 +293,8 @@ class LLAOptimizer:
 
     @property
     def latencies(self) -> Dict[str, float]:
-        """The current primal iterate, subtask name → latency.  On the
-        vectorized backend the map is the last record's, built on first
-        read."""
+        """The current primal iterate, subtask name → latency: the last
+        record's map, built on first read."""
         if self._latencies is None:
             assert self._record is not None
             self._latencies = self._record.latencies
@@ -339,71 +305,41 @@ class LLAOptimizer:
         self._latencies = value
 
     @property
-    def structure(self) -> Optional["TaskSetStructure"]:
-        """The compiled structure behind the vectorized backend (``None``
-        on the scalar backend).  Consumers that can read allocation facts
-        from the structure's arrays should prefer it over re-traversing
-        the :class:`~repro.model.task.TaskSet` object graph (REP016)."""
-        if self._engine is None:
-            return None
+    def structure(self) -> "TaskSetStructure":
+        """The compiled structure the kernel iterates over.  Consumers
+        that can read allocation facts from its arrays should prefer it
+        over re-traversing the :class:`~repro.model.task.TaskSet` object
+        graph (REP016)."""
         return self._engine.structure
 
-    def _check_utilities(self) -> None:
-        for task in self.taskset.tasks:
-            if not task.utility.is_elastic():
-                continue
-            lo = 1e-6 * task.critical_time
-            if not check_concavity(task.utility, lo, task.critical_time):
-                raise OptimizationError(
-                    f"task {task.name!r} has a non-concave utility; "
-                    "LLA's convergence guarantee does not apply "
-                    "(pass strict=False to run anyway)"
-                )
-
     def _initial_latencies(self) -> Dict[str, float]:
-        """Primal initialization: one allocation pass at the initial prices."""
-        if self._engine is not None:
-            self._record = None
-            return self._engine.reallocate(self.resource_prices.prices)
-        latencies: Dict[str, float] = {}
-        for task in self.taskset.tasks:
-            latencies.update(
-                self.allocators[task.name].allocate(
-                    self.resource_prices.prices,
-                    self.path_prices[task.name].prices,
-                )
-            )
-        return latencies
+        """Primal initialization: one allocation pass at the current prices."""
+        self._record = None
+        return self._engine.reallocate(self.resource_prices.prices)
 
     def refresh_model(self) -> None:
         """Re-read share functions after an external model change.
 
         Error correction swaps share functions on the task set (and
-        resource availabilities may shift at run time); allocator latency
-        bounds cache ``min_latency`` and must be recomputed, and the
-        vectorized backend must recompile its model arrays.
+        resource availabilities may shift at run time); the kernel's model
+        arrays — share coefficients, latency bounds, ``B_r`` — must be
+        recompiled.
         """
-        for allocator in self.allocators.values():
-            allocator.refresh_bounds()
-        if self._engine is not None:
-            self._engine.refresh_model()
-            # The last step's loads predate the refresh: keep its
-            # latencies, but re-measure them on the refreshed model.
-            self.latencies = self.latencies
-            self._record = None
-            self.detector.revise_verdict(self.feasible())
+        self._engine.refresh_model()
+        # The last step's loads predate the refresh: keep its latencies,
+        # but re-measure them on the refreshed model.
+        self.latencies = self.latencies
+        self._record = None
+        self.detector.revise_verdict(self.feasible())
 
     def feasible(self, tol: Optional[float] = None) -> bool:
         """Whether the current iterate satisfies Eqs. 3–4 within ``tol``
         (default: the detector's ``feasibility_tol``).
 
-        The vectorized backend reads the verdict from the last step's
-        arrays, or from the compiled structure right after a
-        (re)allocation; the scalar backend checks the task set.
+        The verdict comes from the last step's arrays, or from the
+        compiled structure right after a (re)allocation.
         """
         tol = self.detector.feasibility_tol if tol is None else float(tol)
-        if self._engine is None:
-            return self.taskset.is_feasible(self.latencies, tol=tol)  # statan: disable=REP016 -- scalar backend: no compiled arrays hold the verdict
         structure = self._engine.structure
         if self._record is None:
             return observe_assignment(structure, self.latencies,
@@ -415,14 +351,13 @@ class LLAOptimizer:
         """Adopt ``resource_prices`` as the dual iterate, consistently.
 
         Installs the given μ map, resets every path price λ to the
-        configured initial value (both backends), snaps step-size
-        escalation back to the initial γ, clears the convergence window,
-        and refreshes the primal iterate — afterwards the optimizer state
-        is exactly that of a fresh instance constructed at these resource
-        prices.  This is the single entry point for warm starts and the
-        service's churn path; updating ``resource_prices.prices`` alone
-        would leak stale λ and escalated γ from a previous run into the
-        next solve.
+        configured initial value, snaps step-size escalation back to the
+        initial γ, clears the convergence window, and refreshes the primal
+        iterate — afterwards the optimizer state is exactly that of a
+        fresh instance constructed at these resource prices.  This is the
+        single entry point for warm starts and the service's churn path;
+        updating ``resource_prices.prices`` alone would leak stale λ and
+        escalated γ from a previous run into the next solve.
         """
         unknown = sorted(set(resource_prices) - set(self.taskset.resources))
         if unknown:
@@ -432,13 +367,9 @@ class LLAOptimizer:
         self.resource_prices.prices.update(
             {rname: float(price) for rname, price in resource_prices.items()}
         )
-        for updater in self.path_prices.values():
-            updater.reset()
-        self.step_policy.reset()
         self.detector.reset()
-        if self._engine is not None:
-            self._engine.reset_path_prices()
-            self._engine.reset_step_sizes()
+        self._engine.reset_path_prices()
+        self._engine.reset_step_sizes()
         self.latencies = self._initial_latencies()
 
     # -- iteration ---------------------------------------------------------------
@@ -448,18 +379,14 @@ class LLAOptimizer:
 
         Telemetry never influences the iterates: instrumentation only reads
         optimizer state, so a traced run is bit-identical to an untraced
-        one (asserted by a regression test).  Both backends flow through
-        here, so tracing, metrics and ``on_iteration`` behave identically.
+        one (asserted by a regression test).
         """
         instrumented = self.telemetry.enabled
         if instrumented:
             started = time.perf_counter()
             prev_prices = dict(self.resource_prices.prices)
 
-        if self._engine is not None:
-            record = self._vectorized_iteration()
-        else:
-            record = self._scalar_iteration()
+        record = self._iterate()
 
         if instrumented:
             self._observe_iteration(
@@ -469,11 +396,10 @@ class LLAOptimizer:
             self.on_iteration(record)
         return record
 
-    def _vectorized_iteration(self) -> IterationRecord:
+    def _iterate(self) -> IterationRecord:
         """One iteration through the batched numpy kernel, kept in array
         form: the detector's feasibility verdict comes from the kernel's
         arrays, and the record builds name-keyed fields on first read."""
-        assert self._engine is not None and self._array_prices is not None
         structure = self._engine.structure
         out = self._engine.step_arrays()
         utility = out.utility()
@@ -481,98 +407,11 @@ class LLAOptimizer:
             structure, out.loads, out.path_lat,
             self.detector.feasibility_tol,
         ))
-        self._array_prices.track(out.mu)
+        self.resource_prices.track(out.mu)
         self.iteration += 1
         self._record = ArrayRecord(self.iteration, utility, structure, out)
         self._latencies = None
         return self._record
-
-    def _phase_timers(self) -> Optional[PhaseTimers]:
-        """Phase timers while metrics are collected; ``None`` when off."""
-        if not self.telemetry.registry.enabled:
-            return None
-        if self._phases is None:
-            self._phases = PhaseTimers(self.telemetry)
-        return self._phases
-
-    def _scalar_iteration(self) -> IterationRecord:
-        """One iteration through the reference per-task/per-resource loops."""
-        config = self.config
-        phases = self._phase_timers()
-
-        # (1) Task controllers: update path prices from the previous
-        # latencies, then allocate new latencies (the paper's Latency
-        # Allocation box, steps 1–4).  The per-task loop interleaves the
-        # two phases, so their wall times are accumulated separately.
-        path_seconds = 0.0
-        allocate_seconds = 0.0
-        mark = time.perf_counter() if phases is not None else 0.0
-        new_latencies: Dict[str, float] = {}
-        all_path_prices: Dict[PathKey, float] = {}
-        for task in self.taskset.tasks:
-            updater = self.path_prices[task.name]
-            updater.update(self.latencies, self.step_policy)
-            all_path_prices.update(updater.prices)
-            if phases is not None:
-                now = time.perf_counter()
-                path_seconds += now - mark
-                mark = now
-            new_latencies.update(
-                self.allocators[task.name].allocate(
-                    self.resource_prices.prices,
-                    updater.prices,
-                    current=self.latencies,
-                )
-            )
-            if phases is not None:
-                now = time.perf_counter()
-                allocate_seconds += now - mark
-                mark = now
-        self.latencies = new_latencies
-        if phases is not None:
-            phases.observe("path_update", path_seconds)
-            phases.observe("allocate", allocate_seconds)
-            mark = time.perf_counter()
-
-        # (2) Resources: update prices from the new latencies (the paper's
-        # Resource Price Computation box).
-        self.resource_prices.update(self.latencies, self.step_policy)
-        if phases is not None:
-            mark = phases.lap("price_update", mark)
-
-        # (3) Congestion classification feeds the adaptive step-size
-        # heuristic (Section 5.2).
-        loads = self.taskset.resource_loads(self.latencies)  # statan: disable=REP016 -- scalar-backend iteration record
-        congested_resources = self.resource_prices.congested(
-            loads, tol=config.congestion_tol
-        )
-        congested_paths: Tuple[PathKey, ...] = ()
-        for task in self.taskset.tasks:
-            congested_paths += self.path_prices[task.name].congested(
-                self.latencies, tol=config.congestion_tol
-            )
-        self.step_policy.observe(congested_resources, congested_paths)
-        if phases is not None:
-            phases.lap("classify", mark)
-
-        utility = self.taskset.total_utility(self.latencies)  # statan: disable=REP016 -- scalar-backend iteration record
-        self.detector.observe(utility, self.latencies)
-        self.iteration += 1
-
-        return IterationRecord(
-            iteration=self.iteration,
-            utility=utility,
-            latencies=dict(self.latencies),
-            resource_prices=dict(self.resource_prices.prices),
-            path_prices=all_path_prices,
-            resource_loads=loads,
-            congested_resources=congested_resources,
-            congested_paths=congested_paths,
-            critical_paths={
-                task.name: task.critical_path(self.latencies)[1]  # statan: disable=REP016 -- scalar-backend iteration record
-                for task in self.taskset.tasks
-            },
-        )
 
     def _observe_iteration(self, record: IterationRecord,
                            prev_prices: Dict[str, float],
@@ -699,28 +538,14 @@ class LLAOptimizer:
             latencies=dict(self.latencies),
             utility=final_utility,
             resource_prices=dict(self.resource_prices.prices),
-            path_prices=self._collect_path_prices(),
+            path_prices=self._engine.path_prices_dict(),
             history=history,
         )
-
-    def _collect_path_prices(self) -> Dict[PathKey, float]:
-        """Current λ_p map, whichever backend owns the dual state."""
-        if self._engine is not None:
-            return self._engine.path_prices_dict()
-        return {
-            key: price
-            for updater in self.path_prices.values()
-            for key, price in updater.prices.items()
-        }
 
     def reset(self) -> None:
         """Restore initial prices, step sizes and latencies."""
         self.resource_prices.reset()
-        for updater in self.path_prices.values():
-            updater.reset()
-        self.step_policy.reset()
-        if self._engine is not None:
-            self._engine.reset()
+        self._engine.reset()
         self.detector.reset()
         self._prev_congested = None
         self.iteration = 0

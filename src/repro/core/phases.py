@@ -1,18 +1,18 @@
-"""Per-phase wall-time timers for the LLA iteration kernels.
+"""Per-phase wall-time timers for the LLA iteration kernel.
 
 One LLA iteration decomposes into the paper's four boxes — path-price
 update (Eq. 9), latency allocation (Eq. 7), resource-price update
 (Eq. 8) and congestion classification (the Section 5.2 feedback) — and
 performance questions are almost always *which phase* got slower, not
-whether the whole iteration did.  Both the scalar reference kernel and
-the vectorized engine record into the same timer names::
+whether the whole iteration did.  The vectorized engine records into
+one timer per phase::
 
     lla.phase.path_update_seconds
     lla.phase.allocate_seconds
     lla.phase.price_update_seconds
     lla.phase.classify_seconds
 
-so backend comparisons (``repro bench-diff``) line up phase by phase.
+so run-to-run comparisons (``repro bench-diff``) line up phase by phase.
 Timing reads optimizer state only — it can never influence the iterates
 (the traced-run bit-identity tests cover this).
 """
@@ -34,7 +34,7 @@ PHASES = ("path_update", "allocate", "price_update", "classify")
 class PhaseTimers:
     """Timer handles for the four LLA iteration phases.
 
-    Create lazily once per instrumented optimizer/engine; each phase's
+    Create lazily once per instrumented engine; each phase's
     elapsed wall time goes into a bounded-window
     :class:`~repro.telemetry.metrics.Timer` in the context's registry.
     """
@@ -51,10 +51,6 @@ class PhaseTimers:
             )
             for name in PHASES
         }
-
-    def observe(self, phase: str, seconds: float) -> None:
-        """Record one phase's elapsed wall time (accumulated or direct)."""
-        self._timers[phase].observe(seconds)
 
     def lap(self, phase: str, started: float) -> float:
         """Observe the interval since ``started``; returns the new mark."""

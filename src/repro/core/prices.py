@@ -100,7 +100,7 @@ class ResourcePriceUpdater:
                policy: StepSizePolicy) -> Dict[str, float]:
         """Apply Eq. 8 to every resource; returns the new price map."""
         for rname, resource in self.taskset.resources.items():
-            load = self.taskset.resource_load(rname, latencies)  # statan: disable=REP016 -- scalar reference updater (Eq. 8); vectorized engine owns the hot path
+            load = self.taskset.resource_load(rname, latencies)  # statan: disable=REP016 -- per-element reference updater (Eq. 8); the kernel owns the hot path
             self.prices[rname] = update_resource_price(
                 self.prices[rname],
                 policy.resource_gamma(rname),
@@ -139,7 +139,7 @@ class PathPriceUpdater:
         """Paths whose end-to-end latency exceeds the critical time."""
         congested = []
         for i, path in enumerate(self.task.graph.paths):
-            lat = self.task.graph.path_latency(path, latencies)  # statan: disable=REP016 -- scalar reference updater (Eq. 9); vectorized engine owns the hot path
+            lat = self.task.graph.path_latency(path, latencies)  # statan: disable=REP016 -- per-element reference updater (Eq. 9); the kernel owns the hot path
             if lat > self.task.critical_time + tol:
                 congested.append(PathKey(self.task.name, i))
         return tuple(congested)
@@ -149,7 +149,7 @@ class PathPriceUpdater:
         """Apply Eq. 9 to every path of the task; returns new prices."""
         for i, path in enumerate(self.task.graph.paths):
             key = PathKey(self.task.name, i)
-            lat = self.task.graph.path_latency(path, latencies)  # statan: disable=REP016 -- scalar reference updater (Eq. 9); vectorized engine owns the hot path
+            lat = self.task.graph.path_latency(path, latencies)  # statan: disable=REP016 -- per-element reference updater (Eq. 9); the kernel owns the hot path
             self.prices[key] = update_path_price(
                 self.prices[key],
                 policy.path_gamma(key),

@@ -104,9 +104,10 @@ class AdaptiveStepSize(StepSizePolicy):
 
     The per-name state (which paths traverse each resource, one γ per
     resource and path) is built on the first :meth:`resource_gamma`,
-    :meth:`path_gamma` or :meth:`observe` call.  The vectorized kernel
-    keeps its own γ arrays and reads only the three parameters, so on
-    that backend the index is never built.
+    :meth:`path_gamma` or :meth:`observe` call.  The LLA kernel
+    keeps its own γ arrays and reads only the three parameters, so an
+    optimizer run never builds the index; the distributed agents and
+    per-element references that call these methods do.
 
     Deviation from the paper: growth is capped at ``max_gamma`` (default 8).
     With our reconstructed Figure-4 topology, unbounded doubling overshoots

@@ -1,7 +1,7 @@
 """Precompiled array structure of a :class:`~repro.model.task.TaskSet`.
 
 The compiled :class:`TaskSetStructure` is the system's **canonical**
-representation of a task set: the vectorized LLA backend iterates over it,
+representation of a task set: the LLA kernel iterates over it,
 the always-on service caches and snapshots it, and the distributed
 runtime derives its per-round observations from it.  Compiling the
 workload's *shape* — which subtask
@@ -11,16 +11,16 @@ every model mutation) is what turns the per-iteration cost from thousands
 of dict lookups and method dispatches into a handful of array operations.
 
 Layout conventions, chosen so that every batched reduction visits its
-operands in **exactly the same order as the scalar loops** (bitwise-equal
-partial sums, so the two backends produce identical iterates, not merely
-close ones):
+operands in **exactly the same order as the per-element loops** of the
+paper's equations (bitwise-equal partial sums, so the kernel reproduces
+those loops' iterates, not merely close ones):
 
 * tasks are numbered in **name-sorted order** and resources in
   **name-sorted order** — the canonical compile order, so equal task sets
   compile to byte-identical arrays regardless of declaration order (the
   in-repo workload factories all declare tasks name-sorted, which keeps
-  the canonical order equal to the scalar backend's declaration-order
-  loops and preserves bitwise backend parity);
+  the canonical order equal to the per-element loops' declaration order
+  and preserves bitwise parity);
 * subtasks are numbered globally in (canonical) task order, then per-task
   declaration order;
 * paths are numbered task-by-task in :attr:`SubtaskGraph.paths` order, so
@@ -29,7 +29,8 @@ close ones):
   whose accumulation is a strictly sequential C loop in input order.
   ``np.add.reduceat`` is deliberately avoided for floats: its inner
   reduce uses unrolled/pairwise partial sums, which reassociate and drift
-  from the scalar loops by an ulp — enough to flip a congestion branch.
+  from the per-element loops by an ulp — enough to flip a congestion
+  branch.
 
 A structure is serializable (:func:`structure_to_dict` /
 :func:`structure_from_dict`, mirroring :mod:`repro.model.serialize`) and
@@ -51,8 +52,8 @@ of that family: compilation, :meth:`TaskSetStructure.refresh_model`, the
 service's admission check and :class:`~repro.core.allocation.LatencyAllocator`
 all go through it.  Anything else (the convex
 :class:`~repro.model.utility.ExponentialUtility`, custom share classes)
-raises :class:`~repro.errors.OptimizationError` — run those workloads on
-the scalar backend, whose per-task L-BFGS-B solve handles them.
+is outside the paper's model of non-increasing concave utilities and
+raises :class:`~repro.errors.OptimizationError` naming it.
 """
 
 from __future__ import annotations
@@ -319,8 +320,8 @@ class TaskSetStructure:
 
 def _unsupported(what: str) -> OptimizationError:
     return OptimizationError(
-        f"backend='vectorized' does not support {what}; "
-        "use backend='scalar' for this workload"
+        f"LLA does not support {what}: its model is power-law shares "
+        "with linear, inelastic, log or quadratic utilities"
     )
 
 
@@ -362,10 +363,7 @@ def _utility_row(task: Task) -> Tuple[int, Dict[str, float]]:
                              "ut_soft": u.softness}
     if isinstance(u, QuadraticUtility):
         return UTILITY_QUADRATIC, {"ut_umax": u.u_max, "ut_curv": u.a}
-    raise _unsupported(
-        f"utility {type(u).__name__} on task {task.name!r} "
-        "(needs the numeric per-task solver)"
-    )
+    raise _unsupported(f"utility {type(u).__name__} on task {task.name!r}")
 
 
 def latency_bounds(taskset: TaskSet, task: Task, sub: Subtask,
@@ -626,7 +624,7 @@ def compile_structure(taskset: TaskSet,
             for name in path:
                 path_sub_flat.append(sub_index[name])
                 path_ids_flat.append(global_path)
-        # Subtask→path membership in the scalar allocator's order: for each
+        # Subtask→path membership in LatencyAllocator's order: for each
         # subtask, graph.paths_through gives ascending local path indices.
         base = task_path_starts[-1]
         for sub in task.subtasks:

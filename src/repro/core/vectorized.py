@@ -1,29 +1,30 @@
 """Batched numpy kernel for the LLA iteration.
 
-``VectorizedEngine`` executes the exact iteration of
-:meth:`LLAOptimizer._scalar_iteration` — Eq. 9 path-price step from the old
-latencies, Eq. 7 allocation (closed form for linear and inelastic tasks,
+``VectorizedEngine`` executes one LLA iteration — Eq. 9 path-price step
+from the old latencies, Eq. 7 allocation (closed form for linear and inelastic tasks,
 the exact batched solve of :func:`~repro.core.allocation.solve_concave`
 for log and quadratic ones), Eq. 8 resource-price step, congestion
 classification, step-size feedback, utility — as whole-array operations
 over the structure precompiled by :mod:`repro.core.structure`.
 
-The two backends are *trajectory-identical*, not just approximately equal:
-every reduction is ordered like its scalar counterpart (see the structure
-module's layout notes), arithmetic uses the same expression shapes, and the
+The kernel is *trajectory-identical* to the paper's per-element loops
+(:class:`~repro.core.allocation.LatencyAllocator` and the updaters of
+:mod:`repro.core.prices`), not just approximately equal: every reduction
+is ordered like its per-element counterpart (see the structure module's
+layout notes), arithmetic uses the same expression shapes, and the
 free-resource / zero-pull special cases of
 :func:`~repro.core.allocation.stationary_latency` are reproduced as masks.
 That matters because the adaptive step-size heuristic branches on strict
 comparisons (``load > B_r + tol``): a one-ulp difference in a load flips a
 doubling decision and the runs diverge visibly.  Parity tests assert
-bitwise-equal traces over full figure runs.
+bitwise-equal traces over full figure runs against a per-element
+reference kept with the tests.
 
 Step-size handling: :class:`FixedStepSize` folds to two scalars;
 :class:`AdaptiveStepSize` is re-implemented as array updates with
 engine-owned γ state (the policy object is bypassed — its dicts stay at
 their initial values).  Only those two exact types fold; any other
-policy raises :class:`~repro.errors.OptimizationError` at construction
-and runs on the scalar backend.
+policy raises :class:`~repro.errors.OptimizationError` at construction.
 """
 
 from __future__ import annotations
@@ -288,9 +289,8 @@ def _make_gammas(
             policy.initial_gamma, policy.growth, policy.max_gamma, structure
         )
     raise OptimizationError(
-        "backend='vectorized' supports only FixedStepSize/AdaptiveStepSize "
-        f"step policies, got {type(policy).__name__}; use backend='scalar' "
-        "for a custom policy"
+        "LLA supports only FixedStepSize/AdaptiveStepSize step policies, "
+        f"got {type(policy).__name__}"
     )
 
 
@@ -304,7 +304,7 @@ class VectorizedEngine:
     :meth:`step_arrays`; :meth:`step` materializes an
     :class:`EngineStep` for callers that want dicts.  Model mutations (error correction,
     ``set_availability``) require :meth:`refresh_model`, same contract as
-    the scalar allocators' ``refresh_bounds``.
+    :meth:`LatencyAllocator.refresh_bounds`.
     """
 
     def __init__(self, taskset: TaskSet, config: "LLAConfig",
@@ -378,8 +378,8 @@ class VectorizedEngine:
     # -- one iteration ----------------------------------------------------------
 
     def step_arrays(self) -> StepArrays:
-        """One LLA iteration in array form; mirrors ``_scalar_iteration``
-        phase by phase.  :meth:`step` materializes the dict facade on top;
+        """One LLA iteration in array form, phase by phase as the paper's
+        two algorithm boxes run it.  :meth:`step` materializes the dict facade on top;
         the optimizer stays here."""
         s = self.structure
         tol = self.config.congestion_tol
@@ -493,7 +493,7 @@ class VectorizedEngine:
 # -- structure-level observation ------------------------------------------------
 #
 # Everything below reads a compiled TaskSetStructure plus a latency
-# assignment and computes the global quantities the scalar TaskSet API
+# assignment and computes the global quantities the TaskSet API
 # derives by traversing the object graph (resource_loads, total_utility,
 # critical_path, is_feasible).  Observers that already hold a structure —
 # the distributed runtime's omniscient snapshot, the service's query path —
@@ -506,7 +506,7 @@ def compute_loads(structure: TaskSetStructure, lat: np.ndarray) -> np.ndarray:
     Bitwise-equal to summing ``TaskSet.resource_load`` per resource when
     the task set is declared in canonical (name-sorted) order: the
     ``bincount`` accumulates shares in subtask order, which is exactly the
-    scalar loop's visit order.
+    per-resource loop's visit order.
     """
     s = structure
     model_lat = lat - s.err
@@ -530,7 +530,7 @@ def compute_loads(structure: TaskSetStructure, lat: np.ndarray) -> np.ndarray:
     )
 
 
-#: ``log(eps)`` of the log utility's linear extension, as the scalar
+#: ``log(eps)`` of the log utility's linear extension, as
 #: :meth:`LogUtility.value` computes it.
 _LOG_EPS = LogUtility.EXTENSION_EPS
 _LOG_OF_EPS = math.log(_LOG_EPS)

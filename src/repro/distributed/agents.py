@@ -363,7 +363,7 @@ class TaskControllerAgent:
                     self.path_prices[key], gamma, lat, self.task.critical_time
                 )
             self.latencies = self.allocator.allocate(
-                self.resource_prices, self.path_prices, current=self.latencies
+                self.resource_prices, self.path_prices
             )
             if self.staleness_limit is not None and \
                     self._paths_feasible(self.latencies):

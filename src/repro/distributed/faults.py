@@ -449,7 +449,7 @@ class FaultInjector:
             return
         runtime, bus = self.runtime, self.runtime.bus
         # Restores first so back-to-back windows hand over cleanly.
-        for burst in actions.burst_ends:
+        for _burst in actions.burst_ends:
             bus.set_loss_probability(self._base_loss)
             self._base_loss = None
         for _dup in actions.dup_ends:

@@ -40,7 +40,7 @@ from repro.distributed.checkpoint import CheckpointStore
 from repro.distributed.faults import FaultInjector, FaultPlan
 from repro.distributed.messages import PriceMessage
 from repro.distributed.network import MessageBus
-from repro.errors import DistributedError, ModelError, OptimizationError
+from repro.errors import DistributedError
 from repro.model.fingerprint import taskset_fingerprint
 from repro.model.task import TaskSet
 from repro.telemetry import (
@@ -148,7 +148,12 @@ class DistributedConfig:
 
 
 class DistributedLLARuntime:
-    """Message-passing execution of LLA over a simulated control network."""
+    """Message-passing execution of LLA over a simulated control network.
+
+    Runs the optimizer's model family only: a task set outside it
+    (:func:`~repro.core.structure.task_model`) raises
+    :class:`~repro.errors.OptimizationError` at construction.
+    """
 
     def __init__(self, taskset: TaskSet,
                  config: Optional[DistributedConfig] = None,
@@ -160,15 +165,11 @@ class DistributedLLARuntime:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Compile the task set once; the omniscient observer and the
         # per-resource agent views read the arrays instead of re-walking
-        # the object graph every round.  Non-closed-form models (exotic
-        # share functions or utilities) fall back to traversal.
-        self.structure: Optional[TaskSetStructure]
-        try:
-            self.structure = compile_structure(
-                taskset, max_latency_factor=self.config.max_latency_factor
-            )
-        except (OptimizationError, ModelError):
-            self.structure = None
+        # the object graph every round.  A model outside the kernel's
+        # family raises OptimizationError here, naming it.
+        self.structure: TaskSetStructure = compile_structure(
+            taskset, max_latency_factor=self.config.max_latency_factor
+        )
         # The fingerprint only changes when the model does (capacity
         # shocks); cache it instead of re-hashing at every checkpoint.
         self._fingerprint = taskset_fingerprint(taskset)
@@ -216,8 +217,8 @@ class DistributedLLARuntime:
                 self.bus,
                 initial_price=cfg.initial_resource_price,
                 gamma=gamma_factory(),
-                hosted=agent_views[rname][0] if agent_views else None,
-                controllers=agent_views[rname][1] if agent_views else None,
+                hosted=agent_views[rname][0],
+                controllers=agent_views[rname][1],
             )
             for rname in taskset.resources
         }
@@ -245,10 +246,7 @@ class DistributedLLARuntime:
     ) -> Dict[str, Tuple[List[str], List[str]]]:
         """Per-resource (hosted subtasks, controller names) from the
         compiled structure in one pass over the subtask arrays — replaces
-        the O(R x S) per-agent object-graph scans.  Empty when the task
-        set did not compile (agents then derive their own views)."""
-        if self.structure is None:
-            return {}
+        the O(R x S) per-agent object-graph scans."""
         s = self.structure
         hosted: Dict[str, List[str]] = {r: [] for r in s.resource_names}
         owners: Dict[str, set] = {r: set() for r in s.resource_names}
@@ -382,8 +380,7 @@ class DistributedLLARuntime:
         fingerprint."""
         for controller in self.controllers.values():
             controller.allocator.refresh_bounds()
-        if self.structure is not None:
-            self.structure.refresh_model()
+        self.structure.refresh_model()
         self._fingerprint = taskset_fingerprint(self.taskset)
 
     def crashed_agents(self):
@@ -422,58 +419,24 @@ class DistributedLLARuntime:
         path_prices_all: Dict[PathKey, float] = {}
         for controller in self.controllers.values():
             path_prices_all.update(controller.path_prices)
-        if self.structure is not None:
-            s = self.structure
-            obs = observe_assignment(s, latencies, tol=1e-9)
-            return IterationRecord(
-                iteration=self.round,
-                utility=obs.utility,
-                latencies=latencies,
-                resource_prices={
-                    r: agent.price for r, agent in self.resources.items()
-                },
-                path_prices=path_prices_all,
-                resource_loads=dict(
-                    zip(s.resource_names, obs.loads.tolist())
-                ),
-                congested_resources=tuple(
-                    s.resource_names[i]
-                    for i in np.flatnonzero(obs.cong_r)
-                ),
-                congested_paths=tuple(
-                    s.path_keys[i] for i in np.flatnonzero(obs.cong_p)
-                ),
-                critical_paths=dict(zip(s.task_names, obs.crit.tolist())),
-            )
-        # Fallback for task sets the vectorized compiler rejects (exotic
-        # share functions / utilities): walk the object graph.
-        loads = self.taskset.resource_loads(latencies)  # statan: disable=REP016 -- object-graph fallback when the task set does not compile
-        congested_resources = tuple(
-            r for r, load in loads.items()
-            if load > self.taskset.resources[r].availability + 1e-9
-        )
-        congested_paths: tuple = ()
-        for controller in self.controllers.values():
-            task = controller.task
-            for i, path in enumerate(task.graph.paths):
-                if (task.graph.path_latency(path, latencies)  # statan: disable=REP016 -- object-graph fallback when the task set does not compile
-                        > task.critical_time + 1e-9):
-                    congested_paths += (PathKey(task.name, i),)
+        s = self.structure
+        obs = observe_assignment(s, latencies, tol=1e-9)
         return IterationRecord(
             iteration=self.round,
-            utility=self.taskset.total_utility(latencies),  # statan: disable=REP016 -- object-graph fallback when the task set does not compile
+            utility=obs.utility,
             latencies=latencies,
             resource_prices={
                 r: agent.price for r, agent in self.resources.items()
             },
             path_prices=path_prices_all,
-            resource_loads=loads,
-            congested_resources=congested_resources,
-            congested_paths=congested_paths,
-            critical_paths={
-                task.name: task.critical_path(latencies)[1]  # statan: disable=REP016 -- object-graph fallback when the task set does not compile
-                for task in self.taskset.tasks
-            },
+            resource_loads=dict(zip(s.resource_names, obs.loads.tolist())),
+            congested_resources=tuple(
+                s.resource_names[i] for i in np.flatnonzero(obs.cong_r)
+            ),
+            congested_paths=tuple(
+                s.path_keys[i] for i in np.flatnonzero(obs.cong_p)
+            ),
+            critical_paths=dict(zip(s.task_names, obs.crit.tolist())),
         )
 
     # -- execution -------------------------------------------------------------
@@ -637,13 +600,9 @@ class DistributedLLARuntime:
             if self.config.record_history:
                 self.history.append(record)
         latencies = self.global_latencies()
-        if self.structure is not None:
-            final = observe_assignment(self.structure, latencies, tol=1e-2)
-            converged = final.feasible()
-            utility = final.utility
-        else:
-            converged = self.taskset.is_feasible(latencies, tol=1e-2)  # statan: disable=REP016 -- object-graph fallback when the task set does not compile
-            utility = self.taskset.total_utility(latencies)  # statan: disable=REP016 -- object-graph fallback when the task set does not compile
+        final = observe_assignment(self.structure, latencies, tol=1e-2)
+        converged = final.feasible()
+        utility = final.utility
         if not converged:
             logger.warning(
                 "distributed run ended infeasible after %d rounds "

@@ -98,13 +98,8 @@ class Fig5Result:
 
 def run_fig5(iterations: int = 500,
              gammas: Sequence[float] = (0.1, 1.0, 10.0),
-             variant: str = "path-weighted",
-             backend: str = "scalar") -> Fig5Result:
-    """Run all Figure 5 configurations on fresh copies of the workload.
-
-    ``backend`` selects the LLA iteration kernel; both produce identical
-    traces (see :mod:`repro.core.vectorized`).
-    """
+             variant: str = "path-weighted") -> Fig5Result:
+    """Run all Figure 5 configurations on fresh copies of the workload."""
     series: Dict[str, Fig5Series] = {}
     for gamma in gammas:
         taskset = base_workload(variant=variant)
@@ -112,7 +107,6 @@ def run_fig5(iterations: int = 500,
             step_policy=FixedStepSize(gamma),
             max_iterations=iterations,
             stop_on_convergence=False,
-            backend=backend,
         )
         result = LLAOptimizer(taskset, config).run()
         series[f"gamma={gamma:g}"] = Fig5Series(
@@ -123,7 +117,6 @@ def run_fig5(iterations: int = 500,
         step_policy=AdaptiveStepSize(taskset, initial_gamma=1.0),
         max_iterations=iterations,
         stop_on_convergence=False,
-        backend=backend,
     )
     result = LLAOptimizer(taskset, config).run()
     series["adaptive"] = Fig5Series(
@@ -182,8 +175,6 @@ SPEC = register(ExperimentSpec(
     params=(
         Param("iterations", int, 500, "iteration budget per series"),
         Param("variant", str, "path-weighted", "utility aggregation"),
-        Param("backend", str, "scalar",
-              "LLA iteration kernel: 'scalar' or 'vectorized'"),
     ),
     checks=(
         Check("high_gamma_oscillates",

@@ -77,8 +77,7 @@ class Fig6Result:
 
 def run_fig6(copies: Sequence[int] = (1, 2, 4), iterations: int = 500,
              critical_time_factor: float = 20.0,
-             max_gamma: float = 1e6,
-             backend: str = "scalar") -> Fig6Result:
+             max_gamma: float = 1e6) -> Fig6Result:
     """Run LLA on the ×1/×2/×4 scaled workloads.
 
     Uses the paper's *unbounded* adaptive doubling (``max_gamma=1e6``): in
@@ -86,10 +85,6 @@ def run_fig6(copies: Sequence[int] = (1, 2, 4), iterations: int = 500,
     climb is what makes the convergence speed independent of the task
     count (a capped γ climbs linearly in the optimal price, which grows
     roughly quadratically with the count).
-
-    ``backend`` selects the LLA iteration kernel ("scalar" or
-    "vectorized"); the traces are identical, only the wall time differs —
-    which matters here, since this is the scaling experiment.
     """
     points: Dict[int, Fig6Point] = {}
     for c in copies:
@@ -102,7 +97,6 @@ def run_fig6(copies: Sequence[int] = (1, 2, 4), iterations: int = 500,
             ),
             max_iterations=iterations,
             stop_on_convergence=False,
-            backend=backend,
         )
         result = LLAOptimizer(taskset, config).run()
         points[len(taskset.tasks)] = Fig6Point(
@@ -162,8 +156,6 @@ SPEC = register(ExperimentSpec(
               "overprovisioning factor keeping the clones schedulable"),
         Param("max_gamma", float, 1e6,
               "adaptive-doubling cap (paper: unbounded)"),
-        Param("backend", str, "scalar",
-              "LLA iteration kernel: 'scalar' or 'vectorized'"),
     ),
     checks=(
         Check("all_workloads_feasible",

@@ -7,7 +7,7 @@ Three pieces (see ``EXPERIMENTS.md`` for the authoring guide):
   encoding each paper claim) and the process-wide registry the drivers
   under :mod:`repro.experiments` populate at import time;
 * :mod:`repro.harness.result` — the :class:`RunResult` envelope (params,
-  seed, backend, git SHA, wall time, per-check verdicts with measured
+  seed, git SHA, wall time, per-check verdicts with measured
   values, domain payload) serialized to one JSON schema, plus the
   dependency-free validators;
 * :mod:`repro.harness.runner` — :func:`execute`/:func:`run_all`, the

@@ -2,7 +2,7 @@
 
 Every experiment — CLI single run, ``--all`` scorecard entry, benchmark
 invocation — produces the same envelope: the resolved parameters, the
-seed/backend/profile it ran under, the git revision and wall time, the
+seed/profile it ran under, the git revision and wall time, the
 per-claim check verdicts with their measured values, and a
 JSON-serializable domain payload.  :func:`validate_run_result` is the
 dependency-free schema check both the tests and :func:`from_dict` use,
@@ -77,7 +77,6 @@ class RunResult:
     description: str
     params: Dict[str, Any]
     seed: Optional[int]
-    backend: Optional[str]
     profile: str                    # "default" or "quick"
     git_sha: Optional[str]
     wall_time_seconds: float
@@ -119,7 +118,6 @@ class RunResult:
             "source": self.source,
             "params": dict(self.params),
             "seed": self.seed,
-            "backend": self.backend,
             "profile": self.profile,
             "git_sha": self.git_sha,
             "wall_time_seconds": self.wall_time_seconds,
@@ -146,7 +144,6 @@ class RunResult:
             description=str(data.get("description", "")),
             params=dict(data["params"]),
             seed=data.get("seed"),
-            backend=data.get("backend"),
             profile=str(data.get("profile", "default")),
             git_sha=data.get("git_sha"),
             wall_time_seconds=float(data["wall_time_seconds"]),
@@ -215,7 +212,7 @@ def validate_run_result(data: Any) -> List[str]:
             problems.append(
                 f"key {key!r} must be {types}, got {_type_name(data[key])}"
             )
-    for key in ("seed", "backend", "git_sha"):
+    for key in ("seed", "git_sha"):
         value = data.get(key)
         if value is not None and not isinstance(value, (str, int)):
             problems.append(

@@ -53,26 +53,18 @@ def _apply_uniform_flags(
     spec: ExperimentSpec,
     params: Dict[str, Any],
     seed: Optional[int],
-    backend: Optional[str],
     iterations: Optional[int],
 ) -> None:
     """Fold the uniform CLI flags into the resolved parameters.
 
     ``--seed`` is always accepted (it is recorded in the envelope even
     for deterministic experiments) and forwarded when the spec declares
-    a ``seed`` parameter.  ``--backend`` and ``--iterations`` require a
-    matching parameter — passing them to an experiment that has none is
-    an error, not a silent no-op.
+    a ``seed`` parameter.  ``--iterations`` requires an iteration-budget
+    parameter — passing it to an experiment that has none is an error,
+    not a silent no-op.
     """
     if seed is not None and spec.has_param("seed"):
         params["seed"] = seed
-    if backend is not None:
-        if not spec.has_param("backend"):
-            raise HarnessError(
-                f"experiment {spec.name!r} has no 'backend' parameter; "
-                "it does not run on the LLA iteration kernels"
-            )
-        params["backend"] = backend
     if iterations is not None:
         for name in ("iterations", "max_iterations"):
             if spec.has_param(name):
@@ -90,7 +82,6 @@ def execute(
     overrides: Optional[Mapping[str, Any]] = None,
     *,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
     iterations: Optional[int] = None,
     quick: bool = False,
     telemetry: Optional[Telemetry] = None,
@@ -103,7 +94,7 @@ def execute(
     """
     spec = get_spec(name)
     params = spec.resolve_params(overrides, quick=quick)
-    _apply_uniform_flags(spec, params, seed, backend, iterations)
+    _apply_uniform_flags(spec, params, seed, iterations)
     profile = "quick" if quick else "default"
     telemetry = telemetry if telemetry is not None else Telemetry.disabled()
 
@@ -154,7 +145,6 @@ def execute(
         description=spec.description,
         params=dict(params),
         seed=seed if seed is not None else params.get("seed"),
-        backend=backend if backend is not None else params.get("backend"),
         profile=profile,
         git_sha=git_revision(),
         wall_time_seconds=wall_time,

@@ -197,9 +197,11 @@ class QuadraticUtility(UtilityFunction):
 class ExponentialUtility(UtilityFunction):
     """Exponential decay ``f(lat) = u_max * exp(-lat / tau)``.
 
-    Note this function is *convex*, not concave; it is provided for the
-    model-error sensitivity ablations and is rejected by strict optimizer
-    configurations (see :func:`check_concavity`).
+    Note this function is *convex*, not concave (see
+    :func:`check_concavity`), so it lies outside the paper's model: the
+    LLA optimizer, the distributed runtime and the service refuse a task
+    that carries it.  It stays available to the model and serialization
+    layers.
     """
 
     def __init__(self, critical_time: float, u_max: float = 1.0,

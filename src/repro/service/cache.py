@@ -2,7 +2,7 @@
 
 Under churn the always-on service rebuilds its optimizer on every task
 arrival/departure.  Compiling a :class:`TaskSetStructure` is the dominant
-rebuild cost for the vectorized backend, and churn is often *oscillatory*
+rebuild cost, and churn is often *oscillatory*
 (a task leaves and re-registers, an A/B flip alternates two
 configurations), so the same problem shapes recur.  The cache keys
 compiled structures by the canonical task-set fingerprint

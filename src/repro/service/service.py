@@ -43,7 +43,6 @@ import numpy as np
 from repro.analysis.admission import AdmissionDecision, certify_infeasible
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.structure import (
-    TaskSetStructure,
     structure_from_dict,
     structure_to_dict,
     task_model,
@@ -93,12 +92,9 @@ class ServiceConfig:
         Optimizer iterations per :meth:`run` slice between event-loop
         yields.
     lla:
-        Optimizer configuration of every epoch, backend included; ``None``
-        builds the paper defaults on the vectorized backend (the service
-        exists to run continuously, so the batched kernel's per-iteration
-        cost matters).  Its ``step_policy`` must be ``None`` (a shared
-        policy object would leak step-size escalation across churn
-        epochs).
+        Optimizer configuration of every epoch; ``None`` builds the paper
+        defaults.  Its ``step_policy`` must be ``None`` (a shared policy
+        object would leak step-size escalation across churn epochs).
     """
 
     admission_control: bool = True
@@ -503,10 +499,10 @@ class AllocationService:
         """Why the membership ``members``, of which ``arrivals`` are new,
         cannot be admitted; ``None`` when it can.
 
-        On the vectorized backend an arrival must fit the kernel's model
-        family (:func:`~repro.core.structure.task_model`): a task the
-        rebuild could not compile is rejected here, before the task map
-        changes, with the compile error as the reason.
+        An arrival must fit the kernel's model family
+        (:func:`~repro.core.structure.task_model`): a task the rebuild
+        could not compile is rejected here, before the task map changes,
+        with the compile error as the reason.
         """
         for task in arrivals:
             for sub in task.subtasks:
@@ -520,12 +516,11 @@ class AllocationService:
         except ModelError as exc:
             return str(exc)
         lla = self.config.optimizer_config()
-        if lla.backend == "vectorized":
-            for task in arrivals:
-                try:
-                    task_model(taskset, task, lla.max_latency_factor)
-                except OptimizationError as exc:
-                    return str(exc)
+        for task in arrivals:
+            try:
+                task_model(taskset, task, lla.max_latency_factor)
+            except OptimizationError as exc:
+                return str(exc)
         if self.config.admission_control:
             certificate = certify_infeasible(taskset)
             if certificate is not None:
@@ -558,12 +553,10 @@ class AllocationService:
             taskset = self._make_taskset(self._tasks)
             fingerprint = taskset_fingerprint(taskset)
             lla = self.config.optimizer_config()
-            structure: Optional[TaskSetStructure] = None
-            if lla.backend == "vectorized":
-                structure = self._cache.get(
-                    taskset, max_latency_factor=lla.max_latency_factor,
-                    fingerprint=fingerprint,
-                )
+            structure = self._cache.get(
+                taskset, max_latency_factor=lla.max_latency_factor,
+                fingerprint=fingerprint,
+            )
             optimizer = LLAOptimizer(
                 taskset, lla, telemetry=self.telemetry, structure=structure,
             )
@@ -676,50 +669,24 @@ class AllocationService:
     # -- queries -----------------------------------------------------------------
 
     def query(self, task_name: str) -> AllocationView:
-        """The task's allocation under the current iterate.
+        """The task's allocation under the current iterate, read from the
+        compiled :class:`~repro.core.structure.TaskSetStructure` ("compile
+        once, share everywhere"), with no object traversal.
 
-        On the vectorized backend the answer is read from the compiled
-        :class:`~repro.core.structure.TaskSetStructure` ("compile once,
-        share everywhere"); the scalar backend falls back to the task
-        object graph.
+        Matches the task object graph value-for-value: the weighted
+        aggregate and per-path sums run as sequential Python float
+        additions in the same operand order :meth:`Task.aggregated_latency`
+        and the graph's critical-path walk use, and the utility is the
+        kernel's own formula (:func:`~repro.core.vectorized.task_utility`,
+        whose log values may differ from ``math.log``'s in the last ulp).
         """
-        task = self._tasks.get(task_name)
         optimizer = self._optimizer
-        if task is None or optimizer is None:
+        if task_name not in self._tasks or optimizer is None:
             raise ServiceError(f"no task named {task_name!r} is registered")
         self._queries += 1
         if self.telemetry.enabled:
             self._metric("queries").inc()
-        structure = optimizer.structure
-        if structure is not None:
-            return self._query_from_structure(structure, task_name, optimizer)
-        latencies = {
-            name: optimizer.latencies[name] for name in task.subtask_names
-        }
-        return AllocationView(
-            task=task_name,
-            latencies=latencies,
-            aggregated_latency=task.aggregated_latency(latencies),  # statan: disable=REP016 -- scalar query fallback when no structure is bound
-            utility=task.utility_value(latencies),  # statan: disable=REP016 -- scalar query fallback when no structure is bound
-            meets_critical_time=task.meets_critical_time(latencies),
-            iteration=optimizer.iteration,
-            epoch=self._epoch,
-            converged=self._reconverged,
-        )
-
-    def _query_from_structure(self, structure: TaskSetStructure,
-                              task_name: str,
-                              optimizer: LLAOptimizer) -> AllocationView:
-        """Answer a query from the compiled arrays, no object traversal.
-
-        Matches the scalar path value-for-value: the weighted aggregate
-        and per-path sums run as sequential Python float additions in the
-        same operand order :meth:`Task.aggregated_latency` and the graph's
-        critical-path walk use, and the utility is the kernel's own
-        formula (:func:`~repro.core.vectorized.task_utility`, whose log
-        values may differ from ``math.log``'s in the last ulp).
-        """
-        s = structure
+        s = optimizer.structure
         t = s.task_index(task_name)
         ssl = s.task_subtask_slice(t)
         names = s.subtask_names[ssl.start:ssl.stop]
@@ -759,9 +726,9 @@ class AllocationService:
 
     def feasible(self, tol: float = 1e-2) -> bool:
         """Whether the current iterate satisfies Eqs. 3–4 within ``tol``
-        (``False`` with no tasks registered).  On the vectorized backend
-        the verdict comes from the kernel's arrays, also right after a
-        rebuild or restore (see :meth:`LLAOptimizer.feasible`)."""
+        (``False`` with no tasks registered).  The verdict comes from the
+        kernel's arrays, also right after a rebuild or restore (see
+        :meth:`LLAOptimizer.feasible`)."""
         optimizer = self._optimizer
         return optimizer is not None and optimizer.feasible(tol)
 
@@ -808,8 +775,8 @@ class AllocationService:
     def snapshot(self) -> None:
         """Checkpoint the live dual state, stamped with the fingerprint.
 
-        On the vectorized backend the snapshot also embeds the compiled
-        structure's serialized payload (:func:`structure_to_dict`) — the
+        The snapshot also embeds the compiled structure's serialized
+        payload (:func:`structure_to_dict`) — the
         payload carries its own content fingerprint, so :meth:`restore`
         can detect a corrupted or hand-edited compiled artifact and
         demote to a cold reset instead of resuming on garbage arrays.
@@ -820,9 +787,7 @@ class AllocationService:
         state: Dict[str, Any] = {
             "resource_prices": dict(optimizer.resource_prices.prices),
         }
-        structure = optimizer.structure
-        if structure is not None:
-            state["structure"] = structure_to_dict(structure)
+        state["structure"] = structure_to_dict(optimizer.structure)
         self._snapshots.save(
             _SNAPSHOT_AGENT, self._total_iterations, state,
             fingerprint=self._fingerprint,

@@ -667,8 +667,8 @@ class SupervisedService:
         return AllocationView(
             task=name,
             latencies=latencies,
-            aggregated_latency=task.aggregated_latency(latencies),  # statan: disable=REP016 -- scalar query fallback when no structure is bound
-            utility=task.utility_value(latencies),  # statan: disable=REP016 -- scalar query fallback when no structure is bound
+            aggregated_latency=task.aggregated_latency(latencies),  # statan: disable=REP016 -- degraded last-good view: it keeps task objects, not a compiled structure
+            utility=task.utility_value(latencies),  # statan: disable=REP016 -- degraded last-good view: it keeps task objects, not a compiled structure
             meets_critical_time=task.meets_critical_time(latencies),
             iteration=self._last_good_iteration,
             epoch=self._last_good_epoch,

@@ -18,7 +18,7 @@ pass-through) must be referenced by the validator.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Tuple
 
 from repro.statan.findings import Finding
 from repro.statan.rules import ProjectRule

@@ -10,10 +10,9 @@ the compiled model the optimizer actually runs (e.g. after an error
 correction refreshes the structure's arrays).
 
 This rule flags calls to the traversal APIs inside the hot-path
-packages (core, distributed, sim, service).  Legacy scalar-backend
-call sites — the reference implementation the vectorized engine is
-tested against — carry inline suppressions explaining why they must
-keep traversing.
+packages (core, distributed, sim, service).  Call sites that must keep
+traversing — the paper's per-element price updaters, which the
+distributed agents run — carry inline suppressions explaining why.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ class StructureBypass(Rule):
         "model after a live "
         "refresh (capacity shock, error correction). Observers in the hot "
         "packages must read the structure (repro.core.vectorized exposes "
-        "compute_loads/observe_assignment); the scalar reference "
-        "implementation keeps traversing under justified suppressions."
+        "compute_loads/observe_assignment); the per-element reference "
+        "updaters keep traversing under justified suppressions."
     )
     scopes = (
         "repro/core/",
@@ -81,6 +80,6 @@ class StructureBypass(Rule):
                 "graph on a hot path; read the compiled TaskSetStructure "
                 "instead (repro.core.vectorized.observe_assignment / "
                 "compute_loads), or suppress with the reason this site "
-                "must stay scalar",
+                "must keep traversing",
                 api=func.attr,
             )

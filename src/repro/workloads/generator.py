@@ -147,9 +147,10 @@ def random_workload(config: Optional[GeneratorConfig] = None,
 
     # Names are zero-padded to the pool width so lexicographic order equals
     # numeric order: compile_structure's canonical (name-sorted) ordering
-    # then matches the declaration order, keeping the scalar and vectorized
-    # backends' iteration orders — and therefore their float trajectories —
-    # identical.  Small configs (< 11 tasks/resources) keep their old names.
+    # then matches the declaration order, keeping the kernel's and the
+    # per-element loops' iteration orders — and therefore their float
+    # trajectories — identical.  Small configs (< 11 tasks/resources)
+    # keep their old names.
     t_width = len(str(config.n_tasks - 1))
     r_width = len(str(config.n_resources - 1))
     s_width = len(str(config.max_subtasks - 1))
@@ -198,7 +199,7 @@ def random_workload(config: Optional[GeneratorConfig] = None,
     # most `provisioning`.
     # Resource pressure if every task had C_i = 1: share = cost×depth/C.
     pressure: Dict[str, float] = {r.name: 0.0 for r in resources}
-    for tname, subtasks, graph in drafts:
+    for _tname, subtasks, graph in drafts:
         hops: Dict[str, int] = {}
         for path in graph.paths:
             for s in path:

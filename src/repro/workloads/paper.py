@@ -193,7 +193,7 @@ def scaled_workload(copies: int, critical_time_factor: float = 20.0,
 
     Tasks are declared in name-sorted order (T1, T1c1, …, T2, …) — the
     canonical order :func:`repro.core.structure.compile_structure` uses —
-    so the scalar and vectorized backends iterate the clones identically
+    so the kernel and the per-element loops iterate the clones identically
     and their trajectories stay bitwise-equal.
     """
     if copies < 1:

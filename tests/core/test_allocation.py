@@ -9,6 +9,7 @@ from repro.core.state import PathKey
 from repro.model.share import CorrectedShare, HyperbolicShare, PowerLawShare
 from repro.model.utility import LogUtility
 from tests.conftest import make_chain_taskset
+from tests.core.reference import lbfgsb_allocate
 
 
 class TestStationaryLatency:
@@ -142,17 +143,26 @@ class TestAllocatorNumeric:
             assert lo - 1e-9 <= lat <= hi + 1e-9
 
     def test_numeric_matches_closed_form_for_linear(self):
-        # Force the numeric path on a linear problem by lying about the
-        # utility type, and compare with the closed form.
+        # Solve a linear problem numerically (L-BFGS-B on the task
+        # Lagrangian) and compare with the closed form.
         ts = make_chain_taskset()
         task = ts.tasks[0]
         allocator = LatencyAllocator(ts, task)
         prices = {f"r{i}": 40.0 for i in range(3)}
         path_prices = {PathKey(task.name, 0): 0.3}
-        closed = allocator._allocate_closed_form(prices, path_prices)
-        numeric = allocator._allocate_numeric(prices, path_prices, closed)
+        closed = allocator.allocate(prices, path_prices)
+        numeric = lbfgsb_allocate(allocator, prices, path_prices, closed)
         for name in task.subtask_names:
             assert numeric[name] == pytest.approx(closed[name], abs=1e-4)
+
+    def test_outside_model_family_refused(self):
+        from repro.errors import OptimizationError
+        from repro.model.utility import ExponentialUtility
+        ts = make_chain_taskset()
+        task = ts.tasks[0]
+        task.utility = ExponentialUtility(task.critical_time)
+        with pytest.raises(OptimizationError, match="ExponentialUtility"):
+            LatencyAllocator(ts, task)
 
     def test_inelastic_task_drifts_to_upper_clamp_without_prices(self):
         from repro.model.utility import InelasticUtility

@@ -1,7 +1,7 @@
 """The array-driven vectorized run loop.
 
-On the vectorized backend :meth:`LLAOptimizer.step` works from the
-kernel's :class:`~repro.core.vectorized.StepArrays`: the convergence
+:meth:`LLAOptimizer.step` works from the kernel's
+:class:`~repro.core.vectorized.StepArrays`: the convergence
 detector gets a feasibility verdict computed from the arrays, the
 name-keyed record fields and ``optimizer.latencies`` are built only when
 read, and the adaptive step size finds covered paths through the
@@ -65,7 +65,7 @@ def power_law_workload():
 def array_optimizer(taskset, **kwargs):
     kwargs.setdefault("max_iterations", 600)
     kwargs.setdefault("stop_on_convergence", False)
-    return LLAOptimizer(taskset, LLAConfig(backend="vectorized", **kwargs))
+    return LLAOptimizer(taskset, LLAConfig(**kwargs))
 
 
 def read_all(record):
@@ -156,8 +156,7 @@ class TestNoDictsInTheRunLoop:
             self, monkeypatch):
         calls = self._counting(monkeypatch)
         opt = LLAOptimizer(separable_taskset(), LLAConfig(
-            backend="vectorized", record_history=False,
-            max_iterations=2000,
+            record_history=False, max_iterations=2000,
         ))
         result = opt.run()
         assert result.converged and result.iterations > 50
@@ -165,10 +164,6 @@ class TestNoDictsInTheRunLoop:
         assert calls["engine_step"] == 0
         # Only the result's latency map is built, once, at the end.
         assert calls["named"] == ["latencies"]
-
-    def test_vectorized_backend_builds_no_scalar_machinery(self):
-        opt = array_optimizer(base_workload())
-        assert opt.allocators == {} and opt.path_prices == {}
 
     def test_run_rejects_a_negative_budget(self):
         """A budget below one raises; 0 is not read as "use the

@@ -3,9 +3,9 @@
 :func:`repro.core.allocation.solve_concave` replaces per-task L-BFGS-B
 for the concave nonlinear utilities.  It must return the exact box
 maximizer of each task's Lagrangian (checked against the box-KKT
-conditions), never do worse than the numeric solver it replaces, give
-each task the same bits whichever tasks share the call, and keep the
-scalar and vectorized backends bitwise-identical.
+conditions), never do worse than an L-BFGS-B solve of the same
+Lagrangian, give each task the same bits whichever tasks share the call,
+and keep the kernel bitwise-identical to the per-element reference.
 """
 
 import math
@@ -33,6 +33,7 @@ from repro.model.share import CorrectedShare, PowerLawShare
 from repro.model.task import Task, TaskSet
 from repro.model.utility import LogUtility, QuadraticUtility
 from repro.workloads.generator import GeneratorConfig, random_workload
+from tests.core.reference import ScalarLLA, lbfgsb_allocate
 from tests.core.test_structure import _assert_structures_equal
 
 EPS = LogUtility.EXTENSION_EPS
@@ -40,8 +41,8 @@ EPS = LogUtility.EXTENSION_EPS
 
 def cycled(taskset):
     """``taskset`` with utilities cycling linear, log, quadratic by task,
-    tasks declared name-sorted (the order the scalar backend's loops
-    must share with the kernel for bitwise parity)."""
+    tasks declared name-sorted (the order the reference loops must
+    share with the kernel for bitwise parity)."""
     tasks = []
     for i, task in enumerate(sorted(taskset.tasks, key=lambda t: t.name)):
         crit = task.critical_time
@@ -228,8 +229,8 @@ def task_lagrangian(taskset, task, lat, prices, path_prices):
 
 class TestAgainstNumericSolver:
     def test_lagrangian_never_below_lbfgsb(self):
-        """Per call, the exact solve's Lagrangian is at least that of the
-        L-BFGS-B solve it replaces (up to float noise)."""
+        """Per call, the exact solve's Lagrangian is at least that of an
+        L-BFGS-B solve (up to float noise)."""
         ts = nonlinear_taskset(seed=2)
         # Perturb some share functions into the power-law/corrected forms.
         names = ts.subtask_names
@@ -251,21 +252,12 @@ class TestAgainstNumericSolver:
                     for i in range(len(task.graph.paths))
                 }
                 exact = allocator.allocate(prices, path_prices)
-                numeric = allocator._allocate_numeric(prices, path_prices,
-                                                      None)
+                numeric = lbfgsb_allocate(allocator, prices, path_prices)
                 le = task_lagrangian(ts, task, exact, prices, path_prices)
                 ln = task_lagrangian(ts, task, numeric, prices, path_prices)
                 assert le >= ln - 1e-12 * max(1.0, abs(ln)), task.name
                 checked += 1
         assert checked >= 20
-
-    def test_numeric_solver_no_longer_runs(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(LatencyAllocator, "_allocate_numeric",
-                            lambda *a: calls.append(a))
-        ts = nonlinear_taskset()
-        LLAOptimizer(ts, LLAConfig(backend="scalar", max_iterations=20)).run()
-        assert calls == []
 
 
 class TestBackendParity:
@@ -279,11 +271,9 @@ class TestBackendParity:
         assert other.resource_loads == ref.resource_loads
 
     def test_scalar_and_vectorized_bitwise(self):
-        scalar, vector = (
-            LLAOptimizer(nonlinear_taskset(),
-                         LLAConfig(backend=backend, stop_on_convergence=False))
-            for backend in ("scalar", "vectorized")
-        )
+        config = LLAConfig(stop_on_convergence=False)
+        scalar = ScalarLLA(nonlinear_taskset(), config)
+        vector = LLAOptimizer(nonlinear_taskset(), config)
         assert vector.latencies == scalar.latencies
         for _ in range(self.ITERATIONS):
             ref, vec = scalar.step(), vector.step()
@@ -293,14 +283,14 @@ class TestBackendParity:
 
     def test_refresh_after_model_change(self):
         """A share swap and a utility swap reach the kernel through
-        refresh_model: it stays bitwise equal to the scalar reference,
-        which recompiles nothing."""
+        refresh_model: it stays bitwise equal to the per-element
+        reference, which recompiles nothing."""
         def make():
             return nonlinear_taskset(seed=3, partitions=2, n_tasks=8)
-        configs = [{"backend": "scalar"}, {}]
-        tasksets = [make() for _ in configs]
-        opts = [LLAOptimizer(ts, LLAConfig(stop_on_convergence=False, **kw))
-                for ts, kw in zip(tasksets, configs)]
+        tasksets = [make(), make()]
+        config = LLAConfig(stop_on_convergence=False)
+        opts = [ScalarLLA(tasksets[0], config),
+                LLAOptimizer(tasksets[1], config)]
         for _ in range(40):
             for opt in opts:
                 opt.step()

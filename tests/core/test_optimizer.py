@@ -136,24 +136,20 @@ class TestConfig:
         assert isinstance(config.step_policy, FixedStepSize)
         assert config.max_iterations == 10
 
-    def test_strict_rejects_nonconcave_utility(self):
+    def test_nonconcave_utility_refused_at_construction(self):
+        """The convex exponential utility is outside the paper's concave
+        model; the optimizer names it instead of running it."""
         ts = make_chain_taskset()
         ts.tasks[0].utility = ExponentialUtility(ts.tasks[0].critical_time)
-        with pytest.raises(OptimizationError, match="non-concave"):
-            LLAOptimizer(ts, LLAConfig(strict=True))
-
-    def test_non_strict_allows_nonconcave(self):
-        # Only the scalar backend's numeric solver runs a convex utility.
-        ts = make_chain_taskset()
-        ts.tasks[0].utility = ExponentialUtility(ts.tasks[0].critical_time)
-        LLAOptimizer(ts, LLAConfig(strict=False, backend="scalar"))
+        with pytest.raises(OptimizationError, match="ExponentialUtility"):
+            LLAOptimizer(ts)
 
     def test_refresh_model_after_share_swap(self, base_ts):
         from repro.model.share import CorrectedShare
-        # The per-task allocators exist on the scalar backend only.
-        opt = LLAOptimizer(base_ts, LLAConfig(backend="scalar"))
+        opt = LLAOptimizer(base_ts, LLAConfig())
         base = base_ts.share_function("T11")
         base_ts.set_share_function("T11", CorrectedShare(base, error=2.0))
         opt.refresh_model()
-        lo, _hi = opt.allocators["T1"]._bounds["T11"]
+        structure = opt.structure
+        lo = structure.lo[structure.subtask_names.index("T11")]
         assert lo == pytest.approx(base.min_latency(1.0) + 2.0)

@@ -1,4 +1,6 @@
-"""Per-phase timers: recorded on both backends, never perturbing them."""
+"""Per-phase timers: recorded by the kernel, never perturbing it."""
+
+import time
 
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.phases import PHASES, PhaseTimers
@@ -8,26 +10,18 @@ from repro.workloads.paper import base_workload
 PHASE_METRICS = [f"lla.phase.{name}_seconds" for name in PHASES]
 
 
-def run(backend, telemetry=None, iterations=60):
+def run(telemetry=None, iterations=60):
     return LLAOptimizer(
         base_workload(),
-        LLAConfig(max_iterations=iterations, backend=backend),
+        LLAConfig(max_iterations=iterations),
         telemetry=telemetry,
     ).run()
 
 
 class TestPhaseTimers:
-    def test_scalar_backend_records_all_phases(self):
-        telemetry = Telemetry.in_memory()
-        result = run("scalar", telemetry)
-        snapshot = telemetry.registry.snapshot()
-        for name in PHASE_METRICS:
-            assert name in snapshot, f"missing {name}"
-            assert snapshot[name]["count"] == result.iterations
-
     def test_vectorized_backend_records_all_phases(self):
         telemetry = Telemetry.in_memory()
-        result = run("vectorized", telemetry)
+        result = run(telemetry)
         snapshot = telemetry.registry.snapshot()
         for name in PHASE_METRICS:
             assert name in snapshot, f"missing {name}"
@@ -35,42 +29,30 @@ class TestPhaseTimers:
 
     def test_disabled_registry_records_nothing(self):
         telemetry = Telemetry.disabled()
-        run("scalar", telemetry)
+        run(telemetry)
         assert not telemetry.registry.snapshot()
 
     def test_lap_observes_interval(self):
         telemetry = Telemetry.in_memory()
         timers = PhaseTimers(telemetry)
-        started = 0.0
-        timers.observe("allocate", 0.25)
+        started = time.perf_counter()
+        mark = timers.lap("allocate", started)
         snap = telemetry.registry.snapshot()["lla.phase.allocate_seconds"]
         assert snap["count"] == 1
-        assert abs(snap["sum"] - 0.25) < 1e-12
-        assert timers.lap("classify", started) > started
+        assert abs(snap["sum"] - (mark - started)) < 1e-12
+        assert mark >= started
 
 
 class TestTimingDoesNotPerturb:
-    def test_scalar_iterates_identical_with_timing_on(self):
-        plain = run("scalar")
-        timed = run("scalar", Telemetry.in_memory())
-        assert timed.latencies == plain.latencies
-        assert timed.utility == plain.utility
-        assert timed.utility_trace() == plain.utility_trace()
-
     def test_vectorized_iterates_identical_with_tracing_on(self):
-        # The acceptance bar: bit-identity for the vectorized backend
-        # with full telemetry (metrics + tracing) enabled.
-        plain = run("vectorized")
+        # The acceptance bar: bit-identity with full telemetry (metrics +
+        # tracing) enabled.
+        plain = run()
         telemetry = Telemetry.in_memory()
-        traced = run("vectorized", telemetry)
+        traced = run(telemetry)
         assert traced.latencies == plain.latencies
         assert traced.utility == plain.utility
         assert traced.utility_trace() == plain.utility_trace()
         assert [r.resource_prices for r in traced.history] == \
             [r.resource_prices for r in plain.history]
 
-    def test_backends_agree_with_telemetry_enabled(self):
-        scalar = run("scalar", Telemetry.in_memory())
-        vector = run("vectorized", Telemetry.in_memory())
-        assert scalar.iterations == vector.iterations
-        assert abs(scalar.utility - vector.utility) < 1e-9

@@ -189,7 +189,7 @@ class TestChurnRobustness:
         new = AdaptiveStepSize(base_ts, initial_gamma=1.0)
         for rname in base_ts.resources:
             assert new.resource_gamma(rname) == 1.0
-        for key, gamma in new._path_gamma.items():
+        for gamma in new._path_gamma.values():
             assert gamma == 1.0
 
 
@@ -212,17 +212,18 @@ class TestLazyIndex:
     def test_vectorized_run_never_builds_it(self, monkeypatch, base_ts):
         from repro.core.optimizer import LLAConfig, LLAOptimizer
         calls = self._count(monkeypatch)
-        opt = LLAOptimizer(base_ts, LLAConfig(backend="vectorized",
-                                              max_iterations=50))
+        opt = LLAOptimizer(base_ts, LLAConfig(max_iterations=50))
         opt.run()
         opt.reset()
         assert calls == []
 
     def test_scalar_run_builds_it_once(self, monkeypatch, base_ts):
-        from repro.core.optimizer import LLAConfig, LLAOptimizer
+        """The per-element loops read the dict state: one index serves a
+        run, a reset and another run."""
+        from repro.core.optimizer import LLAConfig
+        from tests.core.reference import ScalarLLA
         calls = self._count(monkeypatch)
-        opt = LLAOptimizer(base_ts, LLAConfig(backend="scalar",
-                                              max_iterations=50))
+        opt = ScalarLLA(base_ts, LLAConfig(max_iterations=50))
         opt.run()
         opt.reset()
         opt.run()

@@ -1,11 +1,13 @@
-"""Parity tests: the vectorized backend must reproduce the scalar one.
+"""Parity tests: the LLA kernel must reproduce the per-element loops.
 
-The vectorized kernel (:mod:`repro.core.vectorized`) exists purely for
-throughput — the acceptance bar is element-wise closeness (rtol ≤ 1e-9) of
-latencies, prices and utility over full figure runs, and the implementation
-actually delivers bitwise-identical trajectories (every reduction is
-ordered like its scalar counterpart), which these tests pin down so a ulp
-regression is caught before it flips an adaptive-γ branch.
+The kernel (:mod:`repro.core.vectorized`) batches the paper's per-element
+equations; the reference (:class:`tests.core.reference.ScalarLLA`) runs
+them one task and one resource at a time.  The acceptance bar is
+element-wise closeness (rtol ≤ 1e-9) of latencies, prices and utility
+over full figure runs, and the implementation actually delivers
+bitwise-identical trajectories (every reduction is ordered like its
+per-element counterpart), which these tests pin down so a ulp regression
+is caught before it flips an adaptive-γ branch.
 """
 
 import numpy as np
@@ -18,18 +20,46 @@ from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.model.share import PowerLawShare, ShareFunction
 from repro.model.utility import ExponentialUtility
-from repro.workloads.paper import base_workload
+from repro.workloads.paper import base_workload, scaled_workload
 from tests.conftest import make_chain_taskset
+from tests.core.reference import ScalarLLA
 from tests.core.test_inelastic import mixed_taskset
 
 
 def _pair(taskset_factory, **config_kwargs):
-    """Two optimizers over fresh task-set copies, one per backend."""
-    return tuple(
-        LLAOptimizer(taskset_factory(),
-                     LLAConfig(backend=backend, **config_kwargs))
-        for backend in ("scalar", "vectorized")
-    )
+    """The reference and the optimizer over fresh task-set copies."""
+    return (ScalarLLA(taskset_factory(), LLAConfig(**config_kwargs)),
+            LLAOptimizer(taskset_factory(), LLAConfig(**config_kwargs)))
+
+
+def reference_fig5(iterations=500, gammas=(0.1, 1.0, 10.0)):
+    """run_fig5's four utility traces, from the reference loops."""
+    traces = {}
+    for gamma in gammas:
+        traces[f"gamma={gamma:g}"] = ScalarLLA(base_workload(), LLAConfig(
+            step_policy=FixedStepSize(gamma), max_iterations=iterations,
+            stop_on_convergence=False,
+        )).run().utility_trace()
+    taskset = base_workload()
+    traces["adaptive"] = ScalarLLA(taskset, LLAConfig(
+        step_policy=AdaptiveStepSize(taskset, initial_gamma=1.0),
+        max_iterations=iterations, stop_on_convergence=False,
+    )).run().utility_trace()
+    return traces
+
+
+def reference_fig6(copies=(1, 2, 4), iterations=500):
+    """run_fig6's runs (unbounded adaptive γ), from the reference loops:
+    task count → result."""
+    results = {}
+    for c in copies:
+        taskset = scaled_workload(c, critical_time_factor=20.0)
+        results[len(taskset.tasks)] = ScalarLLA(taskset, LLAConfig(
+            step_policy=AdaptiveStepSize(taskset, initial_gamma=1.0,
+                                         max_gamma=1e6),
+            max_iterations=iterations, stop_on_convergence=False,
+        )).run()
+    return results
 
 
 def assert_records_match(scalar, vector):
@@ -51,28 +81,28 @@ def assert_records_match(scalar, vector):
 class TestFigureRunParity:
     def test_fig5_full_run(self):
         """All four Figure 5 series (fixed γ ∈ {0.1, 1, 10} + adaptive)
-        produce the same utility trace on both backends."""
-        scalar = run_fig5(backend="scalar")
-        vector = run_fig5(backend="vectorized")
-        assert set(vector.series) == set(scalar.series)
-        for label, line in scalar.series.items():
+        produce the reference's utility traces."""
+        scalar = reference_fig5()
+        vector = run_fig5()
+        assert set(vector.series) == set(scalar)
+        for label, utilities in scalar.items():
             np.testing.assert_allclose(
-                vector.series[label].utilities, line.utilities,
+                vector.series[label].utilities, utilities,
                 rtol=1e-9, atol=0.0, err_msg=label,
             )
 
     def test_fig6_full_run(self):
         """The ×1/×2/×4 scaling runs (unbounded adaptive γ) match too."""
-        scalar = run_fig6(backend="scalar")
-        vector = run_fig6(backend="vectorized")
-        assert set(vector.points) == set(scalar.points)
-        for n, point in scalar.points.items():
+        scalar = reference_fig6()
+        vector = run_fig6()
+        assert set(vector.points) == set(scalar)
+        for n, result in scalar.items():
             np.testing.assert_allclose(
-                vector.points[n].utilities, point.utilities,
+                vector.points[n].utilities, result.utility_trace(),
                 rtol=1e-9, atol=0.0, err_msg=f"{n} tasks",
             )
             assert vector.points[n].final_utility == pytest.approx(
-                point.final_utility, rel=1e-9, abs=0.0
+                result.utility, rel=1e-9, abs=0.0
             )
 
 
@@ -96,9 +126,8 @@ class TestRecordParity:
                         max_iterations=300, stop_on_convergence=False)
 
         ts_s, ts_v = base_workload(), base_workload()
-        s_opt = LLAOptimizer(ts_s, LLAConfig(backend="scalar", **config(ts_s)))
-        v_opt = LLAOptimizer(ts_v, LLAConfig(backend="vectorized",
-                                             **config(ts_v)))
+        s_opt = ScalarLLA(ts_s, LLAConfig(**config(ts_s)))
+        v_opt = LLAOptimizer(ts_v, LLAConfig(**config(ts_v)))
         for _ in range(300):
             assert_records_match(s_opt.step(), v_opt.step())
 
@@ -149,8 +178,7 @@ class TestFacadeParity:
 
     def test_reset_reproduces_run(self):
         ts = base_workload()
-        opt = LLAOptimizer(ts, LLAConfig(backend="vectorized",
-                                         max_iterations=150,
+        opt = LLAOptimizer(ts, LLAConfig(max_iterations=150,
                                          stop_on_convergence=False))
         first = [opt.step().utility for _ in range(150)]
         opt.reset()
@@ -162,11 +190,11 @@ class TestFacadeParity:
 class TestUnsupportedModels:
     def test_nonclosed_form_utility_rejected(self):
         # Log and quadratic utilities compile; the convex exponential
-        # utility still needs the scalar backend's numeric solver.
+        # utility is outside the paper's concave model and is refused.
         ts = make_chain_taskset()
         ts.tasks[0].utility = ExponentialUtility(ts.tasks[0].critical_time)
-        with pytest.raises(OptimizationError, match="backend='scalar'"):
-            LLAOptimizer(ts, LLAConfig(backend="vectorized"))
+        with pytest.raises(OptimizationError, match="ExponentialUtility"):
+            LLAOptimizer(ts)
 
     def test_custom_share_function_rejected(self):
         class OddShare(ShareFunction):
@@ -184,25 +212,23 @@ class TestUnsupportedModels:
 
         ts = make_chain_taskset()
         ts.set_share_function("s0", OddShare())
-        with pytest.raises(OptimizationError, match="backend='scalar'"):
-            LLAOptimizer(ts, LLAConfig(backend="vectorized"))
+        with pytest.raises(OptimizationError, match="OddShare"):
+            LLAOptimizer(ts)
 
     def test_custom_step_policy_rejected(self):
         """Only exact FixedStepSize/AdaptiveStepSize fold into the kernel;
-        any other policy is refused by name and runs on the scalar
-        backend."""
+        any other policy is refused by name."""
         class HalvedPaths(FixedStepSize):
             def path_gamma(self, path):
                 return 0.5 * super().path_gamma(path)
 
         with pytest.raises(OptimizationError, match="HalvedPaths"):
-            LLAOptimizer(make_chain_taskset(), LLAConfig(
-                backend="vectorized", step_policy=HalvedPaths(1.0)))
-        result = LLAOptimizer(make_chain_taskset(), LLAConfig(
-            backend="scalar", step_policy=HalvedPaths(1.0),
-            max_iterations=50, stop_on_convergence=False)).run()
-        assert result.iterations == 50
+            LLAOptimizer(make_chain_taskset(),
+                         LLAConfig(step_policy=HalvedPaths(1.0)))
 
     def test_bad_backend_name_rejected(self, base_ts):
-        with pytest.raises(OptimizationError, match="backend"):
-            LLAOptimizer(base_ts, LLAConfig(backend="simd"))
+        # One kernel: the field accepts only "vectorized".
+        assert LLAConfig(backend="vectorized").backend == "vectorized"
+        for backend in ("simd", "scalar"):
+            with pytest.raises(OptimizationError, match="backend"):
+                LLAOptimizer(base_ts, LLAConfig(backend=backend))

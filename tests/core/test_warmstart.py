@@ -111,28 +111,26 @@ class TestIntegration:
         opt.reset()
         assert opt.resource_prices.prices == pytest.approx(initial)
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_apply_after_iterating_matches_fresh_optimizer(self, backend):
+    def test_apply_after_iterating_matches_fresh_optimizer(self):
         """Regression: applying a warm start to an optimizer that already
         iterated used to leave the previous run's path prices (and
         step-size escalation) in place, so its state diverged from a
         fresh warm-started optimizer.  After ``apply_warm_start`` the two
         must hold identical duals and then walk identical trajectories.
         """
-        config = LLAConfig(backend=backend, max_iterations=500,
-                           stop_on_convergence=False)
+        config = LLAConfig(max_iterations=500, stop_on_convergence=False)
         stale = LLAOptimizer(base_workload(), config)
         stale.run(40)
         apply_warm_start(stale)
         fresh = LLAOptimizer(
             base_workload(),
-            LLAConfig(backend=backend, max_iterations=500,
-                      stop_on_convergence=False, warm_start=True),
+            LLAConfig(max_iterations=500, stop_on_convergence=False,
+                      warm_start=True),
         )
         assert stale.resource_prices.prices == pytest.approx(
             fresh.resource_prices.prices)
-        assert stale._collect_path_prices() == pytest.approx(
-            fresh._collect_path_prices())
+        assert stale._engine.path_prices_dict() == pytest.approx(
+            fresh._engine.path_prices_dict())
         assert stale.latencies == pytest.approx(fresh.latencies)
         for _ in range(30):
             stale.step()

@@ -9,7 +9,8 @@ from repro.distributed import (
     DistributedLLARuntime,
     LocalGamma,
 )
-from repro.errors import DistributedError
+from repro.errors import DistributedError, OptimizationError
+from repro.model.utility import ExponentialUtility
 from repro.workloads.paper import base_workload
 
 
@@ -25,6 +26,15 @@ class TestConfigValidation:
         # construction unvalidated.
         with pytest.raises(DistributedError):
             DistributedConfig(**kwargs)
+
+    def test_refuses_a_model_outside_the_kernel_family(self):
+        """A convex utility is refused at construction, naming it, as
+        LLAOptimizer refuses it; the runtime has no object-graph path."""
+        taskset = base_workload()
+        task = taskset.tasks[0]
+        task.utility = ExponentialUtility(task.critical_time)
+        with pytest.raises(OptimizationError, match="ExponentialUtility"):
+            DistributedLLARuntime(taskset)
 
 
 class TestEquivalence:

@@ -23,7 +23,6 @@ def make_run(**overrides):
         description="a toy run",
         params={"a": 1},
         seed=7,
-        backend="scalar",
         profile="default",
         git_sha="abc1234",
         wall_time_seconds=0.25,
@@ -76,6 +75,13 @@ class TestRunResult:
         run = make_run()
         back = RunResult.from_dict(json.loads(run.to_json()))
         assert back == run
+
+    def test_artifact_with_a_backend_key_still_loads(self):
+        """Artifacts written while runs recorded a kernel backend (the
+        committed scorecard baseline among them) keep loading."""
+        data = json.loads(make_run().to_json())
+        data["backend"] = "scalar"
+        assert RunResult.from_dict(data) == make_run()
 
     def test_from_dict_rejects_bad_artifact(self):
         with pytest.raises(HarnessError, match="does not validate"):

@@ -24,8 +24,8 @@ from repro.harness import (
 from repro.telemetry import Telemetry
 
 
-def toy_runner(seed=0, backend="scalar", iterations=10):
-    return {"seed": seed, "backend": backend, "iterations": iterations}
+def toy_runner(seed=0, iterations=10):
+    return {"seed": seed, "iterations": iterations}
 
 
 TOY = ExperimentSpec(
@@ -35,7 +35,6 @@ TOY = ExperimentSpec(
     runner=toy_runner,
     params=(
         Param("seed", int, 0, "rng seed"),
-        Param("backend", str, "scalar", "kernel"),
         Param("iterations", int, 10, "budget"),
     ),
     checks=(
@@ -61,9 +60,8 @@ class TestExecute:
         run = execute(toy_spec.name)
         assert run.passed
         assert run.experiment == toy_spec.name
-        assert run.params == {"seed": 0, "backend": "scalar",
-                              "iterations": 10}
-        assert run.seed == 0 and run.backend == "scalar"
+        assert run.params == {"seed": 0, "iterations": 10}
+        assert run.seed == 0
         assert run.profile == "default"
         assert run.payload["iterations"] == 10
         assert run.check("echoes_seed").measured == {"seed": 0.0}
@@ -71,13 +69,10 @@ class TestExecute:
         assert validate_run_result(run.to_dict()) == []
 
     def test_uniform_flags_forwarded(self, toy_spec):
-        run = execute(toy_spec.name, seed=9, backend="vectorized",
-                      iterations=33)
-        assert run.params == {"seed": 9, "backend": "vectorized",
-                              "iterations": 33}
-        assert run.seed == 9 and run.backend == "vectorized"
-        assert run.payload == {"seed": 9, "backend": "vectorized",
-                               "iterations": 33}
+        run = execute(toy_spec.name, seed=9, iterations=33)
+        assert run.params == {"seed": 9, "iterations": 33}
+        assert run.seed == 9
+        assert run.payload == {"seed": 9, "iterations": 33}
 
     def test_overrides_are_coerced_strings(self, toy_spec):
         run = execute(toy_spec.name, {"iterations": "25"})
@@ -98,13 +93,11 @@ class TestExecute:
         with pytest.raises(HarnessError, match="unknown experiment"):
             execute("no-such-spec")
 
-    def test_backend_flag_requires_backend_param(self):
+    def test_iterations_flag_requires_budget_param(self):
         spec = ExperimentSpec(name="no-knobs", description="d",
                               runner=lambda: 1)
         register(spec)
         try:
-            with pytest.raises(HarnessError, match="no 'backend'"):
-                execute("no-knobs", backend="vectorized")
             with pytest.raises(HarnessError, match="iteration-budget"):
                 execute("no-knobs", iterations=5)
             # --seed without a seed param is recorded, not an error.

@@ -121,7 +121,7 @@ class TestExponentialUtility:
         assert fn.value(10.0) == pytest.approx(math.exp(-1.0))
 
     def test_not_concave(self):
-        # exp decay is convex; the checker must say so (strict mode rejects).
+        # exp decay is convex; the checker must say so (LLA refuses it).
         fn = ExponentialUtility(critical_time=30.0)
         assert not check_concavity(fn, 0.1, 30.0)
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.optimizer import LLAConfig
 from repro.core.stepsize import FixedStepSize
-from repro.errors import ServiceError
+from repro.errors import OptimizationError, ServiceError
 from repro.model.events import PeriodicEvent
 from repro.model.graph import SubtaskGraph
 from repro.model.resources import Resource
@@ -57,15 +57,13 @@ class TestServiceConfig:
         """A shared policy object would carry step-size escalation across
         churn epochs — the service demands per-epoch policies."""
         with pytest.raises(ServiceError):
-            ServiceConfig(
-                lla=LLAConfig(backend="scalar",
-                              step_policy=FixedStepSize(1.0)),
-            )
+            ServiceConfig(lla=LLAConfig(step_policy=FixedStepSize(1.0)))
 
     def test_optimizer_config_follows_backend(self):
+        """The service runs the one kernel; the scalar backend is gone."""
         assert ServiceConfig().optimizer_config().backend == "vectorized"
-        assert ServiceConfig(lla=LLAConfig(backend="scalar")) \
-            .optimizer_config().backend == "scalar"
+        with pytest.raises(OptimizationError, match="'scalar'"):
+            ServiceConfig(lla=LLAConfig(backend="scalar"))
 
 
 class TestConstruction:
@@ -219,17 +217,15 @@ class TestChurn:
         assert task.utility.k == 2.0
 
     def test_update_task_accepts_new_utility(self):
-        # Log utilities compile, so both backends take the update.
-        for backend in ("scalar", "vectorized"):
-            service = make_service(n_tasks=1,
-                                   lla=LLAConfig(backend=backend))
-            decision = service.update_task("t0", utility=LogUtility(40.0))
-            assert decision.admitted, backend
-            assert isinstance(service.taskset.task("t0").utility, LogUtility)
-            service.step(5)
-            assert service.query("t0").utility == pytest.approx(
-                LogUtility(40.0).value(service.query("t0").aggregated_latency)
-            )
+        # Log utilities compile, so the kernel takes the update.
+        service = make_service(n_tasks=1)
+        decision = service.update_task("t0", utility=LogUtility(40.0))
+        assert decision.admitted
+        assert isinstance(service.taskset.task("t0").utility, LogUtility)
+        service.step(5)
+        assert service.query("t0").utility == pytest.approx(
+            LogUtility(40.0).value(service.query("t0").aggregated_latency)
+        )
 
     def test_update_task_rejection_restores_old_task(self):
         service = make_service(n_tasks=1)
@@ -267,8 +263,8 @@ class TestChurn:
 
 
 class TestUncompilableTasks:
-    """On the vectorized backend a task outside the kernel's model family
-    is rejected at admission; the service stays as it was."""
+    """A task outside the kernel's model family is rejected at admission;
+    the service stays as it was."""
 
     def _assert_unchanged(self, service, fingerprint, names):
         """The task map, the task set and the live optimizer still agree
@@ -309,13 +305,6 @@ class TestUncompilableTasks:
         self._assert_unchanged(service, fingerprint, ("t0", "t1", "t2"))
         service.deregister("t2")
         self._churn_still_works(service)
-
-    def test_scalar_backend_still_admits_it(self):
-        service = make_service(n_tasks=1, lla=LLAConfig(backend="scalar"))
-        decision = service.update_task("t0",
-                                       utility=ExponentialUtility(40.0))
-        assert decision.admitted
-        service.step(5)
 
     def test_uncompilable_initial_task_raises(self):
         odd = make_task("odd")

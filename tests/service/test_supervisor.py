@@ -3,16 +3,13 @@ batched churn backpressure, checkpoint retry/breaker, and brownout."""
 
 import pytest
 
-from repro.core.optimizer import LLAConfig
 from repro.distributed.faults import ChurnStorm, FaultPlan, LossBurst, LoopStall
 from repro.errors import ServiceError
 from repro.model.task import TaskSet
 from repro.service import (
     BrownoutConfig,
-    ChurnEvent,
     HardeningConfig,
     RetryPolicy,
-    ServiceConfig,
     ServiceFaultInjector,
     SupervisedService,
     Watchdog,
@@ -161,10 +158,8 @@ class TestInvalidChurn:
 
 
 class TestLastGoodCapture:
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_capture_follows_the_live_verdict(self, backend):
-        svc = make_supervised(
-            service=ServiceConfig(lla=LLAConfig(backend=backend)))
+    def test_capture_follows_the_live_verdict(self):
+        svc = make_supervised()
         svc.run_ticks(5)
         live = svc.service
         assert live.feasible(1e-2) == live.taskset.is_feasible(

@@ -6,7 +6,6 @@ import pytest
 
 from repro import harness
 from repro.cli import build_parser, main
-from repro.service import AllocationService
 
 
 class TestParser:
@@ -67,15 +66,17 @@ class TestExperiment:
 
     def test_all_rejects_single_run_flags(self):
         with pytest.raises(SystemExit):
-            main(["experiment", "--all", "--backend", "vectorized"])
+            main(["experiment", "--all", "--iterations", "10"])
 
     def test_malformed_set_exits(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig7", "--set", "iterations"])
 
     def test_backend_on_unsupported_spec_exits(self):
-        with pytest.raises(SystemExit):
-            main(["experiment", "fig7", "--backend", "vectorized"])
+        # There is one LLA kernel: no experiment takes --backend.
+        for name in ("fig5", "fig7"):
+            with pytest.raises(SystemExit):
+                main(["experiment", name, "--backend", "vectorized"])
 
     def test_single_run_writes_valid_artifact(self, tmp_path, capsys):
         artifact = tmp_path / "fig7.json"
@@ -189,24 +190,12 @@ class TestOptimize:
         with pytest.raises(SystemExit):
             main(["optimize", "/nonexistent/workload.json"])
 
-    def test_backend_flag(self, tmp_path, capsys):
-        wl = tmp_path / "wl.json"
-        main(["export-workload", "base", "-o", str(wl)])
-        capsys.readouterr()
-        outs = {}
-        for backend in ("scalar", "vectorized"):
-            code = main(["optimize", str(wl), "--warm-start",
-                         "--backend", backend])
-            assert code == 0
-            outs[backend] = capsys.readouterr().out
-        # Identical iterates ⇒ identical printed convergence report.
-        assert outs["vectorized"] == outs["scalar"]
-        assert "converged: True" in outs["scalar"]
-
     def test_backend_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["optimize", "wl.json",
-                                       "--backend", "simd"])
+        # --backend is no longer an option of optimize or serve.
+        for argv in (["optimize", "wl.json"], ["serve", "--smoke"]):
+            for backend in ("simd", "scalar", "vectorized"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([*argv, "--backend", backend])
 
 
 class TestTraceCommands:
@@ -388,20 +377,6 @@ class TestServe:
         code = main(["serve", "--smoke", "--deadline", "0.01"])
         assert code == 2
         assert "deadline" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("mode", [[], ["--harden", "--ticks", "105"]],
-                             ids=["plain", "harden"])
-    def test_backend_flag_reaches_the_live_solve(self, monkeypatch, mode):
-        seen = []
-        init = AllocationService.__init__
-
-        def recording(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            seen.append(self.config.optimizer_config().backend)
-
-        monkeypatch.setattr(AllocationService, "__init__", recording)
-        assert main(["serve", "--smoke", "--backend", "scalar", *mode]) == 0
-        assert seen and set(seen) == {"scalar"}
 
     def test_harden_rejects_short_fault_schedules(self, capsys):
         code = main(["serve", "--smoke", "--harden", "--ticks", "50"])
