@@ -27,15 +27,17 @@ condemns a feasible one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
+
+import numpy as np
 
 from repro.analysis.schedulability import (
     SchedulabilityAnalyzer,
     SchedulabilityReport,
 )
 from repro.core.optimizer import LLAConfig, LLAOptimizer
+from repro.core.structure import TaskSetStructure, compile_structure
 from repro.errors import ModelError
 from repro.model.resources import Resource
 from repro.model.task import Task, TaskSet
@@ -43,8 +45,9 @@ from repro.model.task import Task, TaskSet
 __all__ = ["AdmissionDecision", "AdmissionController", "certify_infeasible"]
 
 
-def certify_infeasible(taskset: TaskSet, tol: float = 1e-9) -> Optional[str]:
-    """A cheap, sound infeasibility certificate for ``taskset``.
+def certify_infeasible(problem: Union[TaskSet, TaskSetStructure],
+                       tol: float = 1e-9) -> Optional[str]:
+    """A cheap, sound infeasibility certificate for ``problem``.
 
     Returns a human-readable reason when the task set *provably* cannot
     satisfy the capacity (Eq. 3) and critical-time (Eq. 4) constraints,
@@ -52,11 +55,12 @@ def certify_infeasible(taskset: TaskSet, tol: float = 1e-9) -> Optional[str]:
     out unschedulable — run the full LLA oracle for a definitive answer).
     Two closed-form checks, each valid for every admissible assignment:
 
-    1. **Path floor.**  No subtask can beat
-       ``min_latency(B_r)`` — a lower latency would need a share
-       exceeding the resource's entire availability, violating Eq. 3 even
-       with the subtask alone on the resource.  If one path's summed
-       floors already exceed the task's critical time, Eq. 4 cannot hold.
+    1. **Path floor.**  No subtask can beat its latency floor
+       ``min_latency(B_r)`` (the structure's ``lo``) — a lower latency
+       would need a share exceeding the resource's entire availability,
+       violating Eq. 3 even with the subtask alone on the resource.  If
+       one path's summed floors already exceed the task's critical time,
+       Eq. 4 cannot hold.
     2. **Load floor.**  On any path through subtask ``s``, Eq. 4 caps
        ``lat_s`` at ``C_i`` minus the other path members' floors.  Shares
        decrease in latency, so each subtask needs at least
@@ -65,54 +69,75 @@ def certify_infeasible(taskset: TaskSet, tol: float = 1e-9) -> Optional[str]:
 
     Both checks are monotone in the bounds used, so the certificate is
     conservative: it never rejects a feasible task set.
+
+    The checks run over the compiled structure's arrays (a task set is
+    compiled first); every sum is a ``bincount`` in the order of the
+    per-element loops — paths in canonical task order, members in path
+    order, a resource's subtasks in subtask order — so the sums, and with
+    them the decision and the reason, are those of the loops over a task
+    set declared in canonical (name-sorted) order.  The reason names the
+    first violation in that order.
     """
-    if not taskset.tasks:
+    s = problem if isinstance(problem, TaskSetStructure) \
+        else compile_structure(problem)
+    if not s.n_subtasks:
         return None
-    floors: Dict[str, float] = {}
-    for task in taskset.tasks:
-        for sub in task.subtasks:
-            availability = taskset.resources[sub.resource].availability
-            floors[sub.name] = \
-                taskset.share_function(sub.name).min_latency(availability)
+    floors = s.lo
 
     # (1) per-path latency floor vs the critical time
-    for task in taskset.tasks:
-        for path in task.graph.paths:
-            floor = sum(floors[name] for name in path)
-            if floor > task.critical_time + tol:
-                return (
-                    f"task {task.name!r}: path {'->'.join(path)} needs "
-                    f"latency >= {floor:.6g} even at full availability, "
-                    f"above its critical time {task.critical_time:.6g}"
-                )
+    path_floor = np.bincount(s.path_ids_flat, weights=floors[s.path_sub_flat],
+                             minlength=s.n_paths)
+    over = np.flatnonzero(path_floor > s.path_crit + tol)
+    if over.size:
+        p = int(over[0])
+        lo, hi = np.searchsorted(s.path_ids_flat, (p, p + 1))
+        members = [s.subtask_names[i] for i in s.path_sub_flat[lo:hi]]
+        return (
+            f"task {s.path_keys[p].task!r}: path {'->'.join(members)} "
+            f"needs latency >= {float(path_floor[p]):.6g} even at full "
+            f"availability, above its critical time "
+            f"{float(s.path_crit[p]):.6g}"
+        )
 
-    # (2) per-resource load floor at the per-subtask latency caps
-    caps: Dict[str, float] = {}
-    for task in taskset.tasks:
-        for path in task.graph.paths:
-            floor = sum(floors[name] for name in path)
-            for name in path:
-                cap = task.critical_time - (floor - floors[name])
-                caps[name] = min(caps.get(name, math.inf), cap)
-    for rname, resource in taskset.resources.items():
-        load = 0.0
-        for _task, sub in taskset.subtasks_on(rname):
-            cap = caps[sub.name]
-            if not math.isfinite(cap):
-                continue
-            if cap <= 0.0:
-                return (
-                    f"subtask {sub.name!r}: the rest of its path already "
-                    "exhausts the critical time at full availability"
-                )
-            load += taskset.share_function(sub.name).share(cap)
-        if load > resource.availability + tol:
-            return (
-                f"resource {rname!r}: hosted subtasks need load >= "
-                f"{load:.6g} at their critical-time latency caps, above "
-                f"availability {resource.availability:.6g}"
-            )
-    return None
+    # (2) per-resource load floor at the per-subtask latency caps: each
+    # subtask's cap is the least, over its paths, of the critical time
+    # minus the other members' floors.
+    on_path = s.sub_path_flat
+    cap_of_pair = s.path_crit[on_path] - (path_floor[on_path]
+                                          - floors[s.sub_ids_flat])
+    firsts = np.searchsorted(s.sub_ids_flat, np.arange(s.n_subtasks))
+    caps = np.minimum.reduceat(cap_of_pair, firsts)
+    finite = np.isfinite(caps)
+    spent = finite & (caps <= 0.0)
+    counted = finite & ~spent
+    # share(cap) as the share functions compute it (see compute_loads);
+    # rows left out of the sum get a placeholder latency.
+    model_lat = np.where(counted, caps, 1.0) - s.err
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if s.hyper_mask.all():
+            shares = s.cost / model_lat
+        else:
+            shares = np.where(s.hyper_mask, s.cost / model_lat,
+                              s.cost / model_lat ** s.alpha)
+    load = np.bincount(s.sub_resource, weights=np.where(counted, shares, 0.0),
+                       minlength=s.n_resources)
+    exhausted = np.zeros(s.n_resources, dtype=bool)
+    exhausted[s.sub_resource[spent]] = True
+    failing = np.flatnonzero(exhausted | (load > s.availability + tol))
+    if not failing.size:
+        return None
+    r = int(failing[0])
+    if exhausted[r]:
+        sub = int(np.flatnonzero(spent & (s.sub_resource == r))[0])
+        return (
+            f"subtask {s.subtask_names[sub]!r}: the rest of its path "
+            "already exhausts the critical time at full availability"
+        )
+    return (
+        f"resource {s.resource_names[r]!r}: hosted subtasks need load >= "
+        f"{float(load[r]):.6g} at their critical-time latency caps, above "
+        f"availability {float(s.availability[r]):.6g}"
+    )
 
 
 @dataclass

@@ -40,10 +40,10 @@ import math
 from typing import Dict, Mapping, Optional
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.state import PathKey
 from repro.core.structure import UTILITY_LOG, ConcaveBlock, task_model
+from repro.errors import OptimizationError
 from repro.model.share import (
     CorrectedShare,
     HyperbolicShare,
@@ -85,9 +85,10 @@ def stationary_latency(share_fn: ShareFunction, price: float,
     """Solve ``price · (−dshare/dlat)(lat) = pull`` for ``lat``.
 
     ``pull`` is the marginal cost of latency (utility slope plus path
-    prices); ``price`` is the resource price ``μ_r``.  Supports the
-    power-law family analytically and falls back to bracketed root finding
-    for other strictly convex share functions.
+    prices); ``price`` is the resource price ``μ_r``.  Solves the
+    power-law family analytically, the kernel's model family
+    (:func:`~repro.core.structure.task_model`); any other share function
+    raises :class:`~repro.errors.OptimizationError` naming its class.
     """
     if price <= 0.0:
         # Free resource: latency wants to shrink to its lower clamp.
@@ -104,20 +105,11 @@ def stationary_latency(share_fn: ShareFunction, price: float,
         alpha, cost = share_fn.alpha, share_fn.cost
         return (price * alpha * cost / pull) ** (1.0 / (alpha + 1.0))
 
-    # Generic strictly convex share function: −dshare/dlat is positive and
-    # strictly decreasing, so g(lat) = price·(−dshare/dlat)(lat) − pull is
-    # strictly decreasing; bracket a sign change then bisect.
-    def g(lat: float) -> float:
-        return price * (-share_fn.dshare_dlat(lat)) - pull
-
-    lo, hi = 1e-9, 1.0
-    while g(hi) > 0.0 and hi < 1e12:
-        hi *= 2.0
-    if g(hi) > 0.0:
-        return math.inf
-    if g(lo) < 0.0:
-        return lo
-    return optimize.brentq(g, lo, hi, xtol=1e-12, rtol=1e-12)
+    raise OptimizationError(
+        f"LLA does not support share function {type(share_fn).__name__}: "
+        "its model is power-law shares with linear, inelastic, log or "
+        "quadratic utilities"
+    )
 
 
 def _power_law_raw(arg: np.ndarray, hyper_mask: np.ndarray,

@@ -58,16 +58,37 @@ raises :class:`~repro.errors.OptimizationError` naming it.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Protocol,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.errors import ModelError, OptimizationError
 from repro.core.state import PathKey
 from repro.model.fingerprint import structure_fingerprint
-from repro.model.share import CorrectedShare, HyperbolicShare, PowerLawShare
-from repro.model.task import Subtask, Task, TaskSet
+from repro.model.resources import Resource
+from repro.model.share import (
+    CorrectedShare,
+    HyperbolicShare,
+    PowerLawShare,
+    ShareFunction,
+)
+from repro.model.task import Subtask, Task, TaskSet, share_function_of
 from repro.model.utility import (
     InelasticUtility,
     LinearUtility,
@@ -78,8 +99,12 @@ from repro.model.utility import (
 __all__ = [
     "TaskSetStructure",
     "TaskModel",
+    "TaskFragment",
     "ConcaveBlock",
     "compile_structure",
+    "compile_fragment",
+    "splice_structure",
+    "empty_structure",
     "task_model",
     "latency_bounds",
     "structure_to_dict",
@@ -325,7 +350,35 @@ def _unsupported(what: str) -> OptimizationError:
     )
 
 
-def _share_params(taskset: TaskSet,
+class ModelSource(Protocol):
+    """What :func:`task_model` reads besides the task: the resources and
+    each subtask's share function.  A :class:`TaskSet` is one; a task
+    compiled on its own (:func:`compile_fragment`) reads a
+    :class:`_TaskSource` instead."""
+
+    @property
+    def resources(self) -> Mapping[str, Resource]: ...
+
+    def share_function(self, subtask_name: str) -> ShareFunction: ...
+
+
+class _TaskSource:
+    """The :class:`ModelSource` of one task outside any task set: its
+    subtasks' share functions, resolved as :class:`TaskSet` resolves them,
+    over the given resources."""
+
+    def __init__(self, task: Task, resources: Mapping[str, Resource]) -> None:
+        self.resources = resources
+        self._shares = {
+            sub.name: share_function_of(sub, resources[sub.resource].lag)
+            for sub in task.subtasks
+        }
+
+    def share_function(self, subtask_name: str) -> ShareFunction:
+        return self._shares[subtask_name]
+
+
+def _share_params(taskset: ModelSource,
                   subtask_name: str) -> Tuple[float, float, float, bool]:
     """(alpha, cost, err, is_hyperbolic) of one subtask's share function."""
     fn = taskset.share_function(subtask_name)
@@ -366,7 +419,7 @@ def _utility_row(task: Task) -> Tuple[int, Dict[str, float]]:
     raise _unsupported(f"utility {type(u).__name__} on task {task.name!r}")
 
 
-def latency_bounds(taskset: TaskSet, task: Task, sub: Subtask,
+def latency_bounds(taskset: ModelSource, task: Task, sub: Subtask,
                    max_latency_factor: float) -> Tuple[float, float]:
     """The ``[lo, hi]`` latency clamp of one subtask.
 
@@ -400,7 +453,7 @@ class TaskModel(NamedTuple):
     subtasks: Tuple[Tuple[float, float, float, bool, float, float], ...]
 
 
-def task_model(taskset: TaskSet, task: Task,
+def task_model(taskset: ModelSource, task: Task,
                max_latency_factor: float = 1.0) -> TaskModel:
     """Compile one task of ``taskset`` into its model rows.
 
@@ -676,6 +729,299 @@ def compile_structure(taskset: TaskSet,
 
     _fill_model_arrays(structure, taskset, structure.max_latency_factor)
     return structure
+
+
+# -- fragments and splices ---------------------------------------------------
+
+#: Per-subtask arrays a fragment carries as they appear in a structure.
+_ROW_ARRAYS = (
+    "sub_resource", "sub_exec", "weights", "pull_base", "alpha", "cost",
+    "err", "hyper_mask", "inv_exp", "lo", "hi",
+)
+
+
+@dataclass(frozen=True)
+class TaskFragment:
+    """One task compiled on its own: the rows it contributes to a
+    :class:`TaskSetStructure`, with subtask and path indices local to the
+    task and resource indices into the structure's ``resource_names``.
+
+    :func:`splice_structure` inserts fragments into a structure; equal
+    inputs give the rows :func:`compile_structure` would write.
+    """
+
+    name: str
+    max_latency_factor: float
+    subtask_names: Tuple[str, ...]
+    path_keys: Tuple[PathKey, ...]
+    #: per subtask, in declaration order (the :data:`_ROW_ARRAYS`)
+    rows: Mapping[str, np.ndarray]
+    #: critical time of each path, shape (P_t,)
+    path_crit: np.ndarray
+    #: path members flattened path by path, local indices
+    path_sub_flat: np.ndarray
+    path_ids_flat: np.ndarray
+    #: each subtask's paths, flattened subtask by subtask, local indices
+    sub_path_flat: np.ndarray
+    sub_ids_flat: np.ndarray
+    #: distinct (local path, resource) pairs, sorted
+    pr_path: np.ndarray
+    pr_res: np.ndarray
+    #: utility kind code and every :data:`UTILITY_ARRAYS` value
+    ut_kind: int
+    utility: Mapping[str, float]
+
+
+def compile_fragment(task: Task, resources: Mapping[str, Resource],
+                     resource_names: Sequence[str],
+                     max_latency_factor: float = 1.0) -> TaskFragment:
+    """Compile ``task`` alone against ``resources`` (which must hold
+    every resource it uses, at its current availability and lag).
+
+    ``resource_names`` is the sorted resource order of the structure the
+    fragment will be spliced into; it must name every resource the task
+    uses (``resources`` lookups raise ``KeyError`` otherwise).  Raises
+    :class:`~repro.errors.OptimizationError` for a task outside the
+    kernel's model family, as :func:`compile_structure` would.
+    """
+    factor = float(max_latency_factor)
+    model = task_model(_TaskSource(task, resources), task, factor)
+    local = {sub.name: i for i, sub in enumerate(task.subtasks)}
+    path_sub: List[int] = []
+    path_ids: List[int] = []
+    paths = task.graph.paths
+    for p_idx, path in enumerate(paths):
+        for name in path:
+            path_sub.append(local[name])
+            path_ids.append(p_idx)
+    sub_path: List[int] = []
+    sub_ids: List[int] = []
+    for i, sub in enumerate(task.subtasks):
+        on_paths = task.graph.paths_through(sub.name)
+        if not on_paths:
+            raise _unsupported(
+                f"subtask {sub.name!r} lying on no root-to-leaf path"
+            )
+        sub_path.extend(on_paths)
+        sub_ids.extend([i] * len(on_paths))
+
+    columns = list(zip(*model.subtasks))
+    alpha = np.asarray(columns[0], dtype=np.float64)
+    slope = model.utility.get("ut_slope", 0.0)
+    weights = [task.weight(sub.name) for sub in task.subtasks]
+    sub_resource = np.asarray(
+        [bisect.bisect_left(resource_names, sub.resource)
+         for sub in task.subtasks], dtype=np.intp)
+    rows = {
+        "sub_resource": sub_resource,
+        "sub_exec": np.asarray([float(sub.exec_time)
+                                for sub in task.subtasks]),
+        "weights": np.asarray(weights),
+        "pull_base": np.asarray([w * slope for w in weights]),
+        "alpha": alpha,
+        "cost": np.asarray(columns[1], dtype=np.float64),
+        "err": np.asarray(columns[2], dtype=np.float64),
+        "hyper_mask": np.asarray(columns[3], dtype=bool),
+        "inv_exp": 1.0 / (alpha + 1.0),
+        "lo": np.asarray(columns[4], dtype=np.float64),
+        "hi": np.asarray(columns[5], dtype=np.float64),
+    }
+    path_sub_flat = np.asarray(path_sub, dtype=np.intp)
+    path_ids_flat = np.asarray(path_ids, dtype=np.intp)
+    n_res = max(len(resource_names), 1)
+    pairs = np.unique(path_ids_flat * n_res + sub_resource[path_sub_flat])
+    return TaskFragment(
+        name=task.name,
+        max_latency_factor=factor,
+        subtask_names=tuple(local),
+        path_keys=tuple(PathKey(task.name, i) for i in range(len(paths))),
+        rows=rows,
+        path_crit=np.full(len(paths), task.critical_time),
+        path_sub_flat=path_sub_flat,
+        path_ids_flat=path_ids_flat,
+        sub_path_flat=np.asarray(sub_path, dtype=np.intp),
+        sub_ids_flat=np.asarray(sub_ids, dtype=np.intp),
+        pr_path=(pairs // n_res).astype(np.intp),
+        pr_res=(pairs % n_res).astype(np.intp),
+        ut_kind=model.kind,
+        utility={name: model.utility.get(name, 0.0)
+                 for name in UTILITY_ARRAYS},
+    )
+
+
+def empty_structure(resource_names: Sequence[str], availability: np.ndarray,
+                    max_latency_factor: float = 1.0) -> TaskSetStructure:
+    """A structure with no tasks over ``resource_names`` (sorted) — the
+    base a membership is spliced into when it starts from nothing."""
+    s = TaskSetStructure(taskset=None,
+                         max_latency_factor=float(max_latency_factor),
+                         resource_names=tuple(resource_names))
+    for name in _INDEX_ARRAYS:
+        setattr(s, name, np.zeros(0, dtype=np.intp))
+    s.task_sub_starts = np.zeros(1, dtype=np.intp)
+    for name in _FLOAT_ARRAYS:
+        setattr(s, name, np.zeros(0))
+    s.hyper_mask = np.zeros(0, dtype=bool)
+    s.ut_kind = np.zeros(0, dtype=np.int8)
+    s.availability = availability
+    return s
+
+
+def _splice_pieces(base: TaskSetStructure, fragments: List[TaskFragment],
+                   remove: Iterable[str]
+                   ) -> List[Union[Tuple[int, int], TaskFragment]]:
+    """The new task order as runs ``(t0, t1)`` of ``base``'s tasks and
+    the fragments between them; a fragment replaces a base task of its
+    name."""
+    names = base.task_names
+
+    def index(name: str) -> Optional[int]:
+        i = bisect.bisect_left(names, name)
+        return i if i < len(names) and names[i] == name else None
+
+    dropped: Set[int] = set()
+    for name in remove:
+        i = index(name)
+        if i is None:
+            raise ModelError(f"cannot remove unknown task {name!r}")
+        dropped.add(i)
+    for fragment in fragments:
+        i = index(fragment.name)
+        if i is not None:
+            dropped.add(i)
+    drops = sorted(dropped)
+    inserts = [(bisect.bisect_left(names, f.name), f) for f in fragments]
+    pieces: List[Union[Tuple[int, int], TaskFragment]] = []
+    cursor = d = k = 0
+    while d < len(drops) or k < len(inserts):
+        at_drop = drops[d] if d < len(drops) else len(names)
+        if k < len(inserts) and inserts[k][0] <= at_drop:
+            at, fragment = inserts[k]
+            if cursor < at:
+                pieces.append((cursor, at))
+                cursor = at
+            pieces.append(fragment)
+            k += 1
+        else:
+            if cursor < at_drop:
+                pieces.append((cursor, at_drop))
+            cursor = at_drop + 1
+            d += 1
+    if cursor < len(names):
+        pieces.append((cursor, len(names)))
+    return pieces
+
+
+def splice_structure(base: TaskSetStructure,
+                     insert: Sequence[TaskFragment] = (),
+                     remove: Iterable[str] = (),
+                     availability: Optional[np.ndarray] = None,
+                     ) -> TaskSetStructure:
+    """``base`` with the tasks in ``remove`` taken out and ``insert``'s
+    fragments put in at their name-sorted positions (a fragment replaces a
+    task of its name), every index array remapped.
+
+    The result is a new, unbound structure (``taskset`` is ``None``)
+    byte-identical to :func:`compile_structure` of the new membership,
+    provided the fragments were compiled against ``base``'s resource
+    order and ``availability`` (default: ``base``'s).  Copy on write:
+    ``base``'s arrays are read, never written, so records and caches that
+    hold them stay valid.  The cost is copying the arrays, plus Python
+    work per changed task, not per task.
+    """
+    fragments = sorted(insert, key=lambda f: f.name)
+    for a, b in zip(fragments, fragments[1:]):
+        if a.name == b.name:
+            raise ModelError(f"two fragments for task {a.name!r}")
+    for fragment in fragments:
+        if fragment.max_latency_factor != base.max_latency_factor:
+            raise ModelError(
+                f"fragment {fragment.name!r} was compiled at "
+                f"max_latency_factor={fragment.max_latency_factor!r}, the "
+                f"structure at {base.max_latency_factor!r}"
+            )
+    path_starts = np.append(base.task_path_starts, base.n_paths)
+    cols: Dict[str, List[np.ndarray]] = {
+        name: [] for name in _ROW_ARRAYS + (
+            "sub_task_ids", "path_sub_flat", "path_ids_flat",
+            "sub_path_flat", "sub_ids_flat", "pr_path", "pr_res",
+            "path_crit", "ut_kind") + UTILITY_ARRAYS
+    }
+    sub_counts: List[np.ndarray] = []
+    path_counts: List[np.ndarray] = []
+    subtask_names: List[Sequence[str]] = []
+    task_names: List[Sequence[str]] = []
+    path_keys: List[Sequence[PathKey]] = []
+    nt = ns = npath = 0
+    for piece in _splice_pieces(base, fragments, remove):
+        if isinstance(piece, TaskFragment):
+            f = piece
+            n_sub, n_path = len(f.subtask_names), len(f.path_keys)
+            for name in _ROW_ARRAYS:
+                cols[name].append(f.rows[name])
+            cols["sub_task_ids"].append(np.full(n_sub, nt, dtype=np.intp))
+            cols["path_sub_flat"].append(f.path_sub_flat + ns)
+            cols["path_ids_flat"].append(f.path_ids_flat + npath)
+            cols["sub_path_flat"].append(f.sub_path_flat + npath)
+            cols["sub_ids_flat"].append(f.sub_ids_flat + ns)
+            cols["pr_path"].append(f.pr_path + npath)
+            cols["pr_res"].append(f.pr_res)
+            cols["path_crit"].append(f.path_crit)
+            cols["ut_kind"].append(np.array([f.ut_kind], dtype=np.int8))
+            for name in UTILITY_ARRAYS:
+                cols[name].append(np.array([f.utility[name]]))
+            sub_counts.append(np.array([n_sub], dtype=np.intp))
+            path_counts.append(np.array([n_path], dtype=np.intp))
+            subtask_names.append(f.subtask_names)
+            task_names.append((f.name,))
+            path_keys.append(f.path_keys)
+            nt, ns, npath = nt + 1, ns + n_sub, npath + n_path
+            continue
+        t0, t1 = piece
+        s0, s1 = int(base.task_sub_starts[t0]), int(base.task_sub_starts[t1])
+        p0, p1 = int(path_starts[t0]), int(path_starts[t1])
+        pf0, pf1 = np.searchsorted(base.path_ids_flat, (p0, p1))
+        sf0, sf1 = np.searchsorted(base.sub_ids_flat, (s0, s1))
+        k0, k1 = np.searchsorted(base.pr_path, (p0, p1))
+        for name in _ROW_ARRAYS:
+            cols[name].append(getattr(base, name)[s0:s1])
+        cols["sub_task_ids"].append(base.sub_task_ids[s0:s1] + (nt - t0))
+        cols["path_sub_flat"].append(base.path_sub_flat[pf0:pf1] + (ns - s0))
+        cols["path_ids_flat"].append(
+            base.path_ids_flat[pf0:pf1] + (npath - p0))
+        cols["sub_path_flat"].append(
+            base.sub_path_flat[sf0:sf1] + (npath - p0))
+        cols["sub_ids_flat"].append(base.sub_ids_flat[sf0:sf1] + (ns - s0))
+        cols["pr_path"].append(base.pr_path[k0:k1] + (npath - p0))
+        cols["pr_res"].append(base.pr_res[k0:k1])
+        cols["path_crit"].append(base.path_crit[p0:p1])
+        for name in ("ut_kind",) + UTILITY_ARRAYS:
+            cols[name].append(getattr(base, name)[t0:t1])
+        sub_counts.append(np.diff(base.task_sub_starts[t0:t1 + 1]))
+        path_counts.append(np.diff(path_starts[t0:t1 + 1]))
+        subtask_names.append(base.subtask_names[s0:s1])
+        task_names.append(base.task_names[t0:t1])
+        path_keys.append(base.path_keys[p0:p1])
+        nt, ns, npath = nt + (t1 - t0), ns + (s1 - s0), npath + (p1 - p0)
+
+    out = empty_structure(
+        base.resource_names,
+        base.availability if availability is None else availability,
+        base.max_latency_factor,
+    )
+    out.subtask_names = tuple(itertools.chain.from_iterable(subtask_names))
+    out.task_names = tuple(itertools.chain.from_iterable(task_names))
+    out.path_keys = tuple(itertools.chain.from_iterable(path_keys))
+    if not nt:
+        return out
+    for name, parts in cols.items():
+        setattr(out, name, np.concatenate(parts))
+    sub_sizes = np.concatenate(sub_counts)
+    path_sizes = np.concatenate(path_counts)
+    out.task_sub_starts = np.concatenate(
+        (np.zeros(1, dtype=np.intp), np.cumsum(sub_sizes)))
+    out.task_path_starts = np.cumsum(path_sizes) - path_sizes
+    return out
 
 
 # -- serialization -----------------------------------------------------------

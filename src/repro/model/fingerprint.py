@@ -24,6 +24,16 @@ graphs, WCETs, percentiles, critical times, utilities, triggers, variants)
 and identical share-function parameters, in the same declaration order —
 exactly the conditions under which dual state and compiled structure are
 interchangeable.
+
+The always-on service stamps its *membership* instead, with
+:func:`membership_fingerprint`: one :func:`task_digest` per admitted task
+body, computed once when the task arrives, combined by addition modulo
+2**256 so that arrival order does not matter and a churn event updates
+the combination by one addition or subtraction; plus the bytes of every
+resource's state and the latency clamp factor.  Equal memberships give
+equal fingerprints, and equal fingerprints mean equal inputs to
+:func:`~repro.core.structure.compile_structure`, hence equal compiled
+arrays.
 """
 
 from __future__ import annotations
@@ -32,9 +42,13 @@ import hashlib
 import json
 from typing import Any, Mapping
 
-from repro.model.task import TaskSet
+from repro.model.task import Task, TaskSet
 
-__all__ = ["taskset_fingerprint", "structure_fingerprint"]
+__all__ = ["taskset_fingerprint", "structure_fingerprint", "task_digest",
+           "membership_fingerprint", "DIGEST_MODULUS"]
+
+#: Task digests are SHA-256 values; a membership adds them modulo this.
+DIGEST_MODULUS = 1 << 256
 
 
 def taskset_fingerprint(taskset: TaskSet) -> str:
@@ -48,6 +62,41 @@ def taskset_fingerprint(taskset: TaskSet) -> str:
     }
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def task_digest(task: Task) -> int:
+    """SHA-256 of one task body as an integer: every serialized field
+    (:func:`~repro.model.serialize.task_to_dict`) plus the ``repr`` of
+    each subtask's custom share function.  The default share function is
+    fixed by the subtask and its resource's lag, which the membership
+    fingerprint covers with the resources."""
+    from repro.model.serialize import task_to_dict
+
+    payload = {
+        "task": task_to_dict(task),
+        "share_functions": [
+            None if sub.share_function is None else repr(sub.share_function)
+            for sub in task.subtasks
+        ],
+    }
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return int.from_bytes(hashlib.sha256(encoded.encode("utf-8")).digest(),
+                          "big")
+
+
+def membership_fingerprint(digest_sum: int, resource_state: bytes,
+                           max_latency_factor: float) -> str:
+    """Hex SHA-256 fingerprint of a service membership.
+
+    ``digest_sum`` is the sum of the members' :func:`task_digest` values
+    modulo :data:`DIGEST_MODULUS`; ``resource_state`` encodes every
+    resource's name, kind, lag and availability.
+    """
+    h = hashlib.sha256()
+    h.update(f"{float(max_latency_factor)!r}|{digest_sum:064x}|"
+             .encode("utf-8"))
+    h.update(resource_state)
+    return h.hexdigest()
 
 
 def structure_fingerprint(payload: Mapping[str, Any]) -> str:

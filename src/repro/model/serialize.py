@@ -43,6 +43,7 @@ from repro.model.utility import (
 )
 
 __all__ = [
+    "task_to_dict",
     "taskset_to_dict",
     "taskset_from_dict",
     "taskset_to_json",
@@ -128,6 +129,28 @@ def _trigger_from_dict(data: Optional[Dict]) -> Optional[TriggeringEvent]:
 
 # -- task sets --------------------------------------------------------------------
 
+def task_to_dict(task: Task) -> Dict[str, Any]:
+    """Serialize one task (without share functions) to a JSON-compatible
+    dict; :func:`taskset_to_dict` lists one per task."""
+    return {
+        "name": task.name,
+        "critical_time": task.critical_time,
+        "variant": task.variant,
+        "utility": _utility_to_dict(task.utility),
+        "trigger": _trigger_to_dict(task.trigger),
+        "subtasks": [
+            {
+                "name": sub.name,
+                "resource": sub.resource,
+                "exec_time": sub.exec_time,
+                "percentile": sub.percentile,
+            }
+            for sub in task.subtasks
+        ],
+        "edges": [list(e) for e in task.graph.edges],
+    }
+
+
 def taskset_to_dict(taskset: TaskSet) -> Dict[str, Any]:
     """Serialize a task set to a JSON-compatible dict."""
     resources: List[Dict[str, Any]] = [
@@ -139,29 +162,12 @@ def taskset_to_dict(taskset: TaskSet) -> Dict[str, Any]:
         }
         for r in taskset.resources.values()
     ]
-    tasks: List[Dict[str, Any]] = []
-    custom_share_functions: List[str] = []
-    for task in taskset.tasks:
-        subtasks = []
-        for sub in task.subtasks:
-            fn = taskset.share_function(sub.name)
-            if not isinstance(fn, HyperbolicShare):
-                custom_share_functions.append(sub.name)
-            subtasks.append({
-                "name": sub.name,
-                "resource": sub.resource,
-                "exec_time": sub.exec_time,
-                "percentile": sub.percentile,
-            })
-        tasks.append({
-            "name": task.name,
-            "critical_time": task.critical_time,
-            "variant": task.variant,
-            "utility": _utility_to_dict(task.utility),
-            "trigger": _trigger_to_dict(task.trigger),
-            "subtasks": subtasks,
-            "edges": [list(e) for e in task.graph.edges],
-        })
+    custom_share_functions = [
+        sub.name
+        for task in taskset.tasks for sub in task.subtasks
+        if not isinstance(taskset.share_function(sub.name), HyperbolicShare)
+    ]
+    tasks = [task_to_dict(task) for task in taskset.tasks]
     return {
         "format_version": _FORMAT_VERSION,
         "resources": resources,

@@ -27,7 +27,7 @@ from repro.model.resources import Resource
 from repro.model.share import HyperbolicShare, ShareFunction
 from repro.model.utility import UtilityFunction
 
-__all__ = ["Subtask", "Task", "TaskSet", "UtilityVariant"]
+__all__ = ["Subtask", "Task", "TaskSet", "UtilityVariant", "share_function_of"]
 
 #: Valid utility aggregation variants (Section 3.2).
 UtilityVariant = ("sum", "path-weighted")
@@ -74,6 +74,14 @@ class Subtask:
                 f"subtask {self.name!r} percentile must be in (0, 100], "
                 f"got {self.percentile!r}"
             )
+
+
+def share_function_of(sub: Subtask, lag: float) -> ShareFunction:
+    """The share model of ``sub`` on a resource with scheduling lag
+    ``lag``: its custom one, else the paper's hyperbolic Eq. 10 form."""
+    if sub.share_function is not None:
+        return sub.share_function
+    return HyperbolicShare(exec_time=sub.exec_time, lag=lag)
 
 
 class Task:
@@ -243,16 +251,10 @@ class TaskSet:
                 self._subtask_owner[sub.name] = task
                 self._subtasks_on[sub.resource].append((task, sub))
 
-        self._share_functions: Dict[str, ShareFunction] = {}
-        for task in self.tasks:
-            for sub in task.subtasks:
-                if sub.share_function is not None:
-                    self._share_functions[sub.name] = sub.share_function
-                else:
-                    lag = self.resources[sub.resource].lag
-                    self._share_functions[sub.name] = HyperbolicShare(
-                        exec_time=sub.exec_time, lag=lag
-                    )
+        self._share_functions: Dict[str, ShareFunction] = {
+            sub.name: share_function_of(sub, self.resources[sub.resource].lag)
+            for task in self.tasks for sub in task.subtasks
+        }
 
     # -- lookups ---------------------------------------------------------------
 

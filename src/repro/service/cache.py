@@ -1,22 +1,27 @@
 """LRU cache of compiled task-set structures, keyed by fingerprint.
 
 Under churn the always-on service rebuilds its optimizer on every task
-arrival/departure.  Compiling a :class:`TaskSetStructure` is the dominant
-rebuild cost, and churn is often *oscillatory*
-(a task leaves and re-registers, an A/B flip alternates two
-configurations), so the same problem shapes recur.  The cache keys
-compiled structures by the canonical task-set fingerprint
-(:func:`~repro.model.fingerprint.taskset_fingerprint`) plus the latency
-clamp factor: fingerprint equality guarantees identical orderings,
-incidence *and* model coefficients, so a cached structure is
-interchangeable with a fresh compile after rebinding it to the new
-(equivalent) task-set object and refreshing its model arrays.
+arrival/departure, and churn is often *oscillatory* (a task leaves and
+re-registers, an A/B flip alternates two configurations), so the same
+problems recur.  The cache keys compiled structures by a fingerprint plus
+the latency clamp factor.  Fingerprint equality guarantees identical
+orderings, incidence *and* model coefficients, so a cached structure is
+interchangeable with a fresh compile: a hit rebinds it to the caller's
+(equivalent) task-set object and nothing else.
+
+The service keys by its membership fingerprint
+(:func:`~repro.model.fingerprint.membership_fingerprint`) and, on a miss,
+builds the structure by splicing its predecessor; other callers key by
+:func:`~repro.model.fingerprint.taskset_fingerprint` and compile.  Cached
+structures are shared, so nobody may change their arrays in place
+(:func:`~repro.core.structure.splice_structure` is copy-on-write, and the
+service never calls ``refresh_model``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.core.structure import TaskSetStructure, compile_structure
 from repro.errors import ServiceError
@@ -41,35 +46,52 @@ class StructureCache:
         self.misses = 0
         self.evictions = 0
 
-    def get(self, taskset: TaskSet, max_latency_factor: float = 1.0,
-            fingerprint: Optional[str] = None) -> TaskSetStructure:
-        """A compiled structure for ``taskset``, cached when possible.
+    def get(self, taskset: Optional[TaskSet] = None,
+            max_latency_factor: float = 1.0,
+            fingerprint: Optional[str] = None,
+            build: Optional[Callable[[], TaskSetStructure]] = None,
+            ) -> TaskSetStructure:
+        """A compiled structure for the problem, cached when possible.
 
-        ``fingerprint`` may be passed in when the caller already computed
-        it (the service computes one per churn event anyway).  On a hit
-        the cached structure is rebound to ``taskset`` and its model
-        arrays refreshed — fingerprint equality makes the static shape
-        interchangeable, and the refresh is cheap relative to a compile.
+        The key is ``fingerprint``, by default
+        :func:`~repro.model.fingerprint.taskset_fingerprint` of
+        ``taskset``.  On a miss the structure comes from ``build()`` when
+        given, else from :func:`compile_structure` of ``taskset``.  With
+        a ``taskset``, the returned structure is bound to it.
         """
         if fingerprint is None:
+            if taskset is None:
+                raise ServiceError("cache lookup needs a task set or a "
+                                   "fingerprint")
             fingerprint = taskset_fingerprint(taskset)
         key = (fingerprint, float(max_latency_factor))
         structure = self._entries.get(key)
         if structure is not None:
             self.hits += 1
             self._entries.move_to_end(key)
+        else:
+            self.misses += 1
+            if build is not None:
+                structure = build()
+            elif taskset is not None:
+                structure = compile_structure(
+                    taskset, max_latency_factor=max_latency_factor
+                )
+            else:
+                raise ServiceError("cache miss needs a task set or a builder")
+            self._entries[key] = structure
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+        if taskset is not None:
             structure.taskset = taskset
-            structure.refresh_model()
-            return structure
-        self.misses += 1
-        structure = compile_structure(
-            taskset, max_latency_factor=max_latency_factor
-        )
-        self._entries[key] = structure
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
         return structure
+
+    def peek(self, fingerprint: str,
+             max_latency_factor: float = 1.0) -> Optional[TaskSetStructure]:
+        """The structure cached under the key, if any, without counting a
+        lookup or refreshing its recency."""
+        return self._entries.get((fingerprint, float(max_latency_factor)))
 
     @property
     def hit_rate(self) -> float:

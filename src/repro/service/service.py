@@ -6,11 +6,15 @@ iterating, and the current primal iterate *is* the allocation the system
 enforces.  :class:`AllocationService` is that loop:
 
 * **churn API** — :meth:`register` / :meth:`deregister` /
-  :meth:`update_task` / :meth:`set_availability` mutate the live workload.
-  Every churn event recompiles the task set through a fingerprint-keyed
-  :class:`~repro.service.cache.StructureCache` and builds a fresh
-  optimizer **warm-started from the surviving resources' live prices**
-  (new resources fall back to the
+  :meth:`update_task` / :meth:`set_availability` (and :meth:`apply_batch`
+  for a coalesced batch) mutate the live workload.  A churn event costs
+  what it changes: each arriving task is compiled once into a
+  :class:`~repro.core.structure.TaskFragment`, spliced into (or out of)
+  the live :class:`~repro.core.structure.TaskSetStructure` unless the
+  :class:`~repro.service.cache.StructureCache` already holds the new
+  membership under its fingerprint, and a fresh optimizer is
+  **warm-started from the resources' live prices** (a resource without
+  one falls back to the
   :func:`~repro.core.warmstart.warm_start_resource_prices` estimate) —
   re-convergence after churn costs a fraction of a cold restart;
 * **query API** — :meth:`query` answers allocation lookups from the
@@ -18,12 +22,15 @@ enforces.  :class:`AllocationService` is that loop:
   is decoupled from convergence;
 * **admission control** — arriving tasks are screened with the sound
   closed-form certificate
-  (:func:`~repro.analysis.admission.certify_infeasible`); a provably
-  infeasible task set is rejected before it can poison the live solve;
+  (:func:`~repro.analysis.admission.certify_infeasible`), run over the
+  candidate structure's arrays; a provably infeasible task set is
+  rejected before it can poison the live solve;
 * **snapshots** — :meth:`snapshot` / :meth:`restore` reuse the
   distributed :class:`~repro.distributed.checkpoint.CheckpointStore`,
-  stamped with the task-set fingerprint so a snapshot taken for a
-  different problem demotes to a cold reset instead of restoring garbage.
+  stamped with the membership fingerprint
+  (:func:`~repro.model.fingerprint.membership_fingerprint`) so a snapshot
+  taken for a different problem demotes to a cold reset instead of
+  restoring garbage.
 
 Drive it synchronously with :meth:`step` (deterministic — experiments and
 benchmarks do this) or asynchronously with :meth:`run`, which iterates in
@@ -34,24 +41,37 @@ queries interleave with the optimization.
 from __future__ import annotations
 
 import asyncio
+import bisect
+import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.analysis.admission import AdmissionDecision, certify_infeasible
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.structure import (
+    TaskFragment,
+    TaskSetStructure,
+    compile_fragment,
+    empty_structure,
+    splice_structure,
     structure_from_dict,
     structure_to_dict,
-    task_model,
 )
 from repro.core.vectorized import task_utility
 from repro.core.warmstart import warm_start_resource_prices
 from repro.distributed.checkpoint import CheckpointStore
 from repro.errors import ModelError, OptimizationError, ServiceError
-from repro.model.fingerprint import taskset_fingerprint
+from repro.model.fingerprint import (
+    DIGEST_MODULUS,
+    membership_fingerprint,
+    task_digest,
+)
+# The churn path no longer calls it; the name stays bound here because
+# llabench/tracing.py wraps it by attribute lookup.
+from repro.model.fingerprint import taskset_fingerprint as taskset_fingerprint
 from repro.model.resources import Resource
 from repro.model.task import Task, TaskSet
 from repro.model.utility import (
@@ -224,6 +244,201 @@ def _mutated_task(old: Task, critical_time: Optional[float],
     )
 
 
+def _admitted(name: str) -> AdmissionDecision:
+    return AdmissionDecision(task=name, admitted=True,
+                             reason="no infeasibility certificate")
+
+
+def _warm_prices(live_prices: Mapping[str, float], taskset: TaskSet,
+                 lla: LLAConfig) -> Mapping[str, float]:
+    """The previous epoch's live price of every resource.  A resource
+    without one falls back to the closed-form estimate, which is computed
+    only then: a fixed resource set always has live prices."""
+    if taskset.resources.keys() <= live_prices.keys():
+        return {rname: live_prices[rname] for rname in taskset.resources}
+    fallback = warm_start_resource_prices(
+        taskset, default=lla.initial_resource_price,
+    )
+    return {rname: live_prices.get(rname, fallback[rname])
+            for rname in taskset.resources}
+
+
+class _Draft:
+    """A working copy of the service's membership that one churn call
+    edits; :meth:`AllocationService._commit` adopts it whole, and a call
+    that raises or rejects simply drops it.
+
+    Besides the task map it keeps the subtask owners, the task digests
+    and their sum, the resources with their availability array, and the
+    compiled structure with the changes not yet spliced into it (fragments
+    to insert, task names to remove).  Every admitted task is compiled
+    once, into a fragment; an admission splices the pending changes and
+    the arrival into a candidate structure and certifies its arrays, and
+    an admitted candidate becomes the draft's structure.
+    """
+
+    def __init__(self, service: "AllocationService") -> None:
+        self._service = service
+        self.tasks = dict(service._tasks)
+        self.owners = dict(service._owners)
+        self.digests = dict(service._digests)
+        self.digest_sum = service._digest_sum
+        self.resources = dict(service._resources)
+        self.availability = service._availability
+        #: the structure of the membership before the pending changes
+        self.structure = service._structure
+        self._insert: Dict[str, TaskFragment] = {}
+        self._remove: Set[str] = set()
+        self._names = service._resource_names
+        self._factor = float(
+            service.config.optimizer_config().max_latency_factor)
+
+    # -- membership --------------------------------------------------------------
+
+    def fingerprint(self, digest_sum: Optional[int] = None) -> str:
+        """The membership fingerprint (with another digest sum, that of
+        a candidate)."""
+        return membership_fingerprint(
+            self.digest_sum if digest_sum is None else digest_sum,
+            self._service._resource_key + self.availability.tobytes(),
+            self._factor,
+        )
+
+    def unknown_resource(self, task: Task) -> Optional[str]:
+        for sub in task.subtasks:
+            if sub.resource not in self.resources:
+                return (
+                    f"subtask {sub.name!r} references unknown resource "
+                    f"{sub.resource!r}"
+                )
+        return None
+
+    def admit(self, task: Task, replace: bool) -> Optional[str]:
+        """Why ``task`` cannot join the membership (or, with ``replace``,
+        replace the task of its name); ``None`` once it has joined.
+
+        The name checks need only the task and the owner map, the model
+        family only its fragment; the certificate runs over the candidate
+        structure's arrays (from the cache when the candidate membership
+        was seen before, else spliced).  A rejection leaves the draft as
+        it was.
+        """
+        if not replace and task.name in self.tasks:
+            return f"a task named {task.name!r} is already registered"
+        reason = self.unknown_resource(task)
+        if reason is not None:
+            return reason
+        for sub in task.subtasks:
+            owner = self.owners.get(sub.name)
+            if owner is not None and owner != task.name:
+                return f"subtask name {sub.name!r} appears in multiple tasks"
+        try:
+            fragment = compile_fragment(task, self.resources, self._names,
+                                        self._factor)
+            digest = task_digest(task)
+        except (ModelError, OptimizationError) as exc:
+            return str(exc)
+        digest_sum = (self.digest_sum - self.digests.get(task.name, 0)
+                      + digest) % DIGEST_MODULUS
+        if self._service.config.admission_control:
+            candidate = self._service._cache.peek(
+                self.fingerprint(digest_sum), self._factor)
+            if candidate is None:
+                pending = [f for name, f in self._insert.items()
+                           if name != task.name]
+                candidate = splice_structure(
+                    self._base(), pending + [fragment], self._remove,
+                    self.availability,
+                )
+            certificate = certify_infeasible(candidate)
+            if certificate is not None:
+                return f"provably infeasible: {certificate}"
+            self.structure = candidate
+            self._insert.clear()
+            self._remove.clear()
+        else:
+            self._insert[task.name] = fragment
+        self._drop(task.name)
+        self.tasks[task.name] = task
+        self.owners.update((sub.name, task.name) for sub in task.subtasks)
+        self.digests[task.name] = digest
+        self.digest_sum = digest_sum
+        return None
+
+    def remove(self, name: str) -> Optional[Task]:
+        """Take ``name`` out of the membership; ``None`` when absent."""
+        task = self._drop(name)
+        if task is None:
+            return None
+        self.digest_sum = (self.digest_sum - self.digests.pop(name)) \
+            % DIGEST_MODULUS
+        self._insert.pop(name, None)
+        if self.structure is not None and name in self.structure.task_names:
+            self._remove.add(name)
+        return task
+
+    def set_availability(self, resource: str, availability: float) -> None:
+        """Change one resource's availability.  The tasks on it are
+        compiled again: their latency bounds depend on ``B_r``."""
+        old = self.resources.get(resource)
+        if old is None:
+            raise ServiceError(f"no resource named {resource!r}")
+        self.resources[resource] = Resource(
+            name=old.name, kind=old.kind, availability=availability,
+            lag=old.lag, metadata=dict(old.metadata),
+        )
+        r = bisect.bisect_left(self._names, resource)
+        changed = self.availability.copy()
+        changed[r] = float(availability)
+        self.availability = changed
+        for name in self._tasks_on(r):
+            self._insert[name] = compile_fragment(
+                self.tasks[name], self.resources, self._names, self._factor,
+            )
+
+    def materialize(self) -> TaskSetStructure:
+        """The structure of the membership: the pending changes spliced
+        into the draft's structure with one splice."""
+        base = self._base()
+        if self._insert or self._remove or \
+                base.availability is not self.availability:
+            self.structure = splice_structure(
+                base, list(self._insert.values()), self._remove,
+                self.availability,
+            )
+            self._insert.clear()
+            self._remove.clear()
+        assert self.structure is not None
+        return self.structure
+
+    # -- internals ---------------------------------------------------------------
+
+    def _base(self) -> TaskSetStructure:
+        if self.structure is not None:
+            return self.structure
+        return empty_structure(self._names, self.availability, self._factor)
+
+    def _drop(self, name: str) -> Optional[Task]:
+        task = self.tasks.pop(name, None)
+        if task is not None:
+            for sub in task.subtasks:
+                del self.owners[sub.name]
+        return task
+
+    def _tasks_on(self, r: int) -> List[str]:
+        """Members with a subtask on resource index ``r``."""
+        names = set(self._insert)
+        if self.structure is not None:
+            s = self.structure
+            hosted = np.unique(s.sub_task_ids[s.sub_resource == r])
+            names.update(s.task_names[t] for t in hosted.tolist())
+        rname = self._names[r]
+        return sorted(
+            name for name in names if name in self.tasks
+            and any(sub.resource == rname for sub in self.tasks[name].subtasks)
+        )
+
+
 class AllocationService:
     """A live LLA optimizer behind a churn/query/admission API."""
 
@@ -241,7 +456,23 @@ class AllocationService:
             if resource.name in self._resources:
                 raise ServiceError(f"duplicate resource {resource.name!r}")
             self._resources[resource.name] = resource
+        # The resource set is fixed for the service's life; only
+        # availabilities change.  Names, kinds and lags are encoded once
+        # for the membership fingerprint, availabilities as an array in
+        # the structure's (sorted) resource order.
+        self._resource_names = tuple(sorted(self._resources))
+        ordered = [self._resources[r] for r in self._resource_names]
+        self._resource_key = json.dumps(
+            [[r.name, r.kind.value, r.lag] for r in ordered]
+        ).encode("utf-8")
+        self._availability = np.array([r.availability for r in ordered])
         self._tasks: Dict[str, Task] = {}
+        # subtask name -> owning task, and each task body's digest
+        # (model.fingerprint.task_digest) with their sum.
+        self._owners: Dict[str, str] = {}
+        self._digests: Dict[str, int] = {}
+        self._digest_sum = 0
+        self._structure: Optional[TaskSetStructure] = None
         self._cache = StructureCache(capacity=self.config.cache_capacity)
         # Injectable so the hardened layer can supply a file-backed store
         # whose snapshots survive a process restart.
@@ -269,30 +500,6 @@ class AllocationService:
             tracer.set_clock(lambda: float(self._total_iterations))
         if tasks:
             self._install(tasks)
-
-    def _install(self, tasks: List[Task]) -> None:
-        """Admit the initial tasks as one membership, with one rebuild.
-
-        Each task is screened on its own (duplicate name, unknown
-        resource, the kernel's model family), then the infeasibility
-        certificate runs once over the whole set.  The certificate only
-        grows with membership, so it fires exactly when registering the
-        tasks one at a time would have rejected one of them; a rejection
-        raises :class:`ServiceError`.
-        """
-        members: Dict[str, Task] = {}
-        for task in tasks:
-            if task.name in members:
-                raise ServiceError(
-                    f"initial task {task.name!r} rejected: a task named "
-                    f"{task.name!r} is already registered"
-                )
-            members[task.name] = task
-        reason = self._membership_reason(members, tasks)
-        if reason is not None:
-            raise ServiceError(f"initial tasks rejected: {reason}")
-        self._tasks = members
-        self._rebuild()
 
     # -- telemetry ---------------------------------------------------------------
 
@@ -332,33 +539,37 @@ class AllocationService:
 
     def _reject(self, name: str, reason: str) -> AdmissionDecision:
         """Count and trace an admission rejection."""
+        decision = AdmissionDecision(task=name, admitted=False, reason=reason)
+        self._note_rejection(decision)
+        return decision
+
+    def _note_rejection(self, decision: AdmissionDecision) -> None:
         self._admission_rejections += 1
         if self.telemetry.enabled:
             self._metric("rejections").inc()
             if self.telemetry.tracer.enabled:
                 self.telemetry.tracer.emit(
-                    "admission_rejected", task=name, reason=reason,
+                    "admission_rejected", task=decision.task,
+                    reason=decision.reason,
                 )
-        return AdmissionDecision(task=name, admitted=False, reason=reason)
 
     def register(self, task: Task) -> AdmissionDecision:
         """Admit and install a task; rejection leaves the service as-is."""
-        reason = self._admission_reason(task)
+        draft = _Draft(self)
+        reason = draft.admit(task, replace=False)
         if reason is not None:
             return self._reject(task.name, reason)
-        self._tasks[task.name] = task
-        self._rebuild()
-        return AdmissionDecision(
-            task=task.name, admitted=True,
-            reason="no infeasibility certificate",
-        )
+        self._commit(draft)
+        return _admitted(task.name)
 
     def deregister(self, name: str) -> Task:
         """Remove a task; the survivors keep their live prices."""
-        task = self._tasks.pop(name, None)
-        if task is None:
+        if name not in self._tasks:
             raise ServiceError(f"no task named {name!r} is registered")
-        self._rebuild()
+        draft = _Draft(self)
+        task = draft.remove(name)
+        assert task is not None
+        self._commit(draft)
         return task
 
     def update_task(self, name: str,
@@ -379,63 +590,55 @@ class AllocationService:
             raise ServiceError(
                 "update_task needs a critical_time and/or a utility"
             )
-        replacement = _mutated_task(old, critical_time, utility)
-        reason = self._replacement_reason(replacement)
+        draft = _Draft(self)
+        reason = draft.admit(_mutated_task(old, critical_time, utility),
+                             replace=True)
         if reason is not None:
             return self._reject(name, reason)
-        del self._tasks[name]
-        self._tasks[name] = replacement
-        self._rebuild()
-        return AdmissionDecision(
-            task=name, admitted=True, reason="no infeasibility certificate",
-        )
+        self._commit(draft)
+        return _admitted(name)
 
     def set_availability(self, resource: str, availability: float) -> None:
         """Apply a capacity change (e.g. a shock) to a live resource."""
-        old = self._resources.get(resource)
-        if old is None:
-            raise ServiceError(f"no resource named {resource!r}")
-        self._resources[resource] = Resource(
-            name=old.name, kind=old.kind, availability=availability,
-            lag=old.lag, metadata=dict(old.metadata),
-        )
-        if self._tasks:
-            self._rebuild()
+        draft = _Draft(self)
+        draft.set_availability(resource, availability)
+        self._commit(draft, rebuild=bool(self._tasks))
 
     def apply_batch(self,
                     events: List[ChurnEvent]) -> List[AdmissionDecision]:
         """Apply a drained (coalesced) churn batch through **one**
-        recompile.
+        rebuild.
 
         This is the storm-coalescing payoff: N raw events collapse to at
         most one slot per subject in the
         :class:`~repro.service.churnqueue.ChurnQueue`, and the whole
-        batch is applied against the task map before a single
-        :meth:`_rebuild`.  Each task-shaped event yields an
-        :class:`AdmissionDecision`; a rejection restores that subject
+        batch is applied to a draft of the membership before a single
+        rebuild.  Each task-shaped event yields an
+        :class:`AdmissionDecision`, judged against the membership the
+        events before it left; a rejection keeps that subject as it was
         and the batch continues.  A ``replace`` (deregister+register
         coalesced) that fails admission keeps the previously live task.
+
+        The batch is one transaction: an event that raises (an unknown
+        resource, a utility that cannot be re-anchored) raises before
+        anything live changes, so the task map, the live solve and the
+        counters stay in step.
         """
+        draft = _Draft(self)
         decisions: List[AdmissionDecision] = []
         mutated = False
         for event in events:
             if event.kind == "deregister":
                 # Tolerant of already-gone tasks: a storm batch may
                 # carry a departure the producer lost the race on.
-                if self._tasks.pop(event.key, None) is not None:
-                    mutated = True
-            elif event.kind == "availability":
-                old_res = self._resources.get(event.key)
-                if old_res is None:
-                    raise ServiceError(f"no resource named {event.key!r}")
+                mutated |= draft.remove(event.key) is not None
+                continue
+            if event.kind == "availability":
                 assert event.availability is not None
-                self._resources[event.key] = Resource(
-                    name=old_res.name, kind=old_res.kind,
-                    availability=float(event.availability),
-                    lag=old_res.lag, metadata=dict(old_res.metadata),
-                )
+                draft.set_availability(event.key, float(event.availability))
                 mutated = True
-            elif event.kind in ("register", "replace"):
+                continue
+            if event.kind in ("register", "replace"):
                 assert event.task is not None
                 candidate = event.task
                 if event.critical_time is not None or \
@@ -443,133 +646,137 @@ class AllocationService:
                     candidate = _mutated_task(
                         candidate, event.critical_time, event.utility,
                     )
-                reason = self._replacement_reason(candidate)
-                if reason is not None:
-                    # The live body, if any, stays.
-                    decisions.append(self._reject(event.key, reason))
-                    continue
-                self._tasks.pop(event.key, None)
-                self._tasks[event.key] = candidate
-                mutated = True
-                decisions.append(AdmissionDecision(
-                    task=event.key, admitted=True,
-                    reason="no infeasibility certificate",
-                ))
             else:  # update
-                old = self._tasks.get(event.key)
+                old = draft.tasks.get(event.key)
                 if old is None:
-                    decisions.append(self._reject(
-                        event.key,
-                        f"no task named {event.key!r} is registered",
+                    decisions.append(AdmissionDecision(
+                        task=event.key, admitted=False,
+                        reason=f"no task named {event.key!r} is registered",
                     ))
                     continue
-                replacement = _mutated_task(
+                candidate = _mutated_task(
                     old, event.critical_time, event.utility,
                 )
-                reason = self._replacement_reason(replacement)
-                if reason is not None:
-                    decisions.append(self._reject(event.key, reason))
-                    continue
-                del self._tasks[event.key]
-                self._tasks[event.key] = replacement
+            # The live body, if any, stays on a rejection.
+            reason = draft.admit(candidate, replace=True)
+            if reason is None:
                 mutated = True
+                decisions.append(_admitted(event.key))
+            else:
                 decisions.append(AdmissionDecision(
-                    task=event.key, admitted=True,
-                    reason="no infeasibility certificate",
+                    task=event.key, admitted=False, reason=reason,
                 ))
+        for decision in decisions:
+            if not decision.admitted:
+                self._note_rejection(decision)
         if mutated:
-            self._rebuild()
+            self._commit(draft)
         return decisions
 
-    def _admission_reason(self, task: Task) -> Optional[str]:
-        """Why ``task`` cannot be admitted; ``None`` when it can."""
-        if task.name in self._tasks:
-            return f"a task named {task.name!r} is already registered"
-        return self._replacement_reason(task)
+    def _install(self, tasks: List[Task]) -> None:
+        """Admit the initial tasks as one membership, with one compile.
 
-    def _replacement_reason(self, task: Task) -> Optional[str]:
-        """Why ``task`` cannot join, or replace the registered task of its
-        name; ``None`` when it can.  Leaves the task map untouched."""
-        members = dict(self._tasks)
-        members[task.name] = task
-        return self._membership_reason(members, [task])
-
-    def _membership_reason(self, members: Mapping[str, Task],
-                           arrivals: Sequence[Task]) -> Optional[str]:
-        """Why the membership ``members``, of which ``arrivals`` are new,
-        cannot be admitted; ``None`` when it can.
-
-        An arrival must fit the kernel's model family
-        (:func:`~repro.core.structure.task_model`): a task the rebuild
-        could not compile is rejected here, before the task map changes,
-        with the compile error as the reason.
+        Each task is screened on its own (duplicate name, unknown
+        resource), the set is compiled cold (which also checks the
+        kernel's model family), then the infeasibility certificate runs
+        once over the whole set.  The certificate only grows with
+        membership, so it fires exactly when registering the tasks one at
+        a time would have rejected one of them; a rejection raises
+        :class:`ServiceError`.
         """
-        for task in arrivals:
-            for sub in task.subtasks:
-                if sub.resource not in self._resources:
-                    return (
-                        f"subtask {sub.name!r} references unknown resource "
-                        f"{sub.resource!r}"
-                    )
-        try:
-            taskset = self._make_taskset(members)
-        except ModelError as exc:
-            return str(exc)
+        draft = _Draft(self)
+        for task in tasks:
+            if task.name in draft.tasks:
+                raise ServiceError(
+                    f"initial task {task.name!r} rejected: a task named "
+                    f"{task.name!r} is already registered"
+                )
+            reason = draft.unknown_resource(task)
+            if reason is not None:
+                raise ServiceError(f"initial tasks rejected: {reason}")
+            draft.tasks[task.name] = task
         lla = self.config.optimizer_config()
-        for task in arrivals:
-            try:
-                task_model(taskset, task, lla.max_latency_factor)
-            except OptimizationError as exc:
-                return str(exc)
+        try:
+            taskset = self._make_taskset(draft.tasks)
+            draft.digests = {task.name: task_digest(task) for task in tasks}
+            draft.digest_sum = sum(draft.digests.values()) % DIGEST_MODULUS
+            structure = self._cache.get(
+                taskset, max_latency_factor=lla.max_latency_factor,
+                fingerprint=draft.fingerprint(),
+            )
+        except (ModelError, OptimizationError) as exc:
+            raise ServiceError(f"initial tasks rejected: {exc}") from exc
         if self.config.admission_control:
-            certificate = certify_infeasible(taskset)
+            certificate = certify_infeasible(structure)
             if certificate is not None:
-                return f"provably infeasible: {certificate}"
-        return None
+                raise ServiceError(
+                    "initial tasks rejected: provably infeasible: "
+                    f"{certificate}"
+                )
+        for task in tasks:
+            draft.owners.update((sub.name, task.name) for sub in task.subtasks)
+        draft.structure = structure
+        self._commit(draft, taskset=taskset, structure=structure)
 
     def _make_taskset(self, tasks: Mapping[str, Task]) -> TaskSet:
         # Canonical (name-sorted) order: the task set a churn sequence
         # produces depends only on its membership, never on arrival
-        # order, so oscillatory churn reproduces fingerprints exactly
-        # and the structure cache can hit.
+        # order, matching the canonical compile order of the structure.
         return TaskSet(sorted(tasks.values(), key=lambda t: t.name),
-                       sorted(self._resources.values(),
-                              key=lambda r: r.name),
+                       [self._resources[r] for r in self._resource_names],
                        allow_shared_resources=True)
 
     # -- rebuild (the churn path) ------------------------------------------------
 
-    def _rebuild(self) -> None:
-        """Recompile the workload and swap in a warm-started optimizer."""
-        live_prices: Dict[str, float] = {}
+    def _commit(self, draft: "_Draft", rebuild: bool = True,
+                taskset: Optional[TaskSet] = None,
+                structure: Optional[TaskSetStructure] = None) -> None:
+        """Adopt ``draft`` as the live membership and, when ``rebuild``,
+        swap in an optimizer warm-started from the live prices.
+
+        The structure comes from the cache under the membership
+        fingerprint, or, on a miss, from the draft's splice; one
+        :class:`TaskSet` is built for the new optimizer.
+        """
+        self._tasks = draft.tasks
+        self._owners = draft.owners
+        self._digests = draft.digests
+        self._digest_sum = draft.digest_sum
+        self._resources = draft.resources
+        self._availability = draft.availability
+        if not rebuild:
+            return
+        live_prices: Mapping[str, float] = {}
         if self._optimizer is not None:
-            live_prices = dict(self._optimizer.resource_prices.prices)
+            live_prices = self._optimizer.resource_prices.prices
         had_optimizer = self._optimizer is not None
         if not self._tasks:
             self._optimizer = None
             self._taskset = None
+            self._structure = None
             self._fingerprint = None
         else:
-            taskset = self._make_taskset(self._tasks)
-            fingerprint = taskset_fingerprint(taskset)
             lla = self.config.optimizer_config()
-            structure = self._cache.get(
-                taskset, max_latency_factor=lla.max_latency_factor,
-                fingerprint=fingerprint,
-            )
+            fingerprint = draft.fingerprint()
+            if taskset is None:
+                taskset = self._make_taskset(self._tasks)
+            if structure is None:
+                structure = self._cache.get(
+                    taskset, max_latency_factor=lla.max_latency_factor,
+                    fingerprint=fingerprint, build=draft.materialize,
+                )
             optimizer = LLAOptimizer(
                 taskset, lla, telemetry=self.telemetry, structure=structure,
             )
             if self.config.warm_start_churn and live_prices:
-                fallback = warm_start_resource_prices(
-                    taskset, default=lla.initial_resource_price,
-                )
-                optimizer.adopt_prices({
-                    rname: live_prices.get(rname, fallback[rname])
-                    for rname in taskset.resources
-                })
+                optimizer.adopt_prices(
+                    _warm_prices(live_prices, taskset, lla))
             self._optimizer = optimizer
             self._taskset = taskset
+            self._structure = structure
+            # Equal fingerprints mean equal arrays: keep the structure's,
+            # so the next draft sees the availability unchanged.
+            self._availability = structure.availability
             self._fingerprint = fingerprint
         if had_optimizer or self._optimizer is not None:
             self._churn_events += 1

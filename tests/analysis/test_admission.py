@@ -222,3 +222,62 @@ class TestCertificateSoundnessRandomized:
         # anything: some sets solved feasibly, some certified infeasible.
         assert solved >= 10
         assert certified >= 5
+
+
+class TestArrayCertificateParity:
+    """The certificate runs over the compiled structure's arrays; on task
+    sets declared in canonical order it gives the object-graph loops'
+    decision and reason, branch for branch."""
+
+    N_CASES = 120
+
+    @staticmethod
+    def random_taskset(rng):
+        import numpy as np
+
+        from repro.model.share import PowerLawShare
+        from repro.model.task import TaskSet
+
+        resources = [Resource(name=f"r{i}",
+                              availability=float(rng.choice((1.0, 0.7, 0.4))),
+                              lag=float(rng.choice((1.0, 0.0, 0.5))))
+                     for i in range(3)]
+        tasks = []
+        for t in range(int(rng.integers(1, 5))):
+            length = int(rng.integers(1, 4))
+            names = [f"rt{t}.s{i}" for i in range(length)]
+            subtasks = []
+            for i, name in enumerate(names):
+                exec_time = float(np.round(rng.uniform(0.5, 6.0), 3))
+                share = None
+                if rng.random() < 0.3:
+                    share = PowerLawShare(cost=exec_time + 1.0,
+                                          alpha=float(rng.uniform(0.5, 2.0)))
+                subtasks.append(Subtask(name, f"r{(t + i) % 3}", exec_time,
+                                        share_function=share))
+            if length == 3 and rng.random() < 0.5:
+                graph = SubtaskGraph(names, [(names[0], names[1]),
+                                             (names[0], names[2])])
+            else:
+                graph = SubtaskGraph.chain(names)
+            critical = float(np.round(rng.uniform(2.0, 40.0), 3))
+            tasks.append(Task(name=f"rt{t}", subtasks=subtasks, graph=graph,
+                              critical_time=critical,
+                              utility=LinearUtility(critical, k=2.0),
+                              trigger=PeriodicEvent(100.0)))
+        return TaskSet(tasks, resources, allow_shared_resources=True)
+
+    def test_same_decision_and_reason_as_the_object_graph(self):
+        import numpy as np
+
+        from repro.core.structure import compile_structure
+        from tests.analysis.reference import certify_infeasible_reference
+
+        branches = set()
+        for seed in range(self.N_CASES):
+            ts = self.random_taskset(np.random.default_rng(seed))
+            expected = certify_infeasible_reference(ts)
+            assert certify_infeasible(compile_structure(ts)) == expected
+            assert certify_infeasible(ts) == expected
+            branches.add(None if expected is None else expected.split()[0])
+        assert branches == {None, "task", "resource"}

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.allocation import LatencyAllocator, stationary_latency
 from repro.core.state import PathKey
+from repro.errors import OptimizationError
 from repro.model.share import CorrectedShare, HyperbolicShare, PowerLawShare
 from repro.model.utility import LogUtility
 from tests.conftest import make_chain_taskset
@@ -41,10 +42,9 @@ class TestStationaryLatency:
         fn = HyperbolicShare(exec_time=4.0, lag=1.0)
         assert math.isinf(stationary_latency(fn, price=1.0, pull=0.0))
 
-    def test_generic_share_function_bracketing(self):
-        class ExpShare(PowerLawShare):
-            """Not recognized by the closed-form dispatch."""
-        # Subclass IS recognized via isinstance; make a truly generic one.
+    def test_generic_share_function_refused(self):
+        """A share class outside the power-law family is refused by name,
+        as structure.task_model refuses it."""
         class Generic:
             def __init__(self):
                 self._inner = HyperbolicShare(exec_time=4.0, lag=1.0)
@@ -52,12 +52,8 @@ class TestStationaryLatency:
                 return self._inner.share(lat)
             def dshare_dlat(self, lat):
                 return self._inner.dshare_dlat(lat)
-            def latency_for_share(self, share):
-                return self._inner.latency_for_share(share)
-            def min_latency(self, availability):
-                return self._inner.min_latency(availability)
-        lat = stationary_latency(Generic(), price=20.0, pull=1.0)
-        assert lat == pytest.approx(10.0, rel=1e-6)
+        with pytest.raises(OptimizationError, match="Generic"):
+            stationary_latency(Generic(), price=20.0, pull=1.0)
 
 
 class TestAllocatorClosedForm:

@@ -93,3 +93,47 @@ class TestEviction:
         cache.get(make_chain_taskset())
         cache.clear()
         assert len(cache) == 0
+
+
+class TestBuildAndPeek:
+    def test_a_miss_takes_the_builder(self):
+        from repro.core.structure import compile_structure
+        cache = StructureCache()
+        built = compile_structure(make_chain_taskset())
+        structure = cache.get(fingerprint="membership", build=lambda: built)
+        assert structure is built and structure.taskset is not None
+        assert (cache.hits, cache.misses) == (0, 1)
+        again = cache.get(fingerprint="membership",
+                          build=lambda: pytest.fail("hit must not build"))
+        assert again is built
+        assert cache.hits == 1
+
+    def test_peek_neither_counts_nor_builds(self):
+        cache = StructureCache(capacity=2)
+        assert cache.peek("a") is None
+        first = cache.get(make_chain_taskset(n_subtasks=2))
+        key = next(iter(cache._entries))[0]
+        cache.get(make_chain_taskset(n_subtasks=3))
+        assert cache.peek(key) is first
+        assert (cache.hits, cache.misses) == (0, 2)
+        # peek left the recency alone: the first entry is still oldest.
+        cache.get(make_chain_taskset(n_subtasks=4))
+        assert cache.peek(key) is None
+
+    def test_a_hit_does_not_refresh_the_model(self, monkeypatch):
+        """Equal keys mean equal arrays, so a hit hands the cached
+        structure back as it is."""
+        from repro.core.structure import TaskSetStructure
+        cache = StructureCache()
+        cache.get(make_chain_taskset())
+        monkeypatch.setattr(TaskSetStructure, "refresh_model",
+                            lambda self: pytest.fail("refreshed on a hit"))
+        cache.get(make_chain_taskset())
+        assert cache.hits == 1
+
+    def test_a_lookup_needs_a_key_and_a_miss_a_source(self):
+        cache = StructureCache()
+        with pytest.raises(ServiceError):
+            cache.get()
+        with pytest.raises(ServiceError):
+            cache.get(fingerprint="nothing-to-build")
