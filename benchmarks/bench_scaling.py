@@ -7,6 +7,11 @@ closed-form per-subtask solves plus per-resource sums, so the cost per
 subtask must not grow with size — far from the quadratic-or-worse growth
 a centralized re-solve would show.  At these sizes the kernel's fixed
 per-iteration cost dominates, so the cost per subtask falls as size grows.
+
+A second test times ``LLAOptimizer.step`` at 10k subtasks, the shape of
+llabench's ``solve`` instance, where the per-subtask array work dominates
+instead.  It records its rate without a gate: CI hosts vary too much for
+an absolute bound.
 """
 
 import time
@@ -63,3 +68,36 @@ def test_iteration_cost_scales_linearly(benchmark):
         print(f"  {n:3d} subtasks: {1e6 * cost:7.1f} us/iteration "
               f"({1e6 * cost / n:.2f} us/subtask)")
 
+
+
+def _step_cost(config: GeneratorConfig, seed: int, warmup: int,
+               steps: int) -> Tuple[float, int]:
+    """(seconds per ``LLAOptimizer.step``, subtask count) after ``warmup``
+    untimed steps."""
+    taskset = random_workload(config, seed=seed)
+    optimizer = LLAOptimizer(taskset, LLAConfig(record_history=False))
+    for _ in range(warmup):
+        optimizer.step()
+    start = time.perf_counter()
+    for _ in range(steps):
+        optimizer.step()
+    elapsed = time.perf_counter() - start
+    return elapsed / steps, len(taskset.all_subtasks)
+
+
+@pytest.mark.benchmark(group="scaling")
+def test_step_cost_at_benchmark_size(benchmark):
+    """One step at llabench ``solve``'s shape: 2,500 tasks of 4 subtasks on
+    2,000 resources, generator seed 7."""
+    config = GeneratorConfig(n_tasks=2500, n_resources=2000,
+                             min_subtasks=4, max_subtasks=4)
+    cost, n = benchmark.pedantic(
+        lambda: _step_cost(config, seed=7, warmup=20, steps=200),
+        rounds=1, iterations=1,
+    )
+    assert n == 10_000
+    _report.record_value(_BENCH, f"iterations_per_sec.{n}_subtasks",
+                         1.0 / cost)
+    _report.record_value(_BENCH, f"step_us.{n}_subtasks", 1e6 * cost)
+    print(f"\n  {n} subtasks: {1e6 * cost:7.1f} us/step "
+          f"({1.0 / cost:.0f} it/s)")

@@ -42,7 +42,12 @@ from typing import Dict, Mapping, Optional
 import numpy as np
 
 from repro.core.state import PathKey
-from repro.core.structure import UTILITY_LOG, ConcaveBlock, task_model
+from repro.core.structure import (
+    UTILITY_LOG,
+    ConcaveBlock,
+    TaskSetStructure,
+    task_model,
+)
 from repro.errors import OptimizationError
 from repro.model.share import (
     CorrectedShare,
@@ -125,25 +130,33 @@ def _power_law_raw(arg: np.ndarray, hyper_mask: np.ndarray,
     return raw
 
 
-def closed_form_latencies(price: np.ndarray, pull: np.ndarray,
-                          alpha: np.ndarray, cost: np.ndarray,
-                          err: np.ndarray, hyper_mask: np.ndarray,
-                          inv_exp: np.ndarray, lo: np.ndarray,
-                          hi: np.ndarray) -> np.ndarray:
-    """:func:`stationary_latency` per row, clamped to ``[lo, hi]``, for
-    power-law shares (``err`` is the :class:`CorrectedShare` offset)."""
-    free = price <= 0.0
-    slack = pull <= _PULL_FLOOR
+def closed_form_latencies(s: TaskSetStructure, price: np.ndarray,
+                          pull: np.ndarray) -> np.ndarray:
+    """:func:`stationary_latency` per subtask row of ``s``, clamped to
+    ``[lo, hi]``, given each row's resource price and pull.
+
+    A pass that cannot change a row is skipped: the correction offset
+    when no share is corrected (the roots are non-negative, so
+    ``0.0 + raw`` is ``raw``), and each special-case ``where`` when no
+    row is free or slack.
+    """
     with np.errstate(all="ignore"):
-        raw = _power_law_raw(price * alpha * cost / pull, hyper_mask,
-                             inv_exp, bool(hyper_mask.all()))
-    lat = err + raw
+        lat = _power_law_raw(price * s.alpha * s.cost / pull, s.hyper_mask,
+                             s.inv_exp, s.all_hyperbolic)
+    if s.any_error:
+        lat = s.err + lat
     # Same precedence as stationary_latency: a free resource wins over
     # a zero pull, and both are applied before the correction offset is
     # even considered (stationary_latency returns early).
-    lat = np.where(slack, np.inf, lat)
-    lat = np.where(free, 0.0, lat)
-    return np.clip(lat, lo, hi)
+    slack = pull <= _PULL_FLOOR
+    if slack.any():
+        lat = np.where(slack, np.inf, lat)
+    free = price <= 0.0
+    if free.any():
+        lat = np.where(free, 0.0, lat)
+    # np.clip's bits (lat is never NaN or -0.0 here) at a third of its
+    # per-call cost; solve_concave clamps the same way.
+    return np.minimum(np.maximum(lat, s.lo), s.hi)
 
 
 def solve_concave(block: ConcaveBlock, price: np.ndarray,

@@ -42,7 +42,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 from repro.errors import OptimizationError
 from repro.core.convergence import ConvergenceDetector
 from repro.core.state import IterationRecord, OptimizationResult, PathKey
-from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
+from repro.core.stepsize import (
+    DEFAULT_MAX_GAMMA,
+    AdaptiveStepSize,
+    FixedStepSize,
+    StepSizePolicy,
+)
 from repro.core.vectorized import (
     ArrayRecord,
     VectorizedEngine,
@@ -75,7 +80,9 @@ class LLAConfig:
         any other type), or ``None`` to build the paper's adaptive policy
         with ``initial_gamma``.
     initial_gamma:
-        Starting γ for the default adaptive policy.
+        Starting γ for the default adaptive policy, whose cap is
+        :data:`~repro.core.stepsize.DEFAULT_MAX_GAMMA` (8): without a
+        ``step_policy``, a value above the cap is refused.
     initial_resource_price / initial_path_price:
         Dual-variable initialization.
     utility_tol / convergence_window / feasibility_tol / require_feasible /
@@ -135,6 +142,13 @@ class LLAConfig:
         if self.initial_gamma <= 0.0:
             raise OptimizationError(
                 f"initial_gamma must be positive, got {self.initial_gamma!r}"
+            )
+        if self.step_policy is None and \
+                self.initial_gamma > DEFAULT_MAX_GAMMA:
+            raise OptimizationError(
+                f"initial_gamma {self.initial_gamma!r} is above the default "
+                f"adaptive policy's cap {DEFAULT_MAX_GAMMA!r}; pass an "
+                "AdaptiveStepSize with a larger max_gamma as step_policy"
             )
         if self.initial_resource_price <= 0.0:
             # A zero dual price makes the first latency assignment

@@ -23,7 +23,11 @@ from repro.errors import OptimizationError
 from repro.core.state import PathKey
 from repro.model.task import TaskSet
 
-__all__ = ["StepSizePolicy", "FixedStepSize", "AdaptiveStepSize"]
+__all__ = ["StepSizePolicy", "FixedStepSize", "AdaptiveStepSize",
+           "DEFAULT_MAX_GAMMA"]
+
+#: :class:`AdaptiveStepSize`'s default growth cap.
+DEFAULT_MAX_GAMMA = 8.0
 
 
 class StepSizePolicy(ABC):
@@ -109,7 +113,8 @@ class AdaptiveStepSize(StepSizePolicy):
     optimizer run never builds the index; the distributed agents and
     per-element references that call these methods do.
 
-    Deviation from the paper: growth is capped at ``max_gamma`` (default 8).
+    Deviation from the paper: growth is capped at ``max_gamma`` (default 8),
+    which may not be below ``initial_gamma``.
     With our reconstructed Figure-4 topology, unbounded doubling overshoots
     so far that latencies slam between their clamps and the iteration never
     settles; a modest cap preserves the heuristic's speedup (≈2× faster
@@ -117,13 +122,20 @@ class AdaptiveStepSize(StepSizePolicy):
     """
 
     def __init__(self, taskset: TaskSet, initial_gamma: float = 1.0,
-                 growth: float = 2.0, max_gamma: float = 8.0) -> None:
+                 growth: float = 2.0,
+                 max_gamma: float = DEFAULT_MAX_GAMMA) -> None:
         if initial_gamma <= 0.0:
             raise OptimizationError(
                 f"initial step size must be positive, got {initial_gamma!r}"
             )
         if growth <= 1.0:
             raise OptimizationError(f"growth must exceed 1, got {growth!r}")
+        if max_gamma < initial_gamma:
+            # A cap below the start would make "escalation" lower γ.
+            raise OptimizationError(
+                f"max_gamma ({max_gamma!r}) must be >= initial_gamma "
+                f"({initial_gamma!r})"
+            )
         self.initial_gamma = float(initial_gamma)
         self.growth = float(growth)
         self.max_gamma = float(max_gamma)

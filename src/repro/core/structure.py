@@ -247,6 +247,10 @@ class TaskSetStructure:
     #: cached :attr:`kind_rows`; invalidated with the model arrays.
     _kind_rows: Optional[Tuple[Tuple[int, np.ndarray], ...]] = field(
         default=None, repr=False)
+    #: cached :attr:`any_error` and :attr:`all_hyperbolic`; invalidated
+    #: with the model arrays.
+    _any_error: Optional[bool] = field(default=None, repr=False)
+    _all_hyperbolic: Optional[bool] = field(default=None, repr=False)
 
     @property
     def n_subtasks(self) -> int:
@@ -322,6 +326,23 @@ class TaskSetStructure:
             )
         return self._kind_rows
 
+    @property
+    def any_error(self) -> bool:
+        """Whether any subtask's share carries a :class:`CorrectedShare`
+        offset (``err ≠ 0``; read on first use, then kept until the model
+        arrays change)."""
+        if self._any_error is None:
+            self._any_error = bool((self.err != 0.0).any())
+        return self._any_error
+
+    @property
+    def all_hyperbolic(self) -> bool:
+        """Whether every subtask's base share is hyperbolic (α = 1; read
+        on first use, then kept until the model arrays change)."""
+        if self._all_hyperbolic is None:
+            self._all_hyperbolic = bool(self.hyper_mask.all())
+        return self._all_hyperbolic
+
     def refresh_model(self) -> None:
         """Re-read the mutable model state from the task set.
 
@@ -329,8 +350,8 @@ class TaskSetStructure:
         error correction swaps/retunes share functions and
         :meth:`TaskSet.set_availability` replaces resources, so share
         coefficients, latency clamps and B_r must all be recomputed.
-        Invalidates the cached :attr:`fingerprint`, :attr:`concave` and
-        :attr:`kind_rows`.
+        Invalidates the cached :attr:`fingerprint`, :attr:`concave`,
+        :attr:`kind_rows`, :attr:`any_error` and :attr:`all_hyperbolic`.
         """
         if self.taskset is None:
             raise ModelError(
@@ -341,6 +362,8 @@ class TaskSetStructure:
         self._fingerprint = None
         self._concave = False
         self._kind_rows = None
+        self._any_error = None
+        self._all_hyperbolic = None
 
 
 def _unsupported(what: str) -> OptimizationError:

@@ -49,6 +49,7 @@ from repro.core.structure import (
     TaskSetStructure,
     compile_structure,
 )
+from repro.model.summation import sequential_sum
 from repro.model.task import TaskSet
 from repro.model.utility import LogUtility
 from repro.telemetry import Telemetry
@@ -66,6 +67,8 @@ __all__ = [
     "arrays_feasible",
     "ObservedAssignment",
     "compute_loads",
+    "path_latencies",
+    "critical_path_latencies",
     "task_utilities",
     "task_utility",
     "observe_assignment",
@@ -85,6 +88,12 @@ class StepArrays:
     values for as long as it is held.  This is what the optimizer's run
     loop consumes — materializing the name-keyed dicts costs more than
     the arithmetic at 10k+ subtasks.
+
+    Only what the iteration itself needs is computed per step.  The
+    per-task critical-path latencies are not a field: a reader gets them
+    from ``path_lat`` through :func:`critical_path_latencies` (the
+    ``critical_paths`` :func:`named_field`), and ``path_lat`` doubles as
+    the next step's Eq. 9 path sums.
     """
 
     lat: np.ndarray          #: per-subtask latencies, shape (S,)
@@ -95,12 +104,12 @@ class StepArrays:
     cong_r: np.ndarray       #: congested-resource mask, shape (R,) bool
     cong_p: np.ndarray       #: congested-path mask, shape (P,) bool
     per_task: np.ndarray     #: per-task utilities, shape (T,)
-    crit: np.ndarray         #: per-task critical-path latencies, shape (T,)
 
     def utility(self) -> float:
-        """Σ_i U_i, summed in task order like ``TaskSet.total_utility``
-        (sequential Python float adds, not a pairwise numpy reduction)."""
-        return float(sum(self.per_task.tolist()))
+        """Σ_i U_i, summed left to right in task order by
+        :func:`~repro.model.summation.sequential_sum`, as
+        ``TaskSet.total_utility`` sums it."""
+        return sequential_sum(self.per_task)
 
 
 #: The :class:`IterationRecord` fields that exist only in name-keyed form.
@@ -132,7 +141,8 @@ def named_field(structure: TaskSetStructure, out: StepArrays,
     if name == "congested_paths":
         return tuple(s.path_keys[i] for i in np.flatnonzero(out.cong_p))
     if name == "critical_paths":
-        return dict(zip(s.task_names, out.crit.tolist()))
+        return dict(zip(s.task_names, critical_path_latencies(
+            s, out.path_lat).tolist()))
     raise OptimizationError(f"no name-keyed iteration field {name!r}")
 
 
@@ -246,9 +256,11 @@ class _AdaptiveGammas:
         # Two independent escalation states per path (resource coverage
         # vs direct constraint violation); serve the largest active one.
         # A path is covered when any of its (path, resource) incidence
-        # pairs names a congested resource.
+        # pairs names a congested resource.  np.compress picks the same
+        # paths as boolean indexing, at a third of its cost when many
+        # resources are congested.
         covered = np.zeros(self._gp.shape, dtype=bool)
-        covered[self._pr_path[cong_r[self._pr_res]]] = True
+        covered[np.compress(cong_r[self._pr_res], self._pr_path)] = True
         self._cover = np.where(
             covered, np.minimum(self._cover * self._growth, self._max),
             self._initial,
@@ -257,11 +269,11 @@ class _AdaptiveGammas:
             cong_p, np.minimum(self._direct * self._growth, self._max),
             self._initial,
         )
-        active_max = np.maximum(
-            np.where(covered, self._cover, -np.inf),
-            np.where(cong_p, self._direct, -np.inf),
-        )
-        self._gp = np.where(covered | cong_p, active_max, self._initial)
+        # An inactive trigger sits at the initial γ, and an active one
+        # never below it (growth > 1 and max ≥ initial, both validated by
+        # AdaptiveStepSize), so the larger of the two is the largest
+        # active escalation, or the initial γ when neither is active.
+        self._gp = np.maximum(self._cover, self._direct)
 
     def reset(self) -> None:
         self._gr = np.full_like(self._gr, self._initial)
@@ -300,10 +312,13 @@ class VectorizedEngine:
     The engine owns the dual state (``μ`` per resource, ``λ`` per path) and
     the primal iterate (latency per subtask) as float64 arrays, and
     replaces rather than overwrites them, so the :class:`StepArrays` it
-    hands out stay valid.  The optimizer facade runs on
-    :meth:`step_arrays`; :meth:`step` materializes an
-    :class:`EngineStep` for callers that want dicts.  Model mutations (error correction,
-    ``set_availability``) require :meth:`refresh_model`, same contract as
+    hands out stay valid.  Beside the latencies it keeps their path sums
+    from the last step, which the next step's Eq. 9 update reads; they
+    are dropped whenever the latencies are replaced outside a step.  The
+    optimizer facade runs on :meth:`step_arrays`; :meth:`step`
+    materializes an :class:`EngineStep` for callers that want dicts.
+    Model mutations (error correction, ``set_availability``) require
+    :meth:`refresh_model`, same contract as
     :meth:`LatencyAllocator.refresh_bounds`.
     """
 
@@ -337,7 +352,10 @@ class VectorizedEngine:
         s = self.structure
         self._mu = np.full(s.n_resources, float(config.initial_resource_price))
         self._lam = np.full(s.n_paths, float(config.initial_path_price))
-        self._lat = self._allocate()
+        #: path sums of ``_lat`` kept from the last step; ``None`` until
+        #: a step computes them.
+        self._path_lat: Optional[np.ndarray] = None
+        self._solve_primal()
 
     def _phase_timers(self) -> Optional[PhaseTimers]:
         """Phase timers while metrics are collected; ``None`` when off."""
@@ -359,15 +377,18 @@ class VectorizedEngine:
             minlength=s.n_subtasks,
         )
         price = self._mu[s.sub_resource]
-        lat = closed_form_latencies(
-            price, s.pull_base + lam_sum, s.alpha, s.cost, s.err,
-            s.hyper_mask, s.inv_exp, s.lo, s.hi,
-        )
+        lat = closed_form_latencies(s, price, s.pull_base + lam_sum)
         block = s.concave
         if block is not None:
             rows = block.subs
             lat[rows] = solve_concave(block, price[rows], lam_sum[rows])
         return lat
+
+    def _solve_primal(self) -> None:
+        """Replace the primal iterate by Eq. 7 at the current duals; the
+        kept path sums belong to the old latencies, so they go too."""
+        self._lat = self._allocate()
+        self._path_lat = None
 
     # -- load model (Eq. 3 LHS) -------------------------------------------------
 
@@ -388,11 +409,12 @@ class VectorizedEngine:
         mark = time.perf_counter() if phases is not None else 0.0
 
         # (1) Path prices from the *previous* latencies (Eq. 9), then the
-        # batched stationarity solve at old μ / new λ (Eq. 7).
-        path_lat = np.bincount(
-            s.path_ids_flat, weights=self._lat[s.path_sub_flat],
-            minlength=s.n_paths,
-        )
+        # batched stationarity solve at old μ / new λ (Eq. 7).  The path
+        # sums are the last step's, unless the latencies were replaced
+        # since.
+        path_lat = self._path_lat
+        if path_lat is None:
+            path_lat = path_latencies(s, self._lat)
         self._lam = np.maximum(
             0.0, self._lam - gp * (1.0 - path_lat / s.path_crit)
         )
@@ -411,10 +433,8 @@ class VectorizedEngine:
 
         # (3) Congestion classification + step-size feedback on the masks.
         cong_r = loads > s.availability + tol
-        path_lat_new = np.bincount(
-            s.path_ids_flat, weights=lat[s.path_sub_flat],
-            minlength=s.n_paths,
-        )
+        path_lat_new = path_latencies(s, lat)
+        self._path_lat = path_lat_new
         cong_p = path_lat_new > s.path_crit + tol
         self._gammas.observe(cong_r, cong_p)
         if phases is not None:
@@ -428,14 +448,10 @@ class VectorizedEngine:
         )
         per_task = task_utilities(s, agg)
 
-        # Critical-path latencies are observational (they feed records, not
-        # the iteration), computed as the max over the task's path sums.
-        crit = np.maximum.reduceat(path_lat_new, s.task_path_starts)
-
         return StepArrays(
             lat=lat, mu=self._mu, lam=self._lam, loads=loads,
             path_lat=path_lat_new, cong_r=cong_r, cong_p=cong_p,
-            per_task=per_task, crit=crit,
+            per_task=per_task,
         )
 
     def step(self) -> EngineStep:
@@ -455,7 +471,7 @@ class VectorizedEngine:
         self._mu = np.array(
             [resource_prices.get(r, 0.0) for r in s.resource_names]
         )
-        self._lat = self._allocate()
+        self._solve_primal()
         return dict(zip(s.subtask_names, self._lat.tolist()))
 
     def path_prices_dict(self) -> Dict[PathKey, float]:
@@ -483,10 +499,12 @@ class VectorizedEngine:
                            float(self.config.initial_resource_price))
         self.reset_path_prices()
         self._gammas.reset()
-        self._lat = self._allocate()
+        self._solve_primal()
 
     def refresh_model(self) -> None:
-        """Re-read mutable model state (share functions, availabilities)."""
+        """Re-read mutable model state (share functions, availabilities).
+        The kept path sums stay: neither the latencies nor the path
+        incidence change."""
         self.structure.refresh_model()
 
 
@@ -509,15 +527,17 @@ def compute_loads(structure: TaskSetStructure, lat: np.ndarray) -> np.ndarray:
     per-resource loop's visit order.
     """
     s = structure
-    model_lat = lat - s.err
-    if np.any(s.err != 0.0) and np.any(model_lat <= 0.0):
-        idx = int(np.argmax(model_lat <= 0.0))
-        raise ShareError(
-            f"corrected latency {lat[idx]!r} of subtask "
-            f"{s.subtask_names[idx]!r} with error {s.err[idx]!r} maps "
-            "to a non-positive model latency"
-        )
-    if s.hyper_mask.all():
+    model_lat = lat
+    if s.any_error:
+        model_lat = lat - s.err
+        if np.any(model_lat <= 0.0):
+            idx = int(np.argmax(model_lat <= 0.0))
+            raise ShareError(
+                f"corrected latency {lat[idx]!r} of subtask "
+                f"{s.subtask_names[idx]!r} with error {s.err[idx]!r} maps "
+                "to a non-positive model latency"
+            )
+    if s.all_hyperbolic:
         shares = s.cost / model_lat
     else:
         shares = np.where(
@@ -528,6 +548,24 @@ def compute_loads(structure: TaskSetStructure, lat: np.ndarray) -> np.ndarray:
     return np.bincount(
         s.sub_resource, weights=shares, minlength=s.n_resources
     )
+
+
+def path_latencies(structure: TaskSetStructure,
+                   lat: np.ndarray) -> np.ndarray:
+    """Per-path latency sums (Eq. 4 LHS), each path's subtasks added in
+    path order."""
+    s = structure
+    return np.bincount(
+        s.path_ids_flat, weights=lat[s.path_sub_flat], minlength=s.n_paths,
+    )
+
+
+def critical_path_latencies(structure: TaskSetStructure,
+                            path_lat: np.ndarray) -> np.ndarray:
+    """Per-task critical-path latencies: the max over each task's path
+    sums.  Observational only — records and observers read them, the
+    iteration does not."""
+    return np.maximum.reduceat(path_lat, structure.task_path_starts)
 
 
 #: ``log(eps)`` of the log utility's linear extension, as
@@ -604,7 +642,7 @@ class ObservedAssignment:
     cong_p: np.ndarray       #: congested-path mask, shape (P,) bool
     per_task: np.ndarray     #: per-task utilities, shape (T,)
     crit: np.ndarray         #: per-task critical-path latencies, shape (T,)
-    utility: float           #: Σ_i U_i, summed in task order
+    utility: float           #: Σ_i U_i, summed left to right in task order
 
     def feasible(self) -> bool:
         """Whether the assignment satisfies Eqs. 3–4 at the mask tol."""
@@ -624,18 +662,16 @@ def observe_assignment(structure: TaskSetStructure,
     lat = np.array([latencies[name] for name in s.subtask_names])
     loads = compute_loads(s, lat)
     cong_r = loads > s.availability + tol
-    path_lat = np.bincount(
-        s.path_ids_flat, weights=lat[s.path_sub_flat], minlength=s.n_paths,
-    )
+    path_lat = path_latencies(s, lat)
     cong_p = path_lat > s.path_crit + tol
     agg = np.bincount(
         s.sub_task_ids, weights=s.weights * lat,
         minlength=len(s.task_names),
     )
     per_task = task_utilities(s, agg)
-    crit = np.maximum.reduceat(path_lat, s.task_path_starts)
     return ObservedAssignment(
         lat=lat, loads=loads, path_lat=path_lat, cong_r=cong_r,
-        cong_p=cong_p, per_task=per_task, crit=crit,
-        utility=float(sum(per_task.tolist())),
+        cong_p=cong_p, per_task=per_task,
+        crit=critical_path_latencies(s, path_lat),
+        utility=sequential_sum(per_task),
     )

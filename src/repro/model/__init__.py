@@ -10,7 +10,8 @@ Public surface:
 * share functions (:mod:`repro.model.share`);
 * resources (:mod:`repro.model.resources`);
 * triggering events (:mod:`repro.model.events`);
-* percentile composition (:mod:`repro.model.percentile`).
+* percentile composition (:mod:`repro.model.percentile`);
+* the one summation order for utilities (:mod:`repro.model.summation`).
 """
 
 from repro.model.events import (
@@ -40,6 +41,7 @@ from repro.model.serialize import (
     taskset_to_dict,
     taskset_to_json,
 )
+from repro.model.summation import sequential_sum
 from repro.model.task import Subtask, Task, TaskSet
 from repro.model.topology import ComputeStage, NetworkTopology
 from repro.model.utility import (
@@ -78,6 +80,7 @@ __all__ = [
     "ExponentialUtility",
     "InelasticUtility",
     "check_concavity",
+    "sequential_sum",
     "TriggeringEvent",
     "PeriodicEvent",
     "PoissonEvent",

@@ -25,6 +25,7 @@ from repro.model.events import TriggeringEvent
 from repro.model.graph import SubtaskGraph
 from repro.model.resources import Resource
 from repro.model.share import HyperbolicShare, ShareFunction
+from repro.model.summation import sequential_sum
 from repro.model.utility import UtilityFunction
 
 __all__ = ["Subtask", "Task", "TaskSet", "UtilityVariant", "share_function_of"]
@@ -168,10 +169,14 @@ class Task:
     # -- latency / utility ------------------------------------------------------
 
     def aggregated_latency(self, latencies: Mapping[str, float]) -> float:
-        """The scalar fed to the utility function under this task's variant."""
-        return sum(
-            self._weights[n] * latencies[n] for n in self.subtask_names
-        )
+        """The scalar fed to the utility function under this task's variant,
+        added left to right in subtask order on every Python (``sum()``
+        compensates from 3.12 on; the kernel's per-task ``bincount`` does
+        not)."""
+        total = 0.0
+        for n in self.subtask_names:
+            total += self._weights[n] * latencies[n]
+        return total
 
     def utility_value(self, latencies: Mapping[str, float]) -> float:
         """Task utility ``U_i`` at the given subtask latencies."""
@@ -331,8 +336,9 @@ class TaskSet:
     # -- aggregate metrics -------------------------------------------------------
 
     def total_utility(self, latencies: Mapping[str, float]) -> float:
-        """Objective value ``Σ_i U_i`` (Eq. 2)."""
-        return sum(t.utility_value(latencies) for t in self.tasks)
+        """Objective value ``Σ_i U_i`` (Eq. 2), summed in task order by
+        :func:`~repro.model.summation.sequential_sum`."""
+        return sequential_sum([t.utility_value(latencies) for t in self.tasks])
 
     def resource_load(self, resource_name: str,
                       latencies: Mapping[str, float]) -> float:

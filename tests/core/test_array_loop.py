@@ -3,16 +3,20 @@
 :meth:`LLAOptimizer.step` works from the kernel's
 :class:`~repro.core.vectorized.StepArrays`: the convergence
 detector gets a feasibility verdict computed from the arrays, the
-name-keyed record fields and ``optimizer.latencies`` are built only when
-read, and the adaptive step size finds covered paths through the
-structure's (path, resource) pair list.  These tests pin the verdict to
-the object-graph check, the laziness to zero dict-building calls, and the
-records to their own iteration's values.
+name-keyed record fields, their critical-path latencies and
+``optimizer.latencies`` are built only when read, each step's path sums
+serve the next step's Eq. 9 update, and the adaptive step size finds
+covered paths through the structure's (path, resource) pair list.  These
+tests pin the verdict to the object-graph check, the laziness to zero
+dict-building and critical-path calls, the records to their own
+iteration's values, and the kept path sums and model flags to what a
+fresh optimizer and the per-element allocator compute.
 """
 
 import pytest
 
 from repro.core import vectorized
+from repro.core.allocation import LatencyAllocator
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.structure import (
     compile_structure,
@@ -226,6 +230,135 @@ class TestRecordsOwnTheirArrays:
             record = opt.step()
         assert opt.resource_prices.prices == record.resource_prices
         assert opt.resource_prices.prices is not record.resource_prices
+
+
+def step_until_a_path_is_late(opt, limit=400):
+    """Step until some path sum exceeds its critical time, so the next
+    Eq. 9 update moves λ off zero: a stale path sum would show there."""
+    for _ in range(limit):
+        record = opt.step()
+        if (record.arrays.path_lat > opt.structure.path_crit).any():
+            return record
+    raise AssertionError("no path missed its critical time")
+
+
+def assert_same_iterates(opt, fresh, steps=60):
+    for _ in range(steps):
+        a, b = opt.step().arrays, fresh.step().arrays
+        for name in ("lat", "mu", "lam", "loads", "path_lat", "per_task"):
+            assert getattr(a, name).tobytes() == \
+                getattr(b, name).tobytes(), name
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("mutate", ["steps", "reset", "adopt_prices"])
+    @pytest.mark.parametrize("factory", [
+        base_workload, unsorted_generator_workload,
+    ])
+    def test_critical_paths_read_later_are_the_object_graphs(
+            self, mutate, factory):
+        """A record's critical paths, reduced only when read, are the
+        task set's at that record's latencies."""
+        taskset = factory()
+        opt = array_optimizer(taskset)
+        for _ in range(30):
+            held = opt.step()
+        lat = dict(held.latencies)
+        expected = {t.name: t.critical_path(lat)[1] for t in taskset.tasks}
+        if mutate == "reset":
+            opt.reset()
+        elif mutate == "adopt_prices":
+            opt.adopt_prices({r: 0.25 for r in taskset.resources})
+        else:
+            for _ in range(5):
+                opt.step()
+        got = held.critical_paths
+        assert set(got) == set(expected)
+        for name, value in expected.items():
+            # The object graph sums a path from its end (dynamic
+            # programming), the kernel from its start.
+            assert got[name] == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    def test_run_without_history_reduces_no_critical_paths(
+            self, monkeypatch):
+        calls = []
+        reduce = vectorized.critical_path_latencies
+
+        def counted(structure, path_lat):
+            calls.append(len(path_lat))
+            return reduce(structure, path_lat)
+
+        monkeypatch.setattr(vectorized, "critical_path_latencies", counted)
+        opt = LLAOptimizer(separable_taskset(), LLAConfig(
+            record_history=False, max_iterations=2000,
+        ))
+        result = opt.run()
+        assert result.converged and result.iterations > 50
+        assert calls == []
+        opt.step().critical_paths
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mutate", ["reset", "adopt_prices",
+                                        "reallocate"])
+    def test_iterates_after_reallocation_are_a_fresh_optimizers(
+            self, mutate):
+        """Replacing the latencies drops the kept path sums: the next
+        steps are bitwise those of a fresh optimizer."""
+        opt = array_optimizer(base_workload())
+        fresh = array_optimizer(base_workload())
+        step_until_a_path_is_late(opt)
+        prices = {r: 0.75 for r in opt.taskset.resources}
+        if mutate == "reset":
+            opt.reset()
+        elif mutate == "adopt_prices":
+            opt.adopt_prices(prices)
+            fresh.adopt_prices(prices)
+        else:
+            # The engine-level route: the duals reset by hand, then the
+            # primal re-solved at the new μ.
+            for o in (opt, fresh):
+                o._engine.reset_path_prices()
+                o._engine.reset_step_sizes()
+                o._engine.reallocate(prices)
+        assert_same_iterates(opt, fresh)
+
+    @pytest.mark.parametrize("swap", ["corrected", "power_law"])
+    def test_refresh_model_reaches_the_kept_flags(self, swap):
+        """A share swap mid-run (a correction offset, or a non-hyperbolic
+        share) changes Eq. 7 and the loads after ``refresh_model``, as the
+        per-element allocator and the object graph compute them."""
+        taskset = base_workload()
+        twin = array_optimizer(base_workload())
+        opt = array_optimizer(taskset)
+        for _ in range(30):
+            opt.step()
+            twin.step()
+        assert not opt.structure.any_error
+        assert opt.structure.all_hyperbolic
+        corrected = swap == "corrected"
+        for _task, sub in taskset.subtasks_on("r1"):
+            base = taskset.share_function(sub.name)
+            fn = CorrectedShare(base, error=0.5 * opt.latencies[sub.name]) \
+                if corrected else PowerLawShare(cost=3.0, alpha=2.0)
+            taskset.set_share_function(sub.name, fn)
+        opt.refresh_model()
+        s = opt.structure
+        assert s.any_error == corrected
+        assert s.all_hyperbolic == corrected
+        engine = opt._engine
+        kernel = dict(zip(s.subtask_names, engine._allocate().tolist()))
+        prices = opt.resource_prices.prices
+        path_prices = engine.path_prices_dict()
+        for task in taskset.tasks:
+            assert LatencyAllocator(taskset, task).allocate(
+                prices, path_prices) == \
+                {n: kernel[n] for n in task.subtask_names}
+        for _ in range(5):
+            record, before = opt.step(), twin.step()
+            assert record.resource_loads == pytest.approx(
+                taskset.resource_loads(record.latencies), rel=1e-12)
+        assert record.latencies != before.latencies
+        assert record.resource_loads != before.resource_loads
 
 
 class TestPairIncidence:

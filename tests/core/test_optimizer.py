@@ -4,7 +4,11 @@ import pytest
 
 from repro.baselines.centralized import solve_centralized
 from repro.core.optimizer import LLAConfig, LLAOptimizer
-from repro.core.stepsize import FixedStepSize
+from repro.core.stepsize import (
+    DEFAULT_MAX_GAMMA,
+    AdaptiveStepSize,
+    FixedStepSize,
+)
 from repro.errors import OptimizationError
 from repro.model.utility import ExponentialUtility
 from tests.conftest import make_chain_taskset
@@ -130,6 +134,17 @@ class TestConfig:
         # construction unvalidated.
         with pytest.raises(OptimizationError):
             LLAConfig(**kwargs)
+
+    def test_rejects_initial_gamma_above_the_default_cap(self, base_ts):
+        """Without a step policy the default adaptive one is built, whose
+        cap (8) may not be below its start."""
+        with pytest.raises(OptimizationError, match="initial_gamma"):
+            LLAConfig(initial_gamma=DEFAULT_MAX_GAMMA * 2)
+        LLAConfig(initial_gamma=DEFAULT_MAX_GAMMA)
+        # An explicit policy owns its own γ; initial_gamma is unused.
+        LLAConfig(initial_gamma=DEFAULT_MAX_GAMMA * 2,
+                  step_policy=AdaptiveStepSize(base_ts, initial_gamma=16.0,
+                                               max_gamma=64.0))
 
     def test_fixed_factory(self):
         config = LLAConfig.fixed(0.5, max_iterations=10)

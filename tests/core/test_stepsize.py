@@ -89,6 +89,21 @@ class TestAdaptiveStepSize:
         with pytest.raises(OptimizationError):
             AdaptiveStepSize(base_ts, growth=1.0)
 
+    @pytest.mark.parametrize("initial_gamma, max_gamma", [
+        (1.0, 0.5), (16.0, 8.0),
+    ])
+    def test_rejects_a_cap_below_the_start(self, base_ts, initial_gamma,
+                                           max_gamma):
+        """Regression: a cap below ``initial_gamma`` was accepted, and
+        "escalation" then lowered γ below its start (the kernel's
+        γ_p = max(cover, direct) relies on the cap being at least it)."""
+        with pytest.raises(OptimizationError, match="max_gamma"):
+            AdaptiveStepSize(base_ts, initial_gamma=initial_gamma,
+                             max_gamma=max_gamma)
+        # A cap equal to the start is a fixed γ, and allowed.
+        AdaptiveStepSize(base_ts, initial_gamma=initial_gamma,
+                         max_gamma=initial_gamma)
+
 
 class TestDirectPathCongestion:
     """Regression: a path violating its *own* critical-time constraint must
