@@ -8,10 +8,13 @@ subtask must not grow with size — far from the quadratic-or-worse growth
 a centralized re-solve would show.  At these sizes the kernel's fixed
 per-iteration cost dominates, so the cost per subtask falls as size grows.
 
-A second test times ``LLAOptimizer.step`` at 10k subtasks, the shape of
-llabench's ``solve`` instance, where the per-subtask array work dominates
-instead.  It records its rate without a gate: CI hosts vary too much for
-an absolute bound.
+A second test times ``LLAOptimizer.step`` at llabench's shapes, where
+the per-subtask array work dominates instead: 1k, 10k (the ``solve``
+instance) and 100k subtasks, plus the 10k instance at provisioning 2.0,
+where path constraints bind and the path prices are rarely idle.  It
+records compile and construction time, the step rate and the share of
+steps that skipped the Eq. 9 update, without a gate: CI hosts vary too
+much for an absolute bound.
 """
 
 import time
@@ -21,6 +24,7 @@ import pytest
 
 import _report
 from repro.core.optimizer import LLAConfig, LLAOptimizer
+from repro.core.structure import compile_structure
 from repro.workloads.generator import GeneratorConfig, random_workload
 
 _BENCH = _report.bench_name(__file__)
@@ -70,34 +74,54 @@ def test_iteration_cost_scales_linearly(benchmark):
 
 
 
-def _step_cost(config: GeneratorConfig, seed: int, warmup: int,
-               steps: int) -> Tuple[float, int]:
-    """(seconds per ``LLAOptimizer.step``, subtask count) after ``warmup``
-    untimed steps."""
-    taskset = random_workload(config, seed=seed)
-    optimizer = LLAOptimizer(taskset, LLAConfig(record_history=False))
-    for _ in range(warmup):
-        optimizer.step()
-    start = time.perf_counter()
-    for _ in range(steps):
-        optimizer.step()
-    elapsed = time.perf_counter() - start
-    return elapsed / steps, len(taskset.all_subtasks)
+#: llabench's four-subtask shapes at generator seed 7 (tasks, resources,
+#: provisioning), keyed by the suffix of the recorded metric names.
+SHAPES = {
+    "1000_subtasks": (250, 200, 0.8),
+    "10000_subtasks": (2500, 2000, 0.8),
+    "100000_subtasks": (25_000, 20_000, 0.8),
+    "10000_subtasks_provisioning_2": (2500, 2000, 2.0),
+}
 
 
 @pytest.mark.benchmark(group="scaling")
-def test_step_cost_at_benchmark_size(benchmark):
-    """One step at llabench ``solve``'s shape: 2,500 tasks of 4 subtasks on
-    2,000 resources, generator seed 7."""
-    config = GeneratorConfig(n_tasks=2500, n_resources=2000,
-                             min_subtasks=4, max_subtasks=4)
-    cost, n = benchmark.pedantic(
-        lambda: _step_cost(config, seed=7, warmup=20, steps=200),
-        rounds=1, iterations=1,
-    )
-    assert n == 10_000
-    _report.record_value(_BENCH, f"iterations_per_sec.{n}_subtasks",
-                         1.0 / cost)
-    _report.record_value(_BENCH, f"step_us.{n}_subtasks", 1e6 * cost)
-    print(f"\n  {n} subtasks: {1e6 * cost:7.1f} us/step "
-          f"({1.0 / cost:.0f} it/s)")
+@pytest.mark.parametrize("label", SHAPES)
+def test_step_cost_at_benchmark_size(benchmark, label):
+    """One ``LLAOptimizer.step`` at a llabench shape, timed over 200 steps
+    after 20 untimed ones."""
+    n_tasks, n_resources, provisioning = SHAPES[label]
+    taskset = random_workload(GeneratorConfig(
+        n_tasks=n_tasks, n_resources=n_resources, min_subtasks=4,
+        max_subtasks=4, provisioning=provisioning,
+    ), seed=7)
+    assert len(taskset.all_subtasks) == 4 * n_tasks
+
+    def run():
+        start = time.perf_counter()
+        structure = compile_structure(taskset)
+        compiled = time.perf_counter()
+        optimizer = LLAOptimizer(taskset, LLAConfig(record_history=False),
+                                 structure=structure)
+        built = time.perf_counter()
+        for _ in range(20):
+            optimizer.step()
+        idle = 0
+        steps = 200
+        stepping = time.perf_counter()
+        for _ in range(steps):
+            optimizer.step()
+            idle += optimizer._engine.idle_path_step
+        cost = (time.perf_counter() - stepping) / steps
+        return compiled - start, built - compiled, cost, idle / steps
+
+    compile_s, construct_s, cost, idle_share = benchmark.pedantic(
+        run, rounds=1, iterations=1)
+    for metric, value in (("compile_s", compile_s),
+                          ("construct_s", construct_s),
+                          ("iterations_per_sec", 1.0 / cost),
+                          ("step_us", 1e6 * cost),
+                          ("idle_share", idle_share)):
+        _report.record_value(_BENCH, f"{metric}.{label}", value)
+    print(f"\n  {label}: compile {compile_s:.2f} s, construct "
+          f"{construct_s:.3f} s, {1e6 * cost:7.1f} us/step "
+          f"({1.0 / cost:.0f} it/s), {idle_share:.0%} idle steps")

@@ -28,6 +28,7 @@ synchronous bus (asserted by integration tests).
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import (
@@ -130,6 +131,14 @@ class LLAConfig:
         """Reject inconsistent knobs at construction (REP008): a bad
         budget or tolerance caught here would otherwise surface hundreds
         of iterations later as a spurious non-convergence."""
+        for name in ("initial_gamma", "initial_resource_price",
+                     "initial_path_price", "utility_tol", "feasibility_tol",
+                     "utility_floor", "congestion_tol", "max_latency_factor"):
+            # NaN passes every comparison below; a NaN or infinite γ or
+            # price runs the whole budget and returns utility nan.
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise OptimizationError(f"{name} must be finite, got {value!r}")
         if self.max_iterations < 1:
             raise OptimizationError(
                 f"max_iterations must be >= 1, got {self.max_iterations!r}"
@@ -450,6 +459,9 @@ class LLAOptimizer:
                 "congested_paths": registry.counter(
                     "lla.congested_paths_total",
                     "congested-path observations (path-iterations)"),
+                "idle_path_steps": registry.counter(
+                    "lla.idle_path_steps_total",
+                    "iterations whose Eq. 9 update was skipped"),
             }
         m = self._metrics
         deltas = [
@@ -463,6 +475,8 @@ class LLAOptimizer:
         m["price_drift"].set(drift)
         m["congested_resources"].inc(len(record.congested_resources))
         m["congested_paths"].inc(len(record.congested_paths))
+        if self._engine.idle_path_step:
+            m["idle_path_steps"].inc()
 
         tracer = self.telemetry.tracer
         if tracer.enabled:

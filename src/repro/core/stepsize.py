@@ -16,6 +16,7 @@ and the distributed agents are policy-agnostic.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Optional, Set, Tuple
 
@@ -62,13 +63,15 @@ class FixedStepSize(StepSizePolicy):
     """
 
     def __init__(self, gamma: float, path_gamma: float | None = None) -> None:
-        if gamma <= 0.0:
-            raise OptimizationError(f"step size must be positive, got {gamma!r}")
+        if not (gamma > 0.0 and math.isfinite(gamma)):
+            raise OptimizationError(
+                f"step size must be positive and finite, got {gamma!r}"
+            )
         self._gamma = float(gamma)
         self._path_gamma = float(path_gamma) if path_gamma is not None else self._gamma
-        if self._path_gamma <= 0.0:
+        if not (self._path_gamma > 0.0 and math.isfinite(self._path_gamma)):
             raise OptimizationError(
-                f"path step size must be positive, got {path_gamma!r}"
+                f"path step size must be positive and finite, got {path_gamma!r}"
             )
 
     def resource_gamma(self, resource: str) -> float:
@@ -124,6 +127,10 @@ class AdaptiveStepSize(StepSizePolicy):
     def __init__(self, taskset: TaskSet, initial_gamma: float = 1.0,
                  growth: float = 2.0,
                  max_gamma: float = DEFAULT_MAX_GAMMA) -> None:
+        for name, value in (("initial_gamma", initial_gamma),
+                            ("growth", growth), ("max_gamma", max_gamma)):
+            if not math.isfinite(value):
+                raise OptimizationError(f"{name} must be finite, got {value!r}")
         if initial_gamma <= 0.0:
             raise OptimizationError(
                 f"initial step size must be positive, got {initial_gamma!r}"

@@ -31,8 +31,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Any, Deque, Dict, Mapping, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -73,10 +76,6 @@ __all__ = [
     "task_utility",
     "observe_assignment",
 ]
-
-#: γ suppliers return either two scalars (fixed policy) or two arrays.
-GammaPair = Tuple[Union[float, np.ndarray], Union[float, np.ndarray]]
-
 
 @dataclass
 class StepArrays:
@@ -216,8 +215,11 @@ class _FixedGammas:
         self._gr = float(resource_gamma)
         self._gp = float(path_gamma)
 
-    def gammas(self) -> GammaPair:
-        return self._gr, self._gp
+    def resource_gammas(self) -> float:
+        return self._gr
+
+    def path_gammas(self) -> float:
+        return self._gp
 
     def observe(self, cong_r: np.ndarray, cong_p: np.ndarray) -> None:
         pass
@@ -226,11 +228,36 @@ class _FixedGammas:
         pass
 
 
+#: The most congestion masks :class:`_AdaptiveGammas` holds unapplied.
+_MAX_PENDING = 64
+
+
+def _saturation_depth(initial: float, growth: float, cap: float) -> int:
+    """K: how many consecutive escalations ``min(γ·growth, cap)`` take γ
+    from ``initial`` to ``cap``, counted with that arithmetic and at most
+    to ``_MAX_PENDING + 1``."""
+    depth, gamma = 0, initial
+    while gamma < cap and depth <= _MAX_PENDING:
+        gamma = min(gamma * growth, cap)
+        depth += 1
+    return depth
+
+
 class _AdaptiveGammas:
     """Array form of :meth:`AdaptiveStepSize.observe`.
 
     Owns the γ vectors itself; the policy object is not consulted per
     iteration (its dict state stays at the initial γ).
+
+    γ_r is escalated on every :meth:`observe`: Eq. 8 reads it every step.
+    γ_p is read only by Eq. 9, which the engine skips while the path
+    prices are idle, so :meth:`observe` queues the masks and
+    :meth:`path_gammas` replays them in order.  The queue keeps the last
+    K masks (:func:`_saturation_depth`).  That is exact: after K masks, a
+    path state is either saturated or counted up from the initial γ since
+    its last inactive step, whatever it was before them.  When K exceeds
+    ``_MAX_PENDING``, a full queue applies its oldest mask before taking
+    a new one.
     """
 
     def __init__(self, initial_gamma: float, growth: float, max_gamma: float,
@@ -244,22 +271,46 @@ class _AdaptiveGammas:
         self._gp = np.full(structure.n_paths, self._initial)
         self._cover = np.full(structure.n_paths, self._initial)
         self._direct = np.full(structure.n_paths, self._initial)
+        depth = _saturation_depth(self._initial, self._growth, self._max)
+        self._pending: Deque[Tuple[np.ndarray, np.ndarray]] = deque(
+            maxlen=min(depth, _MAX_PENDING))
+        self._apply_oldest = depth > _MAX_PENDING
 
-    def gammas(self) -> GammaPair:
-        return self._gr, self._gp
+    def resource_gammas(self) -> np.ndarray:
+        return self._gr
+
+    def path_gammas(self) -> np.ndarray:
+        """γ_p after every observed step: the queued masks applied."""
+        pending = self._pending
+        if pending:
+            for cong_r, cong_p in pending:
+                self._escalate_paths(cong_r, cong_p)
+            pending.clear()
+            # An inactive trigger sits at the initial γ, and an active one
+            # never below it (growth > 1 and max ≥ initial, both validated
+            # by AdaptiveStepSize), so the larger of the two is the
+            # largest active escalation, or the initial γ when neither is
+            # active.
+            self._gp = np.maximum(self._cover, self._direct)
+        return self._gp
 
     def observe(self, cong_r: np.ndarray, cong_p: np.ndarray) -> None:
         self._gr = np.where(
             cong_r, np.minimum(self._gr * self._growth, self._max),
             self._initial,
         )
+        pending = self._pending
+        if self._apply_oldest and len(pending) == pending.maxlen:
+            self._escalate_paths(*pending.popleft())
+        pending.append((cong_r, cong_p))
+
+    def _escalate_paths(self, cong_r: np.ndarray, cong_p: np.ndarray) -> None:
         # Two independent escalation states per path (resource coverage
-        # vs direct constraint violation); serve the largest active one.
-        # A path is covered when any of its (path, resource) incidence
-        # pairs names a congested resource.  np.compress picks the same
-        # paths as boolean indexing, at a third of its cost when many
-        # resources are congested.
-        covered = np.zeros(self._gp.shape, dtype=bool)
+        # vs direct constraint violation).  A path is covered when any of
+        # its (path, resource) incidence pairs names a congested resource.
+        # np.compress picks the same paths as boolean indexing, at a third
+        # of its cost when many resources are congested.
+        covered = np.zeros(self._cover.shape, dtype=bool)
         covered[np.compress(cong_r[self._pr_res], self._pr_path)] = True
         self._cover = np.where(
             covered, np.minimum(self._cover * self._growth, self._max),
@@ -269,17 +320,13 @@ class _AdaptiveGammas:
             cong_p, np.minimum(self._direct * self._growth, self._max),
             self._initial,
         )
-        # An inactive trigger sits at the initial γ, and an active one
-        # never below it (growth > 1 and max ≥ initial, both validated by
-        # AdaptiveStepSize), so the larger of the two is the largest
-        # active escalation, or the initial γ when neither is active.
-        self._gp = np.maximum(self._cover, self._direct)
 
     def reset(self) -> None:
         self._gr = np.full_like(self._gr, self._initial)
         self._gp = np.full_like(self._gp, self._initial)
         self._cover = np.full_like(self._cover, self._initial)
         self._direct = np.full_like(self._direct, self._initial)
+        self._pending.clear()
 
 
 #: The union of γ supplier implementations.
@@ -314,9 +361,12 @@ class VectorizedEngine:
     replaces rather than overwrites them, so the :class:`StepArrays` it
     hands out stay valid.  Beside the latencies it keeps their path sums
     from the last step, which the next step's Eq. 9 update reads; they
-    are dropped whenever the latencies are replaced outside a step.  The
-    optimizer facade runs on :meth:`step_arrays`; :meth:`step`
-    materializes an :class:`EngineStep` for callers that want dicts.
+    are dropped whenever the latencies are replaced outside a step.
+    While the path prices are idle (every λ is +0.0 and every kept path
+    sum is at most its critical time), Eq. 9 would leave every λ at +0.0,
+    so a step skips it and the λ gather.  The optimizer facade runs on
+    :meth:`step_arrays`; :meth:`step` materializes an
+    :class:`EngineStep` for callers that want dicts.
     Model mutations (error correction, ``set_availability``) require
     :meth:`refresh_model`, same contract as
     :meth:`LatencyAllocator.refresh_bounds`.
@@ -352,6 +402,10 @@ class VectorizedEngine:
         s = self.structure
         self._mu = np.full(s.n_resources, float(config.initial_resource_price))
         self._lam = np.full(s.n_paths, float(config.initial_path_price))
+        self._lam_idle = _all_positive_zero(self._lam)
+        #: ``Σ_{p ∋ s} λ_p`` per subtask while every λ is +0.0.
+        self._zero_lam_sum = np.zeros(s.n_subtasks)
+        self._idle_path_step = False
         #: path sums of ``_lat`` kept from the last step; ``None`` until
         #: a step computes them.
         self._path_lat: Optional[np.ndarray] = None
@@ -370,14 +424,21 @@ class VectorizedEngine:
     def _allocate(self) -> np.ndarray:
         """Eq. 7 at the current duals: the closed form for every row, then
         the exact solve over the log/quadratic tasks' rows (skipped when
-        the structure has none)."""
+        the structure has none).  While every λ is +0.0 the pull is
+        ``pull_base`` itself: it is never −0.0, so adding the zero λ sums
+        would not change a bit."""
         s = self.structure
-        lam_sum = np.bincount(
-            s.sub_ids_flat, weights=self._lam[s.sub_path_flat],
-            minlength=s.n_subtasks,
-        )
+        if self._lam_idle:
+            lam_sum = self._zero_lam_sum
+            pull = s.pull_base
+        else:
+            lam_sum = np.bincount(
+                s.sub_ids_flat, weights=self._lam[s.sub_path_flat],
+                minlength=s.n_subtasks,
+            )
+            pull = s.pull_base + lam_sum
         price = self._mu[s.sub_resource]
-        lat = closed_form_latencies(s, price, s.pull_base + lam_sum)
+        lat = closed_form_latencies(s, price, pull)
         block = s.concave
         if block is not None:
             rows = block.subs
@@ -404,20 +465,26 @@ class VectorizedEngine:
         the optimizer stays here."""
         s = self.structure
         tol = self.config.congestion_tol
-        gr, gp = self._gammas.gammas()
         phases = self._phase_timers()
         mark = time.perf_counter() if phases is not None else 0.0
 
         # (1) Path prices from the *previous* latencies (Eq. 9), then the
         # batched stationarity solve at old μ / new λ (Eq. 7).  The path
         # sums are the last step's, unless the latencies were replaced
-        # since.
+        # since.  From λ = +0.0 and path_lat ≤ C, Eq. 9 gives
+        # max(0, 0 − γ_p·(1 − ratio)) = +0.0 for every finite γ_p > 0, so
+        # idle path prices skip it (a NaN sum is never slack).
         path_lat = self._path_lat
         if path_lat is None:
             path_lat = path_latencies(s, self._lat)
-        self._lam = np.maximum(
-            0.0, self._lam - gp * (1.0 - path_lat / s.path_crit)
-        )
+        self._idle_path_step = self._lam_idle and \
+            bool((path_lat <= s.path_crit).all())
+        if not self._idle_path_step:
+            gp = self._gammas.path_gammas()
+            self._lam = np.maximum(
+                0.0, self._lam - gp * (1.0 - path_lat / s.path_crit)
+            )
+            self._lam_idle = _all_positive_zero(self._lam)
         if phases is not None:
             mark = phases.lap("path_update", mark)
         lat = self._allocate()
@@ -427,6 +494,7 @@ class VectorizedEngine:
 
         # (2) Resource prices from the new latencies (Eq. 8).
         loads = self._loads(lat)
+        gr = self._gammas.resource_gammas()
         self._mu = np.maximum(0.0, self._mu - gr * (s.availability - loads))
         if phases is not None:
             mark = phases.lap("price_update", mark)
@@ -457,6 +525,12 @@ class VectorizedEngine:
     def step(self) -> EngineStep:
         """One LLA iteration with every output in name-keyed form."""
         return EngineStep.of(self.structure, self.step_arrays())
+
+    @property
+    def idle_path_step(self) -> bool:
+        """Whether the last step found the path prices idle and skipped
+        its Eq. 9 update (``False`` before the first step)."""
+        return self._idle_path_step
 
     # -- facade support ---------------------------------------------------------
 
@@ -490,6 +564,7 @@ class VectorizedEngine:
         earlier iterations still hold the old one."""
         self._lam = np.full(self.structure.n_paths,
                             float(self.config.initial_path_price))
+        self._lam_idle = _all_positive_zero(self._lam)
 
     def reset(self) -> None:
         """Back to initial duals and step sizes (primal follows via
@@ -503,9 +578,16 @@ class VectorizedEngine:
 
     def refresh_model(self) -> None:
         """Re-read mutable model state (share functions, availabilities).
-        The kept path sums stay: neither the latencies nor the path
-        incidence change."""
+        The kept path sums and the idle flag stay: neither the latencies,
+        λ, the path incidence nor the critical times change."""
         self.structure.refresh_model()
+
+
+def _all_positive_zero(values: np.ndarray) -> bool:
+    """Whether every entry is +0.0, compared by bit pattern.  −0.0 is not
+    idle: Eq. 9 from λ = −0.0 can write +0.0, so skipping it would keep
+    the wrong sign bit (``np.maximum(0.0, -0.0)`` is −0.0)."""
+    return not values.view(np.uint64).any()
 
 
 # -- structure-level observation ------------------------------------------------

@@ -21,6 +21,7 @@ the agents themselves never see global state.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -104,6 +105,12 @@ class DistributedConfig:
                 f"loss_probability must be in [0, 1], "
                 f"got {self.loss_probability!r}"
             )
+        for name in ("initial_resource_price", "initial_path_price",
+                     "initial_gamma", "max_gamma", "max_latency_factor"):
+            # NaN passes every comparison below.
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DistributedError(f"{name} must be finite, got {value!r}")
         if self.seed < 0:
             # default_rng rejects negative seeds, but only when the bus
             # first draws — mid-run, not at construction.

@@ -1,5 +1,7 @@
 """Integration-grade unit tests for the LLA optimizer."""
 
+import math
+
 import pytest
 
 from repro.baselines.centralized import solve_centralized
@@ -134,6 +136,19 @@ class TestConfig:
         # construction unvalidated.
         with pytest.raises(OptimizationError):
             LLAConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "initial_gamma", "initial_resource_price", "initial_path_price",
+        "utility_tol", "feasibility_tol", "utility_floor", "congestion_tol",
+        "max_latency_factor",
+    ])
+    def test_rejects_non_finite_tunables(self, name, value):
+        """Regression: NaN passed every sign check (and +inf the price
+        checks), so a NaN γ or price ran the whole budget and returned
+        utility nan."""
+        with pytest.raises(OptimizationError, match=f"{name} must be finite"):
+            LLAConfig(**{name: value})
 
     def test_rejects_initial_gamma_above_the_default_cap(self, base_ts):
         """Without a step policy the default adaptive one is built, whose

@@ -1,5 +1,7 @@
 """Unit tests for step-size policies (Section 5.2's heuristic)."""
 
+import math
+
 import pytest
 
 from repro.core.state import PathKey
@@ -28,6 +30,14 @@ class TestFixedStepSize:
             FixedStepSize(0.0)
         with pytest.raises(OptimizationError):
             FixedStepSize(1.0, path_gamma=-1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, value):
+        # Regression: NaN passed the sign check, and +inf was accepted.
+        with pytest.raises(OptimizationError, match="finite"):
+            FixedStepSize(value)
+        with pytest.raises(OptimizationError, match="finite"):
+            FixedStepSize(1.0, path_gamma=value)
 
 
 class TestAdaptiveStepSize:
@@ -88,6 +98,18 @@ class TestAdaptiveStepSize:
             AdaptiveStepSize(base_ts, initial_gamma=0.0)
         with pytest.raises(OptimizationError):
             AdaptiveStepSize(base_ts, growth=1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"initial_gamma": math.nan}, {"growth": math.nan},
+        {"growth": math.inf}, {"max_gamma": math.nan},
+        {"max_gamma": math.inf},
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejects_non_finite_params(self, base_ts, kwargs):
+        """Regression: NaN passed every ordering check and an infinite
+        cap was accepted, so γ could escalate to inf and λ to nan."""
+        (name,) = kwargs
+        with pytest.raises(OptimizationError, match=f"{name} must be finite"):
+            AdaptiveStepSize(base_ts, **kwargs)
 
     @pytest.mark.parametrize("initial_gamma, max_gamma", [
         (1.0, 0.5), (16.0, 8.0),

@@ -12,15 +12,22 @@ is caught before it flips an adaptive-γ branch.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.stepsize import AdaptiveStepSize, FixedStepSize
+from repro.core.structure import compile_structure
+from repro.core.vectorized import _AdaptiveGammas, _saturation_depth
 from repro.errors import OptimizationError
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.model.share import PowerLawShare, ShareFunction
 from repro.model.utility import ExponentialUtility
-from repro.workloads.paper import base_workload, scaled_workload
+from repro.workloads.paper import (
+    base_workload,
+    prototype_workload,
+    scaled_workload,
+)
 from tests.conftest import make_chain_taskset
 from tests.core.reference import ScalarLLA
 from tests.core.test_inelastic import mixed_taskset
@@ -74,6 +81,33 @@ def assert_records_match(scalar, vector):
         for key in s:
             assert v[key] == pytest.approx(s[key], rel=1e-9, abs=0.0), \
                 (field, key)
+    assert set(vector.congested_resources) == set(scalar.congested_resources)
+    assert set(vector.congested_paths) == set(scalar.congested_paths)
+
+
+def _bits(values):
+    """The float64 bit patterns of ``values``: ±0.0 and every ulp differ."""
+    return np.asarray(list(values), dtype=np.float64).view(np.uint64)
+
+
+def assert_records_bitwise(scalar, vector):
+    """Two IterationRecords equal bit for bit, the sign bits of λ
+    included (``pytest.approx`` treats ±0.0 as equal).  The observational
+    ``critical_paths`` alone is compared as :func:`assert_records_match`
+    does: the reference's longest-path DP adds each path from its leaf,
+    the kernel in path order, so the two may differ in the last ulp."""
+    assert vector.iteration == scalar.iteration
+    assert _bits([vector.utility]) == _bits([scalar.utility])
+    for field in ("latencies", "resource_prices", "path_prices",
+                  "resource_loads"):
+        s, v = getattr(scalar, field), getattr(vector, field)
+        assert set(v) == set(s), field
+        keys = sorted(s)
+        assert np.array_equal(_bits(v[k] for k in keys),
+                              _bits(s[k] for k in keys)), field
+    for task, crit in scalar.critical_paths.items():
+        assert vector.critical_paths[task] == pytest.approx(
+            crit, rel=1e-9, abs=0.0), task
     assert set(vector.congested_resources) == set(scalar.congested_resources)
     assert set(vector.congested_paths) == set(scalar.congested_paths)
 
@@ -140,6 +174,24 @@ class TestRecordParity:
         for _ in range(400):
             assert_records_match(s_opt.step(), v_opt.step())
 
+    def test_prototype_idle_switching_records(self):
+        """The Section 6.2 prototype under adaptive γ: the path prices
+        leave and re-enter idle many times in 1,500 steps, so every
+        skipped Eq. 9 update and every replay of the queued γ_p masks is
+        checked, bit for bit."""
+        s_opt, v_opt = _pair(prototype_workload, max_iterations=1500,
+                             stop_on_convergence=False)
+        for _ in range(1500):
+            assert_records_bitwise(s_opt.step(), v_opt.step())
+
+    def test_negative_zero_initial_path_price_records(self):
+        """λ = −0.0 is not idle: Eq. 9 must run and write +0.0, as the
+        per-element update does."""
+        s_opt, v_opt = _pair(base_workload, initial_path_price=-0.0,
+                             max_iterations=300, stop_on_convergence=False)
+        for _ in range(300):
+            assert_records_bitwise(s_opt.step(), v_opt.step())
+
     def test_power_law_share_records(self):
         def taskset():
             ts = make_chain_taskset()
@@ -152,6 +204,76 @@ class TestRecordParity:
                              stop_on_convergence=False)
         for _ in range(150):
             assert_records_match(s_opt.step(), v_opt.step())
+
+
+#: (initial γ, growth, cap) → K, the escalations from the start to the
+#: cap; the last one is counted only past the 64 queued masks.
+GAMMA_PARAMS = {
+    (1.0, 2.0, 1.0): 0,
+    (1.0, 2.0, 2.0): 1,
+    (1.0, 2.0, 8.0): 3,
+    (1.0, 2.0, 1e6): 20,
+    (1.0, 1.01, 8.0): 65,
+}
+
+
+@st.composite
+def mask_runs(draw, n_res, n_path):
+    """Congestion masks in runs of repeats (so long coverage streaks
+    occur), the steps after which γ_p is read and those after which
+    both suppliers are reset."""
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        cong_r = np.array(draw(st.lists(st.booleans(), min_size=n_res,
+                                        max_size=n_res)))
+        cong_p = np.array(draw(st.lists(st.booleans(), min_size=n_path,
+                                        max_size=n_path)))
+        steps += [(cong_r, cong_p)] * draw(st.integers(1, 150))
+    indices = st.integers(0, len(steps) - 1)
+    return steps, draw(st.sets(indices)), draw(st.sets(indices, max_size=2))
+
+
+class TestLazyPathGammas:
+    """γ_p applied on read equals the per-element policy updated every
+    step, bit for bit, whatever the read cadence."""
+
+    taskset = base_workload()
+    structure = compile_structure(taskset)
+
+    @pytest.mark.parametrize("params, depth", GAMMA_PARAMS.items(),
+                             ids=[f"K={k}" for k in GAMMA_PARAMS.values()])
+    def test_saturation_depth(self, params, depth):
+        assert _saturation_depth(*params) == depth
+
+    @pytest.mark.parametrize("params", GAMMA_PARAMS,
+                             ids=[f"K={k}" for k in GAMMA_PARAMS.values()])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_eager_policy(self, params, data):
+        s = self.structure
+        steps, reads, resets = data.draw(
+            mask_runs(s.n_resources, s.n_paths))
+        initial, growth, cap = params
+        lazy = _AdaptiveGammas(initial, growth, cap, s)
+        eager = AdaptiveStepSize(self.taskset, initial_gamma=initial,
+                                 growth=growth, max_gamma=cap)
+        eager.reset()
+        for i, (cong_r, cong_p) in enumerate(steps):
+            lazy.observe(cong_r, cong_p)
+            eager.observe(
+                [s.resource_names[r] for r in np.flatnonzero(cong_r)],
+                [s.path_keys[p] for p in np.flatnonzero(cong_p)],
+            )
+            assert np.array_equal(
+                lazy.resource_gammas().view(np.uint64),
+                _bits(eager.resource_gamma(r) for r in s.resource_names))
+            if i in reads or i == len(steps) - 1:
+                assert np.array_equal(
+                    lazy.path_gammas().view(np.uint64),
+                    _bits(eager.path_gamma(k) for k in s.path_keys)), i
+            if i in resets:
+                lazy.reset()
+                eager.reset()
 
 
 class TestFacadeParity:

@@ -1,5 +1,7 @@
 """Integration tests for the distributed LLA runtime (Section 4.1)."""
 
+import math
+
 import pytest
 
 from repro.core.optimizer import LLAConfig, LLAOptimizer
@@ -26,6 +28,16 @@ class TestConfigValidation:
         # construction unvalidated.
         with pytest.raises(DistributedError):
             DistributedConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "initial_resource_price", "initial_path_price", "initial_gamma",
+        "max_gamma", "max_latency_factor",
+    ])
+    def test_rejects_non_finite_tunables(self, name, value):
+        # Regression: NaN passed every sign and ordering check.
+        with pytest.raises(DistributedError, match=f"{name} must be finite"):
+            DistributedConfig(**{name: value})
 
     def test_refuses_a_model_outside_the_kernel_family(self):
         """A convex utility is refused at construction, naming it, as

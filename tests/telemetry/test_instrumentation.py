@@ -10,6 +10,7 @@ The load-bearing guarantees:
 
 import logging
 
+import numpy as np
 import pytest
 
 from repro.analysis.trace import summarize_trace
@@ -24,7 +25,7 @@ from repro.telemetry import (
     records_from_trace_file,
     summarize_trace_file,
 )
-from repro.workloads.paper import base_workload
+from repro.workloads.paper import base_workload, make_workload
 
 
 class TestOptimizerTracing:
@@ -87,6 +88,41 @@ class TestOptimizerTracing:
         assert snap["lla.iteration_seconds"]["count"] == 100
         assert "lla.utility" in snap
         assert "lla.price_drift" in snap
+
+    def test_idle_path_steps_cover_a_slack_run(self):
+        """On ``scaled`` no path ever binds, so every Eq. 9 update is
+        skipped."""
+        telemetry = Telemetry.in_memory()
+        result = LLAOptimizer(
+            make_workload("scaled"),
+            LLAConfig(max_iterations=300, stop_on_convergence=False),
+            telemetry=telemetry,
+        ).run()
+        idle = telemetry.registry.get("lla.idle_path_steps_total")
+        assert idle.value == result.iterations == 300
+
+    def test_idle_path_steps_follow_the_records(self):
+        """On ``prototype`` λ leaves and re-enters idle: a step counts
+        when the λ before it is all +0.0 and every path had slack."""
+        taskset = make_workload("prototype")
+        telemetry = Telemetry.in_memory()
+        optimizer = LLAOptimizer(
+            taskset, LLAConfig(max_iterations=1500, stop_on_convergence=False),
+            telemetry=telemetry,
+        )
+        critical = {task.name: task.critical_time for task in taskset.tasks}
+        lam = [0.0]
+        crit = {task.name: task.critical_path(optimizer.latencies)[1]
+                for task in taskset.tasks}
+        expected = 0
+        for record in optimizer.run().history:
+            bits = np.asarray(lam, dtype=np.float64).view(np.uint64)
+            expected += not bits.any() and all(
+                crit[name] <= critical[name] for name in critical)
+            lam = list(record.path_prices.values())
+            crit = record.critical_paths
+        idle = telemetry.registry.get("lla.idle_path_steps_total")
+        assert 0 < idle.value == expected < 1500
 
     def test_non_convergence_warning(self, caplog):
         config = LLAConfig(max_iterations=3, stop_on_convergence=True)
