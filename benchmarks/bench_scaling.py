@@ -12,7 +12,8 @@ A second test times ``LLAOptimizer.step`` at llabench's shapes, where
 the per-subtask array work dominates instead: 1k, 10k (the ``solve``
 instance) and 100k subtasks, plus the 10k instance at provisioning 2.0,
 where path constraints bind and the path prices are rarely idle.  It
-records compile and construction time, the step rate and the share of
+records compile and construction time, the median step cost of ten
+blocks with its quartiles, the step rate at that median and the share of
 steps that skipped the Eq. 9 update, without a gate: CI hosts vary too
 much for an absolute bound.
 """
@@ -20,6 +21,7 @@ much for an absolute bound.
 import time
 from typing import Tuple
 
+import numpy as np
 import pytest
 
 import _report
@@ -82,13 +84,17 @@ SHAPES = {
     "100000_subtasks": (25_000, 20_000, 0.8),
     "10000_subtasks_provisioning_2": (2500, 2000, 2.0),
 }
+#: Steps per timed block (also the untimed warm-up), and timed blocks.
+_BLOCK = 20
+_BLOCKS = 10
 
 
 @pytest.mark.benchmark(group="scaling")
 @pytest.mark.parametrize("label", SHAPES)
 def test_step_cost_at_benchmark_size(benchmark, label):
-    """One ``LLAOptimizer.step`` at a llabench shape, timed over 200 steps
-    after 20 untimed ones."""
+    """One ``LLAOptimizer.step`` at a llabench shape, after 20 untimed
+    steps: the median and quartiles of 10 blocks of 20 steps, so a host
+    that changes speed mid-run moves the quartiles, not the median."""
     n_tasks, n_resources, provisioning = SHAPES[label]
     taskset = random_workload(GeneratorConfig(
         n_tasks=n_tasks, n_resources=n_resources, min_subtasks=4,
@@ -103,25 +109,31 @@ def test_step_cost_at_benchmark_size(benchmark, label):
         optimizer = LLAOptimizer(taskset, LLAConfig(record_history=False),
                                  structure=structure)
         built = time.perf_counter()
-        for _ in range(20):
+        for _ in range(_BLOCK):
             optimizer.step()
         idle = 0
-        steps = 200
-        stepping = time.perf_counter()
-        for _ in range(steps):
-            optimizer.step()
-            idle += optimizer._engine.idle_path_step
-        cost = (time.perf_counter() - stepping) / steps
-        return compiled - start, built - compiled, cost, idle / steps
+        blocks = []
+        for _ in range(_BLOCKS):
+            stepping = time.perf_counter()
+            for _ in range(_BLOCK):
+                optimizer.step()
+                idle += optimizer._engine.idle_path_step
+            blocks.append((time.perf_counter() - stepping) / _BLOCK)
+        return (compiled - start, built - compiled, blocks,
+                idle / (_BLOCKS * _BLOCK))
 
-    compile_s, construct_s, cost, idle_share = benchmark.pedantic(
+    compile_s, construct_s, blocks, idle_share = benchmark.pedantic(
         run, rounds=1, iterations=1)
+    q1, cost, q3 = np.percentile(blocks, [25, 50, 75])
     for metric, value in (("compile_s", compile_s),
                           ("construct_s", construct_s),
                           ("iterations_per_sec", 1.0 / cost),
                           ("step_us", 1e6 * cost),
+                          ("step_us_q1", 1e6 * q1),
+                          ("step_us_q3", 1e6 * q3),
                           ("idle_share", idle_share)):
         _report.record_value(_BENCH, f"{metric}.{label}", value)
     print(f"\n  {label}: compile {compile_s:.2f} s, construct "
           f"{construct_s:.3f} s, {1e6 * cost:7.1f} us/step "
-          f"({1.0 / cost:.0f} it/s), {idle_share:.0%} idle steps")
+          f"[{1e6 * q1:.1f}-{1e6 * q3:.1f}] ({1.0 / cost:.0f} it/s), "
+          f"{idle_share:.0%} idle steps")

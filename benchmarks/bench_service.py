@@ -13,10 +13,15 @@ Two claims the service exists to make true:
 The churn-cost curve times one churn event per kind (deregister,
 register, critical-time update, availability change) at 1k and 10k
 subtasks, split by component, and asserts the calls an event must not
-make.
+make.  The snapshot-cost curve times a file-backed snapshot and restore
+at 1k, 10k and 100k subtasks and asserts that neither serializes the
+compiled structure.
 """
 
 import gc
+import json
+import os
+import statistics
 import time
 
 import numpy as np
@@ -97,7 +102,33 @@ _COMPONENTS = ("compile_fragment", "task_digest", "splice_structure",
                "certify_infeasible", "TaskSet", "LLAOptimizer")
 
 
-class _ChurnProbe:
+class _Probe:
+    """Swaps wrappers in for module or class attributes until
+    :meth:`close`, counting calls into :attr:`counts`."""
+
+    def __init__(self, counted=()):
+        self.counts = dict.fromkeys(counted, 0)
+        self._patched = []
+
+    def _patch(self, owner, name, value):
+        self._patched.append((owner, name, owner.__dict__[name]
+                              if isinstance(owner, type)
+                              else getattr(owner, name)))
+        setattr(owner, name, value)
+
+    def _counted(self, name, fn):
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def close(self):
+        while self._patched:
+            owner, name, value = self._patched.pop()
+            setattr(owner, name, value)
+
+
+class _ChurnProbe(_Probe):
     """Wraps the service's collaborators for the duration of a churn
     event: times the components and counts the calls a churn event must
     not make."""
@@ -108,11 +139,10 @@ class _ChurnProbe:
         import repro.service.cache as cache
         import repro.service.service as service
 
+        super().__init__(("taskset_fingerprint", "compile_structure",
+                          "refresh_model", "object_graph_certificate",
+                          "TaskSet"))
         self.ms = dict.fromkeys(_COMPONENTS, 0.0)
-        self.counts = dict.fromkeys(
-            ("taskset_fingerprint", "compile_structure", "refresh_model",
-             "object_graph_certificate", "TaskSet"), 0)
-        self._patched = []
         for name in _COMPONENTS:
             self._patch(service, name, self._timed(name,
                                                    getattr(service, name)))
@@ -136,12 +166,6 @@ class _ChurnProbe:
 
         self._patch(service, "certify_infeasible", certify_counted)
 
-    def _patch(self, owner, name, value):
-        self._patched.append((owner, name, owner.__dict__[name]
-                              if isinstance(owner, type)
-                              else getattr(owner, name)))
-        setattr(owner, name, value)
-
     def _timed(self, name, fn):
         def timed(*args, **kwargs):
             if name == "TaskSet":
@@ -152,17 +176,6 @@ class _ChurnProbe:
             finally:
                 self.ms[name] += (time.perf_counter() - started) * 1e3
         return timed
-
-    def _counted(self, name, fn):
-        def counted(*args, **kwargs):
-            self.counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
-    def close(self):
-        while self._patched:
-            owner, name, value = self._patched.pop()
-            setattr(owner, name, value)
 
 
 def _churn_events(service, taskset, k):
@@ -234,3 +247,131 @@ def test_churn_cost_curve(size):
                 _BENCH, f"churn.{size}.{kind}.{name}_time_ms", part)
             split.append(f"{name} {part:.2f}")
         print(f"  {kind:>12}: {total:7.2f}  ({', '.join(split)})")
+
+
+# -- snapshot cost ------------------------------------------------------------
+
+#: The churn curve's shapes plus 100k subtasks (seed 7).
+_SNAPSHOT_SIZES = {**_CHURN_SIZES, "100k": (25_000, 20_000)}
+_SNAPSHOT_REPEATS = 5
+#: The 100k snapshot file stays within a megabyte.
+_SNAPSHOT_MAX_BYTES_100K = 1_000_000
+
+
+class _SnapshotProbe(_Probe):
+    """Counts the structure serializer's calls and times
+    ``LLAOptimizer.adopt_prices``."""
+
+    def __init__(self):
+        import repro.core.structure as structure
+        import repro.service.service as service
+        from repro.core.optimizer import LLAOptimizer
+
+        super().__init__(("structure_to_dict", "structure_from_dict"))
+        self.adopt_ms = 0.0
+        for module in (structure, service):
+            for name in self.counts:
+                if hasattr(module, name):
+                    self._patch(module, name,
+                                self._counted(name, getattr(module, name)))
+        adopt = LLAOptimizer.adopt_prices
+
+        def timed_adopt(optimizer, prices):
+            started = time.perf_counter()
+            try:
+                return adopt(optimizer, prices)
+            finally:
+                self.adopt_ms += (time.perf_counter() - started) * 1e3
+
+        self._patch(LLAOptimizer, "adopt_prices", timed_adopt)
+
+
+def _timed_ms(fn):
+    started = time.perf_counter()
+    result = fn()
+    return (time.perf_counter() - started) * 1e3, result
+
+
+@pytest.mark.parametrize("size", sorted(_SNAPSHOT_SIZES))
+def test_snapshot_cost_curve(size, tmp_path):
+    """A file-backed snapshot and restore after one churn event, on
+    llabench's generator shapes: the first write, the median write, the
+    file's bytes and the median restore from the file, split into load
+    with verification and ``adopt_prices``.  Neither side may call the
+    structure serializer; the restore is warm, and a hand-edited price, a
+    truncated file and a stale stamp each demote it to cold."""
+    from repro.distributed.checkpoint import CheckpointStore
+    from repro.workloads.generator import GeneratorConfig, random_workload
+
+    n_tasks, n_resources = _SNAPSHOT_SIZES[size]
+    taskset = random_workload(GeneratorConfig(
+        n_tasks=n_tasks, n_resources=n_resources, min_subtasks=4,
+        max_subtasks=4,
+    ), seed=7)
+    store = CheckpointStore(directory=str(tmp_path))
+    service = AllocationService(list(taskset.resources.values()),
+                                list(taskset.tasks), snapshots=store)
+    service.step(5)
+    service.deregister(sorted(service.tasks)[0])
+    service.step(5)
+    gc.collect()
+    probe = _SnapshotProbe()
+    try:
+        writes = [_timed_ms(service.snapshot)[0]
+                  for _ in range(_SNAPSHOT_REPEATS)]
+        restores, adopts = [], []
+        for _ in range(_SNAPSHOT_REPEATS):
+            store._checkpoints.clear()
+            adopted = probe.adopt_ms
+            took, warm = _timed_ms(service.restore)
+            assert warm
+            restores.append(took)
+            adopts.append(probe.adopt_ms - adopted)
+    finally:
+        probe.close()
+    assert probe.counts == {"structure_to_dict": 0, "structure_from_dict": 0}
+    path = store.path_for("service")
+    size_bytes = os.path.getsize(path)
+    if size == "100k":
+        assert size_bytes <= _SNAPSHOT_MAX_BYTES_100K
+
+    def rewritten(edit):
+        service.snapshot()
+        store._checkpoints.clear()
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(edit(text))
+        return service.restore()
+
+    def price_edit(text):
+        raw = json.loads(text)
+        prices = raw["state"]["resource_prices"]
+        name = min(prices)
+        prices[name] = prices[name] * 2.0 + 1.0
+        return json.dumps(raw)
+
+    assert rewritten(price_edit) is False
+    assert rewritten(lambda text: text[:len(text) // 2]) is False
+    service.snapshot()
+    service.deregister(sorted(service.tasks)[0])
+    assert service.restore() is False
+    assert service.stats().snapshot_fallbacks == 3
+
+    loads = [total - adopt for total, adopt in zip(restores, adopts)]
+    values = {
+        "first_write_ms": writes[0],
+        "write_ms": statistics.median(writes),
+        "bytes": float(size_bytes),
+        "restore_ms": statistics.median(restores),
+        "restore_load_ms": statistics.median(loads),
+        "restore_adopt_ms": statistics.median(adopts),
+    }
+    for name, value in values.items():
+        _report.record_value(_BENCH, f"snapshot.{size}.{name}", value)
+    print()
+    print(f"  snapshot at {size} subtasks: write {values['write_ms']:.2f} ms "
+          f"(first {values['first_write_ms']:.2f}), {size_bytes:,} bytes; "
+          f"restore {values['restore_ms']:.2f} ms (load and verify "
+          f"{values['restore_load_ms']:.2f}, adopt_prices "
+          f"{values['restore_adopt_ms']:.2f})")

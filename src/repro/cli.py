@@ -629,6 +629,16 @@ def _run_with_deadline(coro: "Coroutine[Any, Any, None]",
     return True
 
 
+def _close_service_trace(telemetry: Telemetry, path: str) -> None:
+    """End a service trace with the registry's metrics, which ``repro
+    stats`` and ``--prometheus`` read, then close it."""
+    if telemetry.registry.enabled:
+        telemetry.tracer.emit("metrics_snapshot",
+                              metrics=telemetry.registry.snapshot())
+    telemetry.close()
+    print(f"trace written to {path}")
+
+
 def _serve_hardened(args: argparse.Namespace, taskset: "TaskSet",
                     telemetry: Optional[Telemetry],
                     deadline: Optional[float]) -> int:
@@ -710,8 +720,7 @@ def _serve_hardened(args: argparse.Namespace, taskset: "TaskSet",
                and stats.breaker_state == "closed"
                and answered == len(tasks))
     if telemetry is not None:
-        telemetry.close()
-        print(f"trace written to {args.trace}")
+        _close_service_trace(telemetry, args.trace)
     if args.output:
         payload = {
             "command": "serve",
@@ -798,8 +807,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"({qps:,.0f}/s), {infeasible_queries} infeasible")
     print(f"  converged: {stats.converged}")
     if telemetry is not None:
-        telemetry.close()
-        print(f"trace written to {args.trace}")
+        _close_service_trace(telemetry, args.trace)
 
     healthy = stats.converged and infeasible_queries == 0
     if args.output:

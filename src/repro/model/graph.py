@@ -196,38 +196,48 @@ class SubtaskGraph:
 
     def path_latency(self, path: Sequence[str],
                      latencies: Mapping[str, float]) -> float:
-        """Sum of subtask latencies along ``path``."""
+        """Sum of subtask latencies along ``path``, added from the root
+        (the kernel's order; ``sum()`` is compensated on Python 3.12)."""
+        total = 0.0
         try:
-            return sum(latencies[s] for s in path)
+            for s in path:
+                total += latencies[s]
         except KeyError as exc:
             raise GraphError(
                 f"latency missing for subtask {exc.args[0]!r}"
             ) from exc
+        return total
 
     def critical_path(
         self, latencies: Mapping[str, float]
     ) -> Tuple[Tuple[str, ...], float]:
         """The maximum-latency root-to-leaf path and its latency.
 
-        Computed by dynamic programming over the topological order rather
-        than path enumeration, so it stays cheap on graphs whose path count
-        is exponential in depth.
+        Computed by dynamic programming forward from the root over the
+        topological order rather than path enumeration, so it stays cheap
+        on graphs whose path count is exponential in depth.  Each node
+        keeps its largest predecessor prefix plus its own latency; since
+        rounded addition is monotone, the result is, bit for bit, the
+        largest of the path sums :meth:`path_latency` (and the kernel)
+        add from the root.
         """
         best: Dict[str, float] = {}
-        best_succ: Dict[str, str] = {}
-        for node in reversed(self._topo_order):
+        best_pred: Dict[str, str] = {}
+        for node in self._topo_order:
             if node not in latencies:
                 raise GraphError(f"latency missing for subtask {node!r}")
-            if not self._succ[node]:
-                best[node] = latencies[node]
+            if not self._pred[node]:
+                # From 0.0, as path_latency and the kernel's sums start.
+                best[node] = 0.0 + latencies[node]
             else:
-                chosen = max(self._succ[node], key=lambda s: best[s])
-                best[node] = latencies[node] + best[chosen]
-                best_succ[node] = chosen
-        path = [self._root]
-        while path[-1] in best_succ:
-            path.append(best_succ[path[-1]])
-        return tuple(path), best[self._root]
+                chosen = max(self._pred[node], key=lambda p: best[p])
+                best[node] = best[chosen] + latencies[node]
+                best_pred[node] = chosen
+        leaf = max(self._leaves, key=lambda n: best[n])
+        path = [leaf]
+        while path[-1] in best_pred:
+            path.append(best_pred[path[-1]])
+        return tuple(reversed(path)), best[leaf]
 
     def _require_node(self, node: str) -> None:
         if node not in self._succ:

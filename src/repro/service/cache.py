@@ -6,8 +6,11 @@ re-registers, an A/B flip alternates two configurations), so the same
 problems recur.  The cache keys compiled structures by a fingerprint plus
 the latency clamp factor.  Fingerprint equality guarantees identical
 orderings, incidence *and* model coefficients, so a cached structure is
-interchangeable with a fresh compile: a hit rebinds it to the caller's
-(equivalent) task-set object and nothing else.
+interchangeable with a fresh compile.  A lookup never rebinds an entry:
+when the caller's (equivalent) task set is not the one the entry is bound
+to, it gets a view of the entry bound to that task set, sharing every
+array.  An entry therefore keeps no later epoch's task set alive; only a
+compiled entry stays bound, to the task set it was compiled from.
 
 The service keys by its membership fingerprint
 (:func:`~repro.model.fingerprint.membership_fingerprint`) and, on a miss,
@@ -21,6 +24,7 @@ service never calls ``refresh_model``).
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Callable, Optional, Tuple
 
 from repro.core.structure import TaskSetStructure, compile_structure
@@ -57,7 +61,9 @@ class StructureCache:
         :func:`~repro.model.fingerprint.taskset_fingerprint` of
         ``taskset``.  On a miss the structure comes from ``build()`` when
         given, else from :func:`compile_structure` of ``taskset``.  With
-        a ``taskset``, the returned structure is bound to it.
+        a ``taskset``, the returned structure is bound to it: the entry
+        itself when the entry is bound to that very task set, else a view
+        of the entry (:func:`dataclasses.replace`) that shares its arrays.
         """
         if fingerprint is None:
             if taskset is None:
@@ -83,8 +89,8 @@ class StructureCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        if taskset is not None:
-            structure.taskset = taskset
+        if taskset is not None and structure.taskset is not taskset:
+            return replace(structure, taskset=taskset)
         return structure
 
     def peek(self, fingerprint: str,

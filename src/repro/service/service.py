@@ -25,12 +25,13 @@ enforces.  :class:`AllocationService` is that loop:
   (:func:`~repro.analysis.admission.certify_infeasible`), run over the
   candidate structure's arrays; a provably infeasible task set is
   rejected before it can poison the live solve;
-* **snapshots** — :meth:`snapshot` / :meth:`restore` reuse the
+* **snapshots** — :meth:`snapshot` / :meth:`restore` keep the resource
+  prices, the whole warm state, with a SHA-256 digest of them in the
   distributed :class:`~repro.distributed.checkpoint.CheckpointStore`,
   stamped with the membership fingerprint
   (:func:`~repro.model.fingerprint.membership_fingerprint`) so a snapshot
-  taken for a different problem demotes to a cold reset instead of
-  restoring garbage.
+  taken for a different problem, or a damaged one, demotes to a cold
+  reset instead of restoring garbage.
 
 Drive it synchronously with :meth:`step` (deterministic — experiments and
 benchmarks do this) or asynchronously with :meth:`run`, which iterates in
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
@@ -57,8 +60,6 @@ from repro.core.structure import (
     compile_fragment,
     empty_structure,
     splice_structure,
-    structure_from_dict,
-    structure_to_dict,
 )
 from repro.core.vectorized import task_utility
 from repro.core.warmstart import warm_start_resource_prices
@@ -69,8 +70,9 @@ from repro.model.fingerprint import (
     membership_fingerprint,
     task_digest,
 )
-# The churn path no longer calls it; the name stays bound here because
-# llabench/tracing.py wraps it by attribute lookup.
+# The churn path no longer calls them; the names stay bound here because
+# llabench/tracing.py wraps them by attribute lookup.
+from repro.core.structure import structure_to_dict as structure_to_dict
 from repro.model.fingerprint import taskset_fingerprint as taskset_fingerprint
 from repro.model.resources import Resource
 from repro.model.task import Task, TaskSet
@@ -242,6 +244,30 @@ def _mutated_task(old: Task, critical_time: Optional[float],
         variant=old.variant,
         trigger=old.trigger,
     )
+
+
+def _price_digest(prices: Mapping[str, Any]) -> str:
+    """SHA-256 of a price map: names sorted, each price as JSON writes it
+    (its ``repr``, which reads back as the same float)."""
+    encoded = json.dumps(prices, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def _verified_prices(state: Any, live: Mapping[str, float]
+                     ) -> Optional[Dict[str, float]]:
+    """The snapshot's price map when it passes its digest and prices
+    exactly the resources of ``live`` with numbers; ``None`` otherwise."""
+    if not isinstance(state, dict):
+        return None
+    prices = state.get("resource_prices")
+    if not isinstance(prices, dict) or prices.keys() != live.keys():
+        return None
+    for price in prices.values():
+        if isinstance(price, bool) or not isinstance(price, (int, float)):
+            return None
+    if state.get("digest") != _price_digest(prices):
+        return None
+    return prices
 
 
 def _admitted(name: str) -> AdmissionDecision:
@@ -517,7 +543,15 @@ class AllocationService:
                 "fallbacks": registry.counter(
                     "service.snapshot_fallbacks_total",
                     "snapshot restores demoted to cold resets by a "
-                    "fingerprint mismatch"),
+                    "stamp or digest mismatch"),
+                "snapshot_ms": registry.histogram(
+                    "service.snapshot_ms",
+                    "wall time of one snapshot, milliseconds",
+                    max_samples=1024),
+                "snapshot_bytes": registry.gauge(
+                    "service.snapshot_bytes",
+                    "bytes of the last snapshot file (file-backed "
+                    "stores only)"),
                 "tasks": registry.gauge(
                     "service.tasks", "tasks currently registered"),
                 "reconv": registry.gauge(
@@ -982,23 +1016,31 @@ class AllocationService:
     def snapshot(self) -> None:
         """Checkpoint the live dual state, stamped with the fingerprint.
 
-        The snapshot also embeds the compiled structure's serialized
-        payload (:func:`structure_to_dict`) — the
-        payload carries its own content fingerprint, so :meth:`restore`
-        can detect a corrupted or hand-edited compiled artifact and
-        demote to a cold reset instead of resuming on garbage arrays.
+        The state is the resource-price map, the whole warm state (the
+        stamp already names the problem, whose structure the live
+        optimizer holds), plus a SHA-256 digest of the map, so
+        :meth:`restore` can tell a damaged or hand-edited price from a
+        real one.
         """
         optimizer = self._optimizer
         if optimizer is None:
             raise ServiceError("nothing to snapshot: no tasks registered")
-        state: Dict[str, Any] = {
-            "resource_prices": dict(optimizer.resource_prices.prices),
-        }
-        state["structure"] = structure_to_dict(optimizer.structure)
+        instrumented = self.telemetry.enabled
+        if instrumented:
+            started = time.perf_counter()
+        # The store deep-copies the state it keeps.
+        prices = optimizer.resource_prices.prices
         self._snapshots.save(
-            _SNAPSHOT_AGENT, self._total_iterations, state,
+            _SNAPSHOT_AGENT, self._total_iterations,
+            {"resource_prices": prices, "digest": _price_digest(prices)},
             fingerprint=self._fingerprint,
         )
+        if instrumented:
+            self._metric("snapshot_ms").observe(
+                (time.perf_counter() - started) * 1e3)
+            path = self._snapshots.path_for(_SNAPSHOT_AGENT)
+            if path is not None:
+                self._metric("snapshot_bytes").set(os.path.getsize(path))
 
     def restore(self) -> bool:
         """Warm-restore the last snapshot into the live optimizer.
@@ -1006,7 +1048,11 @@ class AllocationService:
         Returns ``True`` on a warm restore.  A snapshot stamped for a
         different task set (the workload churned since :meth:`snapshot`)
         demotes to a cold reset — restoring its prices would resume a
-        different problem's dual state — and the fallback is counted.
+        different problem's dual state — and the fallback is counted.  So
+        does a snapshot whose price map fails its digest, lacks one (a
+        snapshot from before the digest), is not a map of every
+        resource's price, or holds a price that is not a number: a
+        malformed state never raises.
         """
         optimizer = self._optimizer
         if optimizer is None:
@@ -1014,19 +1060,12 @@ class AllocationService:
         checkpoint = self._snapshots.load(
             _SNAPSHOT_AGENT, fingerprint=self._fingerprint,
         )
+        prices = None if checkpoint is None else _verified_prices(
+            checkpoint.state, optimizer.resource_prices.prices)
         self._epoch_iterations = 0
         self._reconverged = False
         optimizer.detector.reset()
-        if checkpoint is not None and "structure" in checkpoint.state:
-            # The embedded compiled artifact carries a content
-            # fingerprint; a payload that fails verification means the
-            # snapshot bytes were damaged after the store's own integrity
-            # check passed — treat the whole snapshot as untrustworthy.
-            try:
-                structure_from_dict(checkpoint.state["structure"])
-            except ModelError:
-                checkpoint = None
-        if checkpoint is None:
+        if prices is None:
             optimizer.reset()
             self._snapshot_fallbacks += 1
             if self.telemetry.enabled:
@@ -1037,7 +1076,7 @@ class AllocationService:
                         "snapshot_fallback", epoch=self._epoch,
                     )
             return False
-        optimizer.adopt_prices(checkpoint.state["resource_prices"])
+        optimizer.adopt_prices(prices)
         if self.telemetry.enabled:
             self._metric("converged").set(0.0)
         return True

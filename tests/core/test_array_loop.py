@@ -395,11 +395,15 @@ class TestPairIncidence:
             structure_from_dict(self._format_1(payload))
 
     def test_format_1_snapshot_demotes_restore_to_cold(self):
+        """A snapshot from the format-1 days (a dense structure payload
+        beside the prices, no price digest) restores cold."""
         service = make_service()
         service.step(100)
         service.snapshot()
         stored = service.snapshots._checkpoints["service"]
-        stored.state["structure"] = self._format_1(stored.state["structure"])
+        del stored.state["digest"]
+        stored.state["structure"] = self._format_1(
+            structure_to_dict(service._optimizer.structure))
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
 

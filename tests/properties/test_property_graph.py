@@ -1,10 +1,18 @@
 """Property-based tests for subtask graphs (hypothesis)."""
 
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.structure import compile_structure
+from repro.core.vectorized import critical_path_latencies, path_latencies
 from repro.model.graph import SubtaskGraph
+from repro.model.resources import Resource
+from repro.model.task import Subtask, Task, TaskSet
+from repro.model.utility import LinearUtility
 
 
 @st.composite
@@ -70,3 +78,42 @@ def test_topological_order_is_valid(graph):
 @settings(max_examples=60, deadline=None)
 def test_root_weight_equals_total_paths(graph):
     assert graph.path_weights()[graph.root] == len(graph.paths)
+
+
+@st.composite
+def dags_with_latencies(draw):
+    graph = draw(random_dags(max_nodes=8))
+    latency = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False,
+                        allow_infinity=False)
+    return graph, {n: draw(latency) for n in graph.nodes}
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _one_task_set(graph):
+    names = list(graph.nodes)
+    subtasks = [Subtask(name=n, resource=f"r{i}", exec_time=1.0)
+                for i, n in enumerate(names)]
+    task = Task(name="t", subtasks=subtasks, graph=graph,
+                critical_time=1e6, utility=LinearUtility(1e6))
+    resources = [Resource(name=f"r{i}", availability=1.0, lag=1.0)
+                 for i in range(len(names))]
+    return TaskSet([task], resources)
+
+
+@given(dags_with_latencies())
+@settings(max_examples=150, deadline=None)
+def test_critical_path_is_bitwise_the_kernels(case):
+    """The forward DP equals, bit for bit, the largest root-first path
+    sum and the kernel's critical-path latency of the compiled task."""
+    graph, latencies = case
+    path, crit = graph.critical_path(latencies)
+    assert _bits(graph.path_latency(path, latencies)) == _bits(crit)
+    sums = [graph.path_latency(p, latencies) for p in graph.paths]
+    assert _bits(max(sums)) == _bits(crit)
+    s = compile_structure(_one_task_set(graph))
+    lat = np.array([latencies[n] for n in s.subtask_names])
+    kernel = critical_path_latencies(s, path_latencies(s, lat))
+    assert _bits(float(kernel[0])) == _bits(crit)

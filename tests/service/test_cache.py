@@ -1,5 +1,10 @@
 """Unit tests for the compiled-structure LRU cache."""
 
+import gc
+import weakref
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.errors import ServiceError
@@ -26,7 +31,8 @@ class TestLookup:
 
     def test_equal_taskset_hits_and_rebinds(self):
         """Two separately built but identical task sets share one compiled
-        structure; the hit rebinds it to the caller's task-set object."""
+        structure; the hit hands out a view of it bound to the caller's
+        task-set object."""
         cache = StructureCache()
         first = make_chain_taskset()
         second = make_chain_taskset()
@@ -35,6 +41,27 @@ class TestLookup:
         assert structure.taskset is second
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == pytest.approx(0.5)
+
+    def test_a_hit_is_a_view_and_never_rebinds_the_entry(self):
+        """The view shares the entry's arrays; the entry keeps its own
+        binding, so the caller's task set is freed with the caller."""
+        cache = StructureCache()
+        first = make_chain_taskset()
+        entry = cache.get(first)
+        second = make_chain_taskset()
+        view = cache.get(second)
+        assert view.taskset is second
+        assert entry.taskset is first
+        assert next(iter(cache._entries.values())) is entry
+        arrays = {name: value for name, value in vars(entry).items()
+                  if isinstance(value, np.ndarray)}
+        assert arrays
+        for name, value in arrays.items():
+            assert getattr(view, name) is value, name
+        freed = weakref.ref(second)
+        del view, second
+        gc.collect()
+        assert freed() is None
 
     def test_hit_refreshes_model_after_availability_change(self):
         """Fingerprints cover availabilities, so a shocked task set maps
@@ -107,6 +134,19 @@ class TestBuildAndPeek:
                           build=lambda: pytest.fail("hit must not build"))
         assert again is built
         assert cache.hits == 1
+
+    def test_a_built_entry_stays_unbound(self):
+        """A structure from the builder (the service's splice) is cached
+        unbound; the caller gets it bound to its task set as a view."""
+        from repro.core.structure import compile_structure
+        cache = StructureCache()
+        ts = make_chain_taskset()
+        built = replace(compile_structure(ts), taskset=None)
+        structure = cache.get(ts, fingerprint="membership",
+                              build=lambda: built)
+        assert structure.taskset is ts
+        assert built.taskset is None
+        assert cache.peek("membership") is built
 
     def test_peek_neither_counts_nor_builds(self):
         cache = StructureCache(capacity=2)

@@ -2,11 +2,19 @@
 snapshots, the async loop)."""
 
 import asyncio
+import gc
+import hashlib
+import json
+import os
+import struct
+import weakref
 
 import pytest
 
 from repro.core.optimizer import LLAConfig
 from repro.core.stepsize import FixedStepSize
+from repro.core.structure import structure_to_dict
+from repro.distributed.checkpoint import CheckpointStore
 from repro.errors import OptimizationError, ServiceError
 from repro.model.events import PeriodicEvent
 from repro.model.graph import SubtaskGraph
@@ -360,50 +368,107 @@ class TestSnapshots:
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
 
-    def test_corrupted_structure_payload_demotes_to_cold_reset(self):
-        """A snapshot whose embedded compiled-structure payload fails its
-        own fingerprint verification is untrustworthy end to end: the
-        restore must demote to a cold reset (same counter and trace event
-        as a fingerprint mismatch), never adopt the prices."""
+    def test_corrupted_price_payload_demotes_to_cold_reset(self):
+        """A snapshot whose price map fails its own digest is
+        untrustworthy: the restore must demote to a cold reset (same
+        counter and trace event as a fingerprint mismatch), never adopt
+        the prices."""
         service = make_service()
         service.step(100)
         service.snapshot()
         stored = service.snapshots._checkpoints["service"]
-        stored.state["structure"]["cost"][0] += 1.0
+        stored.state["resource_prices"]["r0"] += 1.0
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
 
-    def test_truncated_structure_payload_demotes_to_cold_reset(self):
+    def test_truncated_price_payload_demotes_to_cold_reset(self):
         service = make_service()
         service.step(100)
         service.snapshot()
         stored = service.snapshots._checkpoints["service"]
-        stored.state["structure"]["sub_exec"].pop()
+        del stored.state["resource_prices"]["r2"]
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
 
-    def test_intact_structure_payload_still_warm_restores(self):
+    def test_intact_price_payload_still_warm_restores(self):
         service = make_service()
         service.step(100)
         service.snapshot()
-        assert "structure" in \
-            service.snapshots._checkpoints["service"].state
+        state = service.snapshots._checkpoints["service"].state
+        assert set(state) == {"resource_prices", "digest"}
         assert service.restore() is True
         assert service.stats().snapshot_fallbacks == 0
 
     def test_format_2_structure_payload_demotes_to_cold_reset(self):
-        """A snapshot written before the log/quadratic utility arrays
-        (structure format 2) cannot be verified and restores cold."""
+        """A snapshot written before the price digest (here one carrying
+        a structure payload of format 2) cannot be verified and restores
+        cold."""
         service = make_service()
         service.step(100)
         service.snapshot()
         stored = service.snapshots._checkpoints["service"]
-        payload = stored.state["structure"]
+        payload = structure_to_dict(service._optimizer.structure)
         for name in ("ut_scale", "ut_soft", "ut_curv"):
             del payload[name]
         payload["format"] = 2
+        del stored.state["digest"]
+        stored.state["structure"] = payload
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
+
+    def test_snapshot_without_digest_demotes_to_cold_reset(self):
+        """The structure-carrying snapshot of the previous format (an
+        intact format-3 structure payload beside the prices, no digest)
+        demotes once, to a cold reset."""
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        stored = service.snapshots._checkpoints["service"]
+        del stored.state["digest"]
+        stored.state["structure"] = structure_to_dict(
+            service._optimizer.structure)
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
+
+    @pytest.mark.parametrize("prices", [
+        {"r0": "0.5", "r1": 0.5, "r2": 0.5},
+        {"r0": True, "r1": 0.5, "r2": 0.5},
+        [["r0", 0.5], ["r1", 0.5], ["r2", 0.5]],
+        {"r0": 0.5, "r1": 0.5, "r2": 0.5, "r9": 0.5},
+    ], ids=["string", "bool", "not-a-map", "unknown-resource"])
+    def test_malformed_price_map_demotes_without_raising(self, prices):
+        """A malformed map demotes to cold even when its digest matches
+        it: restore never raises on a snapshot's contents."""
+        service = make_service()
+        service.step(100)
+        service.snapshot()
+        stored = service.snapshots._checkpoints["service"]
+        stored.state["resource_prices"] = prices
+        stored.state["digest"] = hashlib.sha256(
+            json.dumps(prices, sort_keys=True).encode("utf-8")).hexdigest()
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
+
+    def test_file_round_trip_restores_prices_bit_for_bit(self, tmp_path):
+        store = CheckpointStore(directory=str(tmp_path))
+        service = AllocationService(
+            make_resources(), [make_task("t0"), make_task("t1")],
+            snapshots=store,
+        )
+        service.step(100)
+        prices = dict(service._optimizer.resource_prices.prices)
+        service.snapshot()
+        with open(store.path_for("service"), encoding="utf-8") as handle:
+            assert set(json.load(handle)["state"]) == \
+                {"resource_prices", "digest"}
+        service.step(100)
+        store._checkpoints.clear()          # the file alone remains
+        assert service.restore() is True
+        restored = service._optimizer.resource_prices.prices
+        assert set(restored) == set(prices)
+        for name, price in prices.items():
+            assert struct.pack("<d", restored[name]) == \
+                struct.pack("<d", price), name
 
     def test_snapshot_needs_tasks(self):
         empty = AllocationService(make_resources())
@@ -411,6 +476,27 @@ class TestSnapshots:
             empty.snapshot()
         with pytest.raises(ServiceError):
             empty.restore()
+
+
+class TestEpochTaskSets:
+    def test_superseded_epochs_free_their_task_sets(self):
+        """No cache entry keeps a churn epoch's task set alive: after ten
+        deregister/register pairs only the install membership's (its
+        compiled entry stays bound to it) and the live one survive a
+        collection."""
+        service = make_service(n_tasks=4)
+        epochs = [weakref.ref(service.taskset)]
+        for k in range(10):
+            name = f"t{k % 4}"
+            task = service.task(name)
+            service.deregister(name)
+            epochs.append(weakref.ref(service.taskset))
+            assert service.register(task).admitted
+            epochs.append(weakref.ref(service.taskset))
+        gc.collect()
+        alive = [i for i, ref in enumerate(epochs) if ref() is not None]
+        assert alive == [0, len(epochs) - 1]
+        assert service.cache.hits == 16
 
 
 class TestAsyncRun:
@@ -478,6 +564,20 @@ class TestTelemetryAndStats:
         assert registry.get("service.queries_total").value == 1
         assert registry.get("service.admission_rejections_total").value == 1
         assert registry.get("service.tasks").value == 1
+
+    def test_snapshot_time_and_size_flow_into_registry(self, tmp_path):
+        telemetry = Telemetry()
+        store = CheckpointStore(directory=str(tmp_path))
+        service = AllocationService(
+            make_resources(), [make_task("t0")], telemetry=telemetry,
+            snapshots=store,
+        )
+        service.step(5)
+        service.snapshot()
+        registry = telemetry.registry
+        assert registry.get("service.snapshot_ms").count == 1
+        assert registry.get("service.snapshot_bytes").value == \
+            os.path.getsize(store.path_for("service"))
 
     def test_stats_to_dict_is_json_shaped(self):
         service = make_service()

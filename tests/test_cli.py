@@ -378,6 +378,17 @@ class TestServe:
         assert code == 2
         assert "deadline" in capsys.readouterr().err
 
+    def test_traced_serve_ends_with_the_service_metrics(self, tmp_path,
+                                                         capsys):
+        """``repro stats --prometheus`` reads a served trace's metrics."""
+        trace = str(tmp_path / "serve.jsonl")
+        assert main(["serve", "--smoke", "--trace", trace]) == 0
+        capsys.readouterr()
+        assert main(["stats", trace, "--prometheus"]) == 0
+        out = capsys.readouterr().out
+        assert "service_queries_total 1000" in out
+        assert "service_snapshot_ms_count 0" in out
+
     def test_harden_rejects_short_fault_schedules(self, capsys):
         code = main(["serve", "--smoke", "--harden", "--ticks", "50"])
         assert code == 2
