@@ -106,8 +106,7 @@ def test_step_cost_at_benchmark_size(benchmark, label):
         start = time.perf_counter()
         structure = compile_structure(taskset)
         compiled = time.perf_counter()
-        optimizer = LLAOptimizer(taskset, LLAConfig(record_history=False),
-                                 structure=structure)
+        optimizer = LLAOptimizer(structure, LLAConfig(record_history=False))
         built = time.perf_counter()
         for _ in range(_BLOCK):
             optimizer.step()

@@ -6,9 +6,12 @@ Understands both artifact shapes the repo produces:
   ``{"bench", "generated_at", "metrics": registry-snapshot}``.  Scalars
   (counters/gauges) compare by value; distributions (histograms/timers)
   compare by mean.
-* **Scorecards** (``repro experiment --all -o``): claim rows compare by
-  status — any ``pass`` → ``fail`` transition is a regression regardless
-  of thresholds — and numeric ``measured`` values compare informationally.
+* **Scorecards** (``repro experiment --all -o``): every claim present
+  in both compares by status — any ``pass`` → ``fail`` (or ``skipped``)
+  transition is a regression regardless of thresholds — and each
+  experiment's run payload compares informationally: an experiment whose
+  ``runs[].payload`` differs from the baseline is listed as changed,
+  never flagged.
 
 Direction is inferred from the metric name: throughputs (``ops_per_sec``,
 ``_rate``) regress downward, durations (``seconds``, ``_time``) regress
@@ -102,6 +105,8 @@ class BenchDiff:
     deltas: List[MetricDelta] = field(default_factory=list)
     missing: List[str] = field(default_factory=list)
     added: List[str] = field(default_factory=list)
+    #: scorecard experiments whose run payload differs from the baseline
+    changed: List[str] = field(default_factory=list)
 
     @property
     def regressions(self) -> List[MetricDelta]:
@@ -119,6 +124,7 @@ class BenchDiff:
             "deltas": [d.to_dict() for d in self.deltas],
             "missing": list(self.missing),
             "added": list(self.added),
+            "changed": list(self.changed),
         }
 
 
@@ -198,6 +204,15 @@ def _claim_rows(data: Mapping[str, Any]) -> Dict[Tuple[str, str], Dict[str, Any]
     return rows
 
 
+def _run_payloads(data: Mapping[str, Any]) -> Dict[str, str]:
+    """Each experiment's run payload, as canonical JSON text."""
+    return {
+        str(run.get("experiment")): json.dumps(run.get("payload"),
+                                               sort_keys=True)
+        for run in data.get("runs", [])
+    }
+
+
 def _diff_scorecards(base: Mapping[str, Any], cur: Mapping[str, Any],
                      threshold: float, ignore_timing: bool) -> BenchDiff:
     diff = BenchDiff(kind="scorecard")
@@ -213,13 +228,17 @@ def _diff_scorecards(base: Mapping[str, Any], cur: Mapping[str, Any],
             continue
         base_status = str(base_rows[key].get("status"))
         cur_status = str(cur_rows[key].get("status"))
-        if base_status != cur_status:
-            regressed = base_status == "pass" and cur_status != "pass"
-            diff.deltas.append(MetricDelta(
-                name=f"{label}.status", baseline=None, current=None,
-                direction=None, regression=regressed,
-                note=f"{base_status} -> {cur_status}",
-            ))
+        diff.deltas.append(MetricDelta(
+            name=f"{label}.status", baseline=None, current=None,
+            direction=None,
+            regression=base_status == "pass" and cur_status != "pass",
+            note=(cur_status if base_status == cur_status
+                  else f"{base_status} -> {cur_status}"),
+        ))
+    base_runs = _run_payloads(base)
+    cur_runs = _run_payloads(cur)
+    diff.changed = sorted(name for name in set(base_runs) & set(cur_runs)
+                          if base_runs[name] != cur_runs[name])
     # Wall time is the scorecard's only timing scalar worth flagging.
     if not ignore_timing:
         base_wall = base.get("wall_time_seconds")
@@ -289,6 +308,9 @@ def format_diff(diff: BenchDiff, verbose: bool = False) -> str:
         lines.append(f"  missing from current: {', '.join(diff.missing)}")
     if diff.added:
         lines.append(f"  new in current: {', '.join(diff.added)}")
+    if diff.changed:
+        lines.append(
+            f"  payload differs from baseline: {', '.join(diff.changed)}")
     if verbose:
         for delta in diff.deltas:
             if delta.regression:

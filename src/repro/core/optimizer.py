@@ -32,23 +32,20 @@ import math
 import time
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple,
+    Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple, Union,
 )
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
-    from repro.core.structure import TaskSetStructure
 
 from repro.errors import OptimizationError
 from repro.core.convergence import ConvergenceDetector
 from repro.core.state import IterationRecord, OptimizationResult, PathKey
 from repro.core.stepsize import (
     DEFAULT_MAX_GAMMA,
-    AdaptiveStepSize,
     FixedStepSize,
     StepSizePolicy,
 )
+from repro.core.structure import TaskSetStructure
 from repro.core.vectorized import (
     ArrayRecord,
     VectorizedEngine,
@@ -78,8 +75,8 @@ class LLAConfig:
         An exact :class:`~repro.core.stepsize.FixedStepSize` or
         :class:`~repro.core.stepsize.AdaptiveStepSize` (the kernel folds
         these two and raises :class:`~repro.errors.OptimizationError` on
-        any other type), or ``None`` to build the paper's adaptive policy
-        with ``initial_gamma``.
+        any other type), or ``None`` for the paper's adaptive policy
+        starting at ``initial_gamma``.
     initial_gamma:
         Starting γ for the default adaptive policy, whose cap is
         :data:`~repro.core.stepsize.DEFAULT_MAX_GAMMA` (8): without a
@@ -198,11 +195,6 @@ class LLAConfig:
                 f"got {self.max_latency_factor!r}"
             )
 
-    def build_step_policy(self, taskset: TaskSet) -> StepSizePolicy:
-        if self.step_policy is not None:
-            return self.step_policy
-        return AdaptiveStepSize(taskset, initial_gamma=self.initial_gamma)
-
     @staticmethod
     def fixed(gamma: float, **kwargs: Any) -> "LLAConfig":
         """Convenience: a config with a fixed step size (Figure 5's γ runs)."""
@@ -218,9 +210,8 @@ class _ArrayResourcePrices:
     (re)allocation adopts it.
     """
 
-    def __init__(self, taskset: TaskSet, initial_price: float,
+    def __init__(self, initial_price: float,
                  names: Tuple[str, ...]) -> None:
-        self.taskset = taskset
         self.initial_price = float(initial_price)
         self._names = names
         self._mu: Optional[np.ndarray] = None
@@ -242,11 +233,12 @@ class _ArrayResourcePrices:
     def reset(self) -> None:
         """Every price back to the initial one."""
         self._mu = None
-        self._prices = {r: self.initial_price for r in self.taskset.resources}
+        self._prices = dict.fromkeys(self._names, self.initial_price)
 
 
 class LLAOptimizer:
-    """Runs LLA on a :class:`~repro.model.task.TaskSet`.
+    """Runs LLA on one problem: a :class:`~repro.model.task.TaskSet` or
+    its compiled :class:`~repro.core.structure.TaskSetStructure`.
 
     The optimizer owns the dual state (prices) and the last primal iterate
     (latencies).  :meth:`run` executes a batch of iterations;
@@ -254,12 +246,12 @@ class LLAOptimizer:
     a running system (the Section 6 prototype pattern) can drive it
     manually.
 
-    ``structure`` optionally supplies a precompiled
-    :class:`~repro.core.structure.TaskSetStructure` (it must describe
-    ``taskset`` at the configured ``max_latency_factor``); the always-on
-    service uses this to skip recompilation across churn events.  A task
-    set outside the kernel's model family raises
-    :class:`~repro.errors.OptimizationError` naming the offending model.
+    A structure (compiled at the configured ``max_latency_factor``) is
+    iterated as it is; a task set is compiled first.  :attr:`taskset` is
+    the task set passed in, else ``None``: :meth:`refresh_model` and
+    ``LLAConfig.warm_start`` read it and raise
+    :class:`~repro.errors.OptimizationError` without one, as does a task
+    set outside the kernel's model family, naming the offending model.
 
     An iteration works from the engine's
     :class:`~repro.core.vectorized.StepArrays` alone: the convergence
@@ -269,11 +261,12 @@ class LLAOptimizer:
     something reads them.
     """
 
-    def __init__(self, taskset: TaskSet, config: Optional[LLAConfig] = None,
+    def __init__(self, problem: Union[TaskSet, TaskSetStructure],
+                 config: Optional[LLAConfig] = None,
                  on_iteration: Optional[Callable[[IterationRecord], None]] = None,
-                 telemetry: Optional[Telemetry] = None,
-                 structure: Optional["TaskSetStructure"] = None) -> None:
-        self.taskset = taskset
+                 telemetry: Optional[Telemetry] = None) -> None:
+        self.taskset: Optional[TaskSet] = \
+            None if isinstance(problem, TaskSetStructure) else problem
         self.config = config or LLAConfig()
         self.on_iteration = on_iteration
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -282,7 +275,6 @@ class LLAOptimizer:
             Tuple[FrozenSet[str], FrozenSet[PathKey]]
         ] = None
 
-        self.step_policy = self.config.build_step_policy(taskset)
         self.detector = ConvergenceDetector(
             utility_tol=self.config.utility_tol,
             window=self.config.convergence_window,
@@ -290,12 +282,10 @@ class LLAOptimizer:
             require_feasible=self.config.require_feasible,
             utility_floor=self.config.utility_floor,
         )
-        self._engine = VectorizedEngine(taskset, self.config,
-                                        self.step_policy,
-                                        telemetry=self.telemetry,
-                                        structure=structure)
+        self._engine = VectorizedEngine(problem, self.config,
+                                        telemetry=self.telemetry)
         self.resource_prices = _ArrayResourcePrices(
-            taskset, self.config.initial_resource_price,
+            self.config.initial_resource_price,
             self._engine.structure.resource_names,
         )
         # The last iteration's record; None until a step, and again after
@@ -328,7 +318,7 @@ class LLAOptimizer:
         self._latencies = value
 
     @property
-    def structure(self) -> "TaskSetStructure":
+    def structure(self) -> TaskSetStructure:
         """The compiled structure the kernel iterates over.  Consumers
         that can read allocation facts from its arrays should prefer it
         over re-traversing the :class:`~repro.model.task.TaskSet` object
@@ -346,9 +336,14 @@ class LLAOptimizer:
         Error correction swaps share functions on the task set (and
         resource availabilities may shift at run time); the kernel's model
         arrays — share coefficients, latency bounds, ``B_r`` — must be
-        recompiled.
+        recompiled from :attr:`taskset`.
         """
-        self._engine.refresh_model()
+        if self.taskset is None:
+            raise OptimizationError(
+                "refresh_model() re-reads the task set, and this optimizer "
+                "was built on a compiled structure alone"
+            )
+        self._engine.refresh_model(self.taskset)
         # The last step's loads predate the refresh: keep its latencies,
         # but re-measure them on the refreshed model.
         self.latencies = self.latencies
@@ -382,7 +377,8 @@ class LLAOptimizer:
         updating ``resource_prices.prices`` alone would leak stale λ and
         escalated γ from a previous run into the next solve.
         """
-        unknown = sorted(set(resource_prices) - set(self.taskset.resources))
+        unknown = sorted(
+            set(resource_prices) - set(self._engine.structure.resource_names))
         if unknown:
             raise OptimizationError(
                 f"adopt_prices got prices for unknown resources {unknown!r}"
@@ -514,12 +510,13 @@ class LLAOptimizer:
             )
         tracer = self.telemetry.tracer
         if tracer.enabled:
+            structure = self._engine.structure
             tracer.emit(
                 "run_started", runtime="optimizer",
                 starting_iteration=self.iteration, budget=budget,
-                tasks=len(self.taskset.tasks),
-                subtasks=len(self.taskset.subtask_names),
-                resources=len(self.taskset.resources),
+                tasks=len(structure.task_names),
+                subtasks=structure.n_subtasks,
+                resources=structure.n_resources,
             )
         debug = logger.isEnabledFor(logging.DEBUG)
         history = []

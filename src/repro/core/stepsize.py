@@ -10,8 +10,10 @@ fixed step sizes (Figure 5: γ = 0.1 converges in >1000 iterations, γ = 1 in
    and the step sizes of every path traversing it;
 3. as soon as the resource becomes uncongested, revert to the initial value.
 
-Both policies are implemented behind one small interface so the optimizer
-and the distributed agents are policy-agnostic.
+Both policies sit behind one interface whose per-name methods the
+per-element updaters of :mod:`repro.core.prices` call.  The LLA kernel
+reads only a policy's parameters into its own γ arrays, and the
+distributed agents step with :class:`~repro.distributed.agents.LocalGamma`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from repro.core.state import PathKey
 from repro.model.task import TaskSet
 
 __all__ = ["StepSizePolicy", "FixedStepSize", "AdaptiveStepSize",
-           "DEFAULT_MAX_GAMMA"]
+           "DEFAULT_GROWTH", "DEFAULT_MAX_GAMMA"]
 
+#: :class:`AdaptiveStepSize`'s default growth factor (the paper's doubling).
+DEFAULT_GROWTH = 2.0
 #: :class:`AdaptiveStepSize`'s default growth cap.
 DEFAULT_MAX_GAMMA = 8.0
 
@@ -113,8 +117,8 @@ class AdaptiveStepSize(StepSizePolicy):
     resource and path) is built on the first :meth:`resource_gamma`,
     :meth:`path_gamma` or :meth:`observe` call.  The LLA kernel
     keeps its own γ arrays and reads only the three parameters, so an
-    optimizer run never builds the index; the distributed agents and
-    per-element references that call these methods do.
+    optimizer run never builds the index; only the per-element
+    references that call these methods do.
 
     Deviation from the paper: growth is capped at ``max_gamma`` (default 8),
     which may not be below ``initial_gamma``.
@@ -125,7 +129,7 @@ class AdaptiveStepSize(StepSizePolicy):
     """
 
     def __init__(self, taskset: TaskSet, initial_gamma: float = 1.0,
-                 growth: float = 2.0,
+                 growth: float = DEFAULT_GROWTH,
                  max_gamma: float = DEFAULT_MAX_GAMMA) -> None:
         for name, value in (("initial_gamma", initial_gamma),
                             ("growth", growth), ("max_gamma", max_gamma)):

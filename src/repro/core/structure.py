@@ -2,7 +2,7 @@
 
 The compiled :class:`TaskSetStructure` is the system's **canonical**
 representation of a task set: the LLA kernel iterates over it,
-the always-on service caches and snapshots it, and the distributed
+the always-on service splices and caches it, and the distributed
 runtime derives its per-round observations from it.  Compiling the
 workload's *shape* — which subtask
 runs on which resource, which paths contain which subtasks, per-subtask
@@ -32,13 +32,16 @@ those loops' iterates, not merely close ones):
   from the per-element loops by an ulp — enough to flip a congestion
   branch.
 
-A structure is serializable (:func:`structure_to_dict` /
+A structure is a plain value that keeps no reference to its task set;
+only :meth:`TaskSetStructure.refresh_model` reads one, the task set
+whose model changed.  It is serializable (:func:`structure_to_dict` /
 :func:`structure_from_dict`, mirroring :mod:`repro.model.serialize`) and
 fingerprinted (:attr:`TaskSetStructure.fingerprint`, a SHA-256 over the
-canonical payload via :func:`repro.model.fingerprint.structure_fingerprint`).
-Because compilation is canonical, permuted-but-equal task sets produce the
-same structure fingerprint; checkpoints and snapshots stamped with it can
-be validated on restore, and corrupt payloads are detected by the hash.
+canonical payload), so permuted-but-equal task sets give the same
+fingerprint and a corrupt payload fails it.  No production path uses
+either: service snapshots are stamped with the membership fingerprint and
+distributed checkpoints with the task-set fingerprint
+(:mod:`repro.model.fingerprint`).
 
 What compiles: power-law share functions (:class:`HyperbolicShare`,
 :class:`PowerLawShare`, optionally wrapped in one :class:`CorrectedShare`)
@@ -152,14 +155,8 @@ class TaskSetStructure:
     compilation; model coefficients that can change at run time — share
     parameters, latency bounds, availabilities, utilities — live in arrays
     refreshed in place by :meth:`refresh_model`.
-
-    ``taskset`` is the bound source task set, or ``None`` for structures
-    rebuilt from a serialized payload (:func:`structure_from_dict`) — an
-    unbound structure can drive an engine but cannot
-    :meth:`refresh_model`.
     """
 
-    taskset: Optional[TaskSet]
     max_latency_factor: float
 
     # -- orderings (static) -----------------------------------------------------
@@ -343,8 +340,9 @@ class TaskSetStructure:
             self._all_hyperbolic = bool(self.hyper_mask.all())
         return self._all_hyperbolic
 
-    def refresh_model(self) -> None:
-        """Re-read the mutable model state from the task set.
+    def refresh_model(self, taskset: TaskSet) -> None:
+        """Re-read the mutable model state from ``taskset``, the task set
+        this structure was compiled from, after its model changed.
 
         Mirrors :meth:`LatencyAllocator.refresh_bounds` plus availability:
         error correction swaps/retunes share functions and
@@ -353,12 +351,7 @@ class TaskSetStructure:
         Invalidates the cached :attr:`fingerprint`, :attr:`concave`,
         :attr:`kind_rows`, :attr:`any_error` and :attr:`all_hyperbolic`.
         """
-        if self.taskset is None:
-            raise ModelError(
-                "cannot refresh_model on an unbound structure "
-                "(deserialized without a task set)"
-            )
-        _fill_model_arrays(self, self.taskset, self.max_latency_factor)
+        _fill_model_arrays(self, taskset, self.max_latency_factor)
         self._fingerprint = None
         self._concave = False
         self._kind_rows = None
@@ -714,7 +707,6 @@ def compile_structure(taskset: TaskSet,
             sub_paths[sub_index[sub.name]] = [base + i for i in on_paths]
 
     structure = TaskSetStructure(
-        taskset=taskset,
         max_latency_factor=float(max_latency_factor),
         subtask_names=tuple(subtask_names),
         resource_names=resource_names,
@@ -876,8 +868,7 @@ def empty_structure(resource_names: Sequence[str], availability: np.ndarray,
                     max_latency_factor: float = 1.0) -> TaskSetStructure:
     """A structure with no tasks over ``resource_names`` (sorted) — the
     base a membership is spliced into when it starts from nothing."""
-    s = TaskSetStructure(taskset=None,
-                         max_latency_factor=float(max_latency_factor),
+    s = TaskSetStructure(max_latency_factor=float(max_latency_factor),
                          resource_names=tuple(resource_names))
     for name in _INDEX_ARRAYS:
         setattr(s, name, np.zeros(0, dtype=np.intp))
@@ -944,8 +935,7 @@ def splice_structure(base: TaskSetStructure,
     fragments put in at their name-sorted positions (a fragment replaces a
     task of its name), every index array remapped.
 
-    The result is a new, unbound structure (``taskset`` is ``None``)
-    byte-identical to :func:`compile_structure` of the new membership,
+    The result is a new structure byte-identical to :func:`compile_structure` of the new membership,
     provided the fragments were compiled against ``base``'s resource
     order and ``availability`` (default: ``base``'s).  Copy on write:
     ``base``'s arrays are read, never written, so records and caches that
@@ -1083,20 +1073,12 @@ def structure_to_dict(structure: TaskSetStructure) -> Dict[str, Any]:
     return payload
 
 
-def structure_from_dict(
-    data: Mapping[str, Any],
-    taskset: Optional[TaskSet] = None,
-) -> TaskSetStructure:
+def structure_from_dict(data: Mapping[str, Any]) -> TaskSetStructure:
     """Rebuild a :class:`TaskSetStructure` from :func:`structure_to_dict`.
 
     Verifies the embedded fingerprint against a recomputation over the
     payload: any mutation — a truncated array, a flipped coefficient, a
-    renamed subtask — raises :class:`~repro.errors.ModelError`, which
-    restore paths demote to a cold reset.  ``taskset`` optionally rebinds
-    the structure to a live task set (required for later
-    :meth:`~TaskSetStructure.refresh_model` calls); the caller is
-    responsible for the binding being the problem the payload describes
-    (e.g. via task-set fingerprint equality).
+    renamed subtask — raises :class:`~repro.errors.ModelError`.
     """
     try:
         version = int(data["format"])
@@ -1109,7 +1091,6 @@ def structure_from_dict(
         if not isinstance(stamp, str):
             raise ModelError("structure payload has a non-string fingerprint")
         structure = TaskSetStructure(
-            taskset=taskset,
             max_latency_factor=float(data["max_latency_factor"]),
             subtask_names=tuple(str(n) for n in data["subtask_names"]),
             resource_names=tuple(str(n) for n in data["resource_names"]),

@@ -21,10 +21,11 @@ bitwise-equal traces over full figure runs against a per-element
 reference kept with the tests.
 
 Step-size handling: :class:`FixedStepSize` folds to two scalars;
-:class:`AdaptiveStepSize` is re-implemented as array updates with
-engine-owned γ state (the policy object is bypassed — its dicts stay at
-their initial values).  Only those two exact types fold; any other
-policy raises :class:`~repro.errors.OptimizationError` at construction.
+:class:`AdaptiveStepSize`, and the default policy (``step_policy=None``),
+are re-implemented as array updates with engine-owned γ state (a policy
+object is read for its parameters only).  Only those two exact types
+fold; any other policy raises :class:`~repro.errors.OptimizationError`
+at construction.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from repro.errors import OptimizationError, ShareError
 from repro.core.allocation import closed_form_latencies, solve_concave
 from repro.core.phases import PhaseTimers
 from repro.core.state import IterationRecord, PathKey
-from repro.core.stepsize import AdaptiveStepSize, FixedStepSize, StepSizePolicy
+from repro.core.stepsize import (
+    DEFAULT_GROWTH, DEFAULT_MAX_GAMMA, AdaptiveStepSize, FixedStepSize,
+)
 from repro.core.structure import (
     UTILITY_INELASTIC,
     UTILITY_LINEAR,
@@ -333,9 +336,12 @@ class _AdaptiveGammas:
 GammaSupplier = Union["_FixedGammas", "_AdaptiveGammas"]
 
 
-def _make_gammas(
-    policy: StepSizePolicy, structure: TaskSetStructure,
-) -> GammaSupplier:
+def _make_gammas(config: "LLAConfig",
+                 structure: TaskSetStructure) -> GammaSupplier:
+    policy = config.step_policy
+    if policy is None:  # the paper's adaptive policy at initial_gamma
+        return _AdaptiveGammas(config.initial_gamma, DEFAULT_GROWTH,
+                               DEFAULT_MAX_GAMMA, structure)
     # Exact types only: a subclass may override behaviour the array
     # forms do not reproduce.
     if type(policy) is FixedStepSize:
@@ -354,7 +360,9 @@ def _make_gammas(
 
 
 class VectorizedEngine:
-    """Array-state LLA iteration over a compiled task set.
+    """Array-state LLA iteration over a compiled task set: ``problem``
+    is a :class:`TaskSetStructure` built at ``config.max_latency_factor``,
+    or a :class:`TaskSet`, compiled here.
 
     The engine owns the dual state (``μ`` per resource, ``λ`` per path) and
     the primal iterate (latency per subtask) as float64 arrays, and
@@ -368,35 +376,27 @@ class VectorizedEngine:
     :meth:`step_arrays`; :meth:`step` materializes an
     :class:`EngineStep` for callers that want dicts.
     Model mutations (error correction, ``set_availability``) require
-    :meth:`refresh_model`, same contract as
+    :meth:`refresh_model` with the mutated task set, same contract as
     :meth:`LatencyAllocator.refresh_bounds`.
     """
 
-    def __init__(self, taskset: TaskSet, config: "LLAConfig",
-                 policy: StepSizePolicy,
-                 telemetry: Optional[Telemetry] = None,
-                 structure: Optional[TaskSetStructure] = None) -> None:
-        if structure is not None:
-            # A precompiled structure (e.g. from the service's churn
-            # cache) must describe this very task set at this clamp
-            # factor; the cache guarantees it via fingerprint equality.
-            if structure.taskset is not taskset:
-                raise OptimizationError(
-                    "precompiled structure is bound to a different task set"
-                )
-            if structure.max_latency_factor != float(config.max_latency_factor):
+    def __init__(self, problem: Union[TaskSetStructure, TaskSet],
+                 config: "LLAConfig",
+                 telemetry: Optional[Telemetry] = None) -> None:
+        if isinstance(problem, TaskSetStructure):
+            if problem.max_latency_factor != float(config.max_latency_factor):
                 raise OptimizationError(
                     "precompiled structure was built at "
-                    f"max_latency_factor={structure.max_latency_factor!r}, "
+                    f"max_latency_factor={problem.max_latency_factor!r}, "
                     f"config wants {config.max_latency_factor!r}"
                 )
-            self.structure = structure
+            self.structure = problem
         else:
             self.structure = compile_structure(
-                taskset, max_latency_factor=config.max_latency_factor
+                problem, max_latency_factor=config.max_latency_factor
             )
         self.config = config
-        self._gammas = _make_gammas(policy, self.structure)
+        self._gammas = _make_gammas(config, self.structure)
         self._telemetry = telemetry
         self._phases: Optional[PhaseTimers] = None
         s = self.structure
@@ -576,11 +576,12 @@ class VectorizedEngine:
         self._gammas.reset()
         self._solve_primal()
 
-    def refresh_model(self) -> None:
-        """Re-read mutable model state (share functions, availabilities).
-        The kept path sums and the idle flag stay: neither the latencies,
+    def refresh_model(self, taskset: TaskSet) -> None:
+        """Re-read mutable model state (share functions, availabilities)
+        from the task set the structure was compiled from.  The kept
+        path sums and the idle flag stay: neither the latencies,
         λ, the path incidence nor the critical times change."""
-        self.structure.refresh_model()
+        self.structure.refresh_model(taskset)
 
 
 def _all_positive_zero(values: np.ndarray) -> bool:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict
 
+from repro.errors import OptimizationError
 from repro.model.share import CorrectedShare, HyperbolicShare
 from repro.model.task import TaskSet
 from repro.model.utility import LinearUtility
@@ -77,8 +78,14 @@ def apply_warm_start(optimizer: "LLAOptimizer") -> Dict[str, float]:
     path prices to their initial value and refreshes the primal iterate —
     on an already-run optimizer (the service's churn path) the resulting
     state is identical to a fresh optimizer constructed at these prices,
-    with no stale λ leaking into the next solve.
+    with no stale λ leaking into the next solve.  An optimizer without
+    a task set raises :class:`~repro.errors.OptimizationError`.
     """
+    if optimizer.taskset is None:
+        raise OptimizationError(
+            "a warm start estimates prices from the task set, and this "
+            "optimizer was built on a compiled structure alone"
+        )
     prices = warm_start_resource_prices(
         optimizer.taskset, default=optimizer.config.initial_resource_price
     )

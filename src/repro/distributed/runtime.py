@@ -387,7 +387,7 @@ class DistributedLLARuntime:
         fingerprint."""
         for controller in self.controllers.values():
             controller.allocator.refresh_bounds()
-        self.structure.refresh_model()
+        self.structure.refresh_model(self.taskset)
         self._fingerprint = taskset_fingerprint(self.taskset)
 
     def crashed_agents(self):

@@ -6,11 +6,9 @@ re-registers, an A/B flip alternates two configurations), so the same
 problems recur.  The cache keys compiled structures by a fingerprint plus
 the latency clamp factor.  Fingerprint equality guarantees identical
 orderings, incidence *and* model coefficients, so a cached structure is
-interchangeable with a fresh compile.  A lookup never rebinds an entry:
-when the caller's (equivalent) task set is not the one the entry is bound
-to, it gets a view of the entry bound to that task set, sharing every
-array.  An entry therefore keeps no later epoch's task set alive; only a
-compiled entry stays bound, to the task set it was compiled from.
+interchangeable with a fresh compile, and a lookup hands the entry back
+as it is.  A structure holds no reference to a task set, so no entry
+keeps any epoch's task set alive, the one it was compiled from included.
 
 The service keys by its membership fingerprint
 (:func:`~repro.model.fingerprint.membership_fingerprint`) and, on a miss,
@@ -18,13 +16,13 @@ builds the structure by splicing its predecessor; other callers key by
 :func:`~repro.model.fingerprint.taskset_fingerprint` and compile.  Cached
 structures are shared, so nobody may change their arrays in place
 (:func:`~repro.core.structure.splice_structure` is copy-on-write, and the
-service never calls ``refresh_model``).
+service's optimizers, built on a structure alone, cannot
+``refresh_model``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Callable, Optional, Tuple
 
 from repro.core.structure import TaskSetStructure, compile_structure
@@ -60,10 +58,7 @@ class StructureCache:
         The key is ``fingerprint``, by default
         :func:`~repro.model.fingerprint.taskset_fingerprint` of
         ``taskset``.  On a miss the structure comes from ``build()`` when
-        given, else from :func:`compile_structure` of ``taskset``.  With
-        a ``taskset``, the returned structure is bound to it: the entry
-        itself when the entry is bound to that very task set, else a view
-        of the entry (:func:`dataclasses.replace`) that shares its arrays.
+        given, else from :func:`compile_structure` of ``taskset``.
         """
         if fingerprint is None:
             if taskset is None:
@@ -89,8 +84,6 @@ class StructureCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-        if taskset is not None and structure.taskset is not taskset:
-            return replace(structure, taskset=taskset)
         return structure
 
     def peek(self, fingerprint: str,

@@ -12,11 +12,11 @@ enforces.  :class:`AllocationService` is that loop:
   :class:`~repro.core.structure.TaskFragment`, spliced into (or out of)
   the live :class:`~repro.core.structure.TaskSetStructure` unless the
   :class:`~repro.service.cache.StructureCache` already holds the new
-  membership under its fingerprint, and a fresh optimizer is
-  **warm-started from the resources' live prices** (a resource without
-  one falls back to the
-  :func:`~repro.core.warmstart.warm_start_resource_prices` estimate) —
-  re-convergence after churn costs a fraction of a cold restart;
+  membership under its fingerprint, and a fresh optimizer on that
+  structure alone is **warm-started from the resources' live prices**
+  (the resource set is fixed, so every resource has one) — no
+  :class:`~repro.model.task.TaskSet` is built, and re-convergence after
+  churn costs a fraction of a cold restart;
 * **query API** — :meth:`query` answers allocation lookups from the
   current iterate without touching the optimization, so query throughput
   is decoupled from convergence;
@@ -45,9 +45,11 @@ import asyncio
 import bisect
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import numpy as np
@@ -62,7 +64,6 @@ from repro.core.structure import (
     splice_structure,
 )
 from repro.core.vectorized import task_utility
-from repro.core.warmstart import warm_start_resource_prices
 from repro.distributed.checkpoint import CheckpointStore
 from repro.errors import ModelError, OptimizationError, ServiceError
 from repro.model.fingerprint import (
@@ -113,17 +114,14 @@ class ServiceConfig:
     batch_size:
         Optimizer iterations per :meth:`run` slice between event-loop
         yields.
-    lla:
-        Optimizer configuration of every epoch; ``None`` builds the paper
-        defaults.  Its ``step_policy`` must be ``None`` (a shared policy
-        object would leak step-size escalation across churn epochs).
+
+    Every epoch's optimizer runs the paper's defaults (``LLAConfig()``).
     """
 
     admission_control: bool = True
     warm_start_churn: bool = True
     cache_capacity: int = 64
     batch_size: int = 32
-    lla: Optional[LLAConfig] = None
 
     def __post_init__(self) -> None:
         """Reject inconsistent knobs at construction (REP008)."""
@@ -135,16 +133,6 @@ class ServiceConfig:
             raise ServiceError(
                 f"batch_size must be >= 1, got {self.batch_size!r}"
             )
-        if self.lla is not None and self.lla.step_policy is not None:
-            raise ServiceError(
-                "lla.step_policy must be None for the service: a shared "
-                "policy object would carry step-size escalation across "
-                "churn epochs"
-            )
-
-    def optimizer_config(self) -> LLAConfig:
-        """The effective per-epoch optimizer configuration."""
-        return self.lla or LLAConfig()
 
 
 @dataclass(frozen=True)
@@ -256,7 +244,9 @@ def _price_digest(prices: Mapping[str, Any]) -> str:
 def _verified_prices(state: Any, live: Mapping[str, float]
                      ) -> Optional[Dict[str, float]]:
     """The snapshot's price map when it passes its digest and prices
-    exactly the resources of ``live`` with numbers; ``None`` otherwise."""
+    exactly the resources of ``live`` with numbers a price can take
+    (finite and non-negative, as Eq. 8's projection keeps μ); ``None``
+    otherwise."""
     if not isinstance(state, dict):
         return None
     prices = state.get("resource_prices")
@@ -264,6 +254,8 @@ def _verified_prices(state: Any, live: Mapping[str, float]
         return None
     for price in prices.values():
         if isinstance(price, bool) or not isinstance(price, (int, float)):
+            return None
+        if not (math.isfinite(price) and price >= 0.0):
             return None
     if state.get("digest") != _price_digest(prices):
         return None
@@ -273,20 +265,6 @@ def _verified_prices(state: Any, live: Mapping[str, float]
 def _admitted(name: str) -> AdmissionDecision:
     return AdmissionDecision(task=name, admitted=True,
                              reason="no infeasibility certificate")
-
-
-def _warm_prices(live_prices: Mapping[str, float], taskset: TaskSet,
-                 lla: LLAConfig) -> Mapping[str, float]:
-    """The previous epoch's live price of every resource.  A resource
-    without one falls back to the closed-form estimate, which is computed
-    only then: a fixed resource set always has live prices."""
-    if taskset.resources.keys() <= live_prices.keys():
-        return {rname: live_prices[rname] for rname in taskset.resources}
-    fallback = warm_start_resource_prices(
-        taskset, default=lla.initial_resource_price,
-    )
-    return {rname: live_prices.get(rname, fallback[rname])
-            for rname in taskset.resources}
 
 
 class _Draft:
@@ -316,8 +294,7 @@ class _Draft:
         self._insert: Dict[str, TaskFragment] = {}
         self._remove: Set[str] = set()
         self._names = service._resource_names
-        self._factor = float(
-            service.config.optimizer_config().max_latency_factor)
+        self._factor = float(service._lla.max_latency_factor)
 
     # -- membership --------------------------------------------------------------
 
@@ -476,6 +453,8 @@ class AllocationService:
         if not resources:
             raise ServiceError("service needs at least one resource")
         self.config = config or ServiceConfig()
+        #: every epoch's optimizer configuration
+        self._lla = LLAConfig()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._resources: Dict[str, Resource] = {}
         for resource in resources:
@@ -505,6 +484,8 @@ class AllocationService:
         self._snapshots = snapshots if snapshots is not None \
             else CheckpointStore()
         self._optimizer: Optional[LLAOptimizer] = None
+        # The membership's TaskSet, built by the first read of
+        # `taskset` after a commit; no churn event builds one.
         self._taskset: Optional[TaskSet] = None
         self._fingerprint: Optional[str] = None
         self._running = False
@@ -729,13 +710,12 @@ class AllocationService:
             if reason is not None:
                 raise ServiceError(f"initial tasks rejected: {reason}")
             draft.tasks[task.name] = task
-        lla = self.config.optimizer_config()
         try:
-            taskset = self._make_taskset(draft.tasks)
             draft.digests = {task.name: task_digest(task) for task in tasks}
             draft.digest_sum = sum(draft.digests.values()) % DIGEST_MODULUS
             structure = self._cache.get(
-                taskset, max_latency_factor=lla.max_latency_factor,
+                self._make_taskset(draft.tasks),
+                max_latency_factor=self._lla.max_latency_factor,
                 fingerprint=draft.fingerprint(),
             )
         except (ModelError, OptimizationError) as exc:
@@ -750,7 +730,7 @@ class AllocationService:
         for task in tasks:
             draft.owners.update((sub.name, task.name) for sub in task.subtasks)
         draft.structure = structure
-        self._commit(draft, taskset=taskset, structure=structure)
+        self._commit(draft, structure=structure)
 
     def _make_taskset(self, tasks: Mapping[str, Task]) -> TaskSet:
         # Canonical (name-sorted) order: the task set a churn sequence
@@ -763,14 +743,13 @@ class AllocationService:
     # -- rebuild (the churn path) ------------------------------------------------
 
     def _commit(self, draft: "_Draft", rebuild: bool = True,
-                taskset: Optional[TaskSet] = None,
                 structure: Optional[TaskSetStructure] = None) -> None:
         """Adopt ``draft`` as the live membership and, when ``rebuild``,
         swap in an optimizer warm-started from the live prices.
 
-        The structure comes from the cache under the membership
-        fingerprint, or, on a miss, from the draft's splice; one
-        :class:`TaskSet` is built for the new optimizer.
+        The structure (``structure``, else the cache's under the
+        membership fingerprint, else the draft's splice) is the new
+        optimizer's only input; no :class:`TaskSet` is built.
         """
         self._tasks = draft.tasks
         self._owners = draft.owners
@@ -778,6 +757,7 @@ class AllocationService:
         self._digest_sum = draft.digest_sum
         self._resources = draft.resources
         self._availability = draft.availability
+        self._taskset = None
         if not rebuild:
             return
         live_prices: Mapping[str, float] = {}
@@ -786,27 +766,22 @@ class AllocationService:
         had_optimizer = self._optimizer is not None
         if not self._tasks:
             self._optimizer = None
-            self._taskset = None
             self._structure = None
             self._fingerprint = None
         else:
-            lla = self.config.optimizer_config()
             fingerprint = draft.fingerprint()
-            if taskset is None:
-                taskset = self._make_taskset(self._tasks)
             if structure is None:
                 structure = self._cache.get(
-                    taskset, max_latency_factor=lla.max_latency_factor,
+                    max_latency_factor=self._lla.max_latency_factor,
                     fingerprint=fingerprint, build=draft.materialize,
                 )
-            optimizer = LLAOptimizer(
-                taskset, lla, telemetry=self.telemetry, structure=structure,
-            )
+            optimizer = LLAOptimizer(structure, self._lla,
+                                     telemetry=self.telemetry)
+            # The resource set is fixed, so the previous epoch prices
+            # every resource of the new one.
             if self.config.warm_start_churn and live_prices:
-                optimizer.adopt_prices(
-                    _warm_prices(live_prices, taskset, lla))
+                optimizer.adopt_prices(live_prices)
             self._optimizer = optimizer
-            self._taskset = taskset
             self._structure = structure
             # Equal fingerprints mean equal arrays: keep the structure's,
             # so the next draft sees the availability unchanged.
@@ -977,6 +952,13 @@ class AllocationService:
     def tasks(self) -> Tuple[str, ...]:
         return tuple(self._tasks)
 
+    @property
+    def task_map(self) -> Mapping[str, Task]:
+        """The registered tasks by name, read-only.  A commit replaces
+        the map instead of editing it, so a mapping held across churn
+        keeps the membership it was read at."""
+        return MappingProxyType(self._tasks)
+
     def task(self, name: str) -> Task:
         """The registered task object named ``name``."""
         task = self._tasks.get(name)
@@ -993,6 +975,11 @@ class AllocationService:
 
     @property
     def taskset(self) -> Optional[TaskSet]:
+        """The membership as a :class:`TaskSet` (``None`` with no tasks),
+        built on the first read after a commit and kept until the next:
+        the optimizer runs on the compiled structure alone."""
+        if self._taskset is None and self._tasks:
+            self._taskset = self._make_taskset(self._tasks)
         return self._taskset
 
     @property

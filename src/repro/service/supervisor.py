@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.admission import AdmissionDecision
 from repro.distributed.checkpoint import CheckpointStore
@@ -284,7 +284,7 @@ class SupervisedService:
         self._pending_corruptions = 0
         # Last known-good (critical-time-feasible) allocation.
         self._last_good_latencies: Dict[str, float] = {}
-        self._last_good_tasks: Dict[str, Task] = {}
+        self._last_good_tasks: Mapping[str, Task] = {}
         self._last_good_tick: Optional[int] = None
         self._last_good_epoch = 0
         self._last_good_iteration = 0
@@ -306,7 +306,7 @@ class SupervisedService:
         self._synthetic_serial = 0
         # An initial restore point, so a watchdog fire before the first
         # periodic snapshot can warm-restore instead of cold-resetting.
-        if self.service.taskset is not None and self.config.snapshot_interval:
+        if self.service.task_map and self.config.snapshot_interval:
             self._guarded_snapshot()
 
     # -- telemetry ---------------------------------------------------------------
@@ -448,14 +448,13 @@ class SupervisedService:
             self.injector.apply(self._tick)
         self._drain_churn()
         self._advance()
-        restart_due = (
-            self.service.taskset is not None
-            and self.watchdog.beat(self.service.stats().iterations)
+        members = self.service.task_map
+        restart_due = bool(
+            members and self.watchdog.beat(self.service.stats().iterations)
         )
         interval = self.config.snapshot_interval
         snapshot_due = bool(
-            interval and self.service.taskset is not None
-            and self._tick % interval == 0
+            interval and members and self._tick % interval == 0
         )
         return restart_due, snapshot_due
 
@@ -501,7 +500,7 @@ class SupervisedService:
             self._stall_remaining -= 1
             self.stall_ticks += 1
             return False
-        if self.service.taskset is None:
+        if not self.service.task_map:
             return False
         self.service.step(self.service.config.batch_size)
         return True
@@ -583,14 +582,13 @@ class SupervisedService:
     def _capture_last_good(self) -> None:
         """Remember the live allocation whenever it is critical-time
         feasible — the answer degraded mode keeps serving.  The verdict
-        is the live iterate's, at the 1e-2 feasibility tolerance."""
-        taskset = self.service.taskset
-        if taskset is None or not self.service.feasible(1e-2):
+        is the live iterate's, at the 1e-2 feasibility tolerance (never
+        feasible with no tasks registered); the task map is held as it
+        is, since a commit replaces it rather than editing it."""
+        if not self.service.feasible(1e-2):
             return
         self._last_good_latencies = self.service.allocations()
-        self._last_good_tasks = {
-            task.name: task for task in taskset.tasks
-        }
+        self._last_good_tasks = self.service.task_map
         self._last_good_tick = self._tick
         stats = self.service.stats()
         self._last_good_epoch = stats.epoch
@@ -598,7 +596,7 @@ class SupervisedService:
 
     def _observe_brownout(self) -> None:
         stats = self.service.stats()
-        if self.service.taskset is None or stats.converged:
+        if not self.service.task_map or stats.converged:
             self._unconverged_ticks = 0
         else:
             self._unconverged_ticks += 1

@@ -29,6 +29,10 @@ def claim(experiment, check, status):
     return {"experiment": experiment, "check": check, "status": status}
 
 
+def run(experiment, payload):
+    return {"experiment": experiment, "payload": payload}
+
+
 class TestLoadArtifact:
     def test_classifies_bench_and_scorecard(self, tmp_path):
         bench_path = tmp_path / "BENCH_x.json"
@@ -142,6 +146,41 @@ class TestScorecardDiff:
         cur = scorecard([claim("fig5", "settles", "pass")], wall=20.0)
         assert not diff_artifacts(base, cur).ok
         assert diff_artifacts(base, cur, ignore_timing=True).ok
+
+    def test_every_compared_claim_is_counted(self):
+        claims = [claim("fig5", "settles", "pass"),
+                  claim("fig5", "full_budget", "skipped")]
+        diff = diff_artifacts(scorecard(claims), scorecard(claims),
+                              ignore_timing=True)
+        assert diff.ok
+        assert len(diff.deltas) == 2
+        assert format_diff(diff).startswith(
+            "bench-diff: OK — no regressions across 2 compared values")
+
+    def test_pass_to_skipped_is_a_regression(self):
+        diff = diff_artifacts(
+            scorecard([claim("fig5", "settles", "pass")]),
+            scorecard([claim("fig5", "settles", "skipped")]),
+            ignore_timing=True,
+        )
+        assert not diff.ok
+
+    def test_changed_payloads_are_listed_never_flagged(self):
+        base = scorecard([claim("fig5", "settles", "pass")])
+        cur = scorecard([claim("fig5", "settles", "pass")])
+        base["runs"] = [run("fig5", {"utility": [1.0, 2.0]}),
+                        run("fig6", {"rounds": 3}),
+                        run("gone", {})]
+        cur["runs"] = [run("fig5", {"utility": [1.0, 2.5]}),
+                       run("fig6", {"rounds": 3}),
+                       run("new", {})]
+        diff = diff_artifacts(base, cur, ignore_timing=True)
+        assert diff.ok
+        assert diff.changed == ["fig5"]
+        assert diff.to_dict()["changed"] == ["fig5"]
+        assert "payload differs from baseline: fig5" in format_diff(diff)
+        cur["runs"][0] = run("fig5", {"utility": [1.0, 2.0]})
+        assert diff_artifacts(base, cur).changed == []
 
     def test_status_flips_survive_ignore_timing(self):
         diff = diff_artifacts(

@@ -23,6 +23,7 @@ from repro.core.convergence import ConvergenceDetector
 from repro.core.optimizer import LLAConfig
 from repro.core.prices import PathPriceUpdater, ResourcePriceUpdater
 from repro.core.state import IterationRecord, OptimizationResult, PathKey
+from repro.core.stepsize import AdaptiveStepSize
 from repro.core.warmstart import warm_start_resource_prices
 from repro.model.task import TaskSet
 
@@ -36,7 +37,10 @@ class ScalarLLA:
                  config: Optional[LLAConfig] = None) -> None:
         self.taskset = taskset
         self.config = config = config or LLAConfig()
-        self.step_policy = config.build_step_policy(taskset)
+        # The policy the kernel folds: the configured one, else the
+        # paper's adaptive default at initial_gamma.
+        self.step_policy = config.step_policy or AdaptiveStepSize(
+            taskset, initial_gamma=config.initial_gamma)
         self.detector = ConvergenceDetector(
             utility_tol=config.utility_tol,
             window=config.convergence_window,

@@ -325,11 +325,12 @@ class TestBackendParity:
 
 class TestStructureWithNonlinearKinds:
     def test_kinds_and_parameters_compile(self):
-        s = compile_structure(nonlinear_taskset())
+        ts = nonlinear_taskset()
+        s = compile_structure(ts)
         kinds = set(s.ut_kind.tolist())
         assert kinds == {0, UTILITY_LOG, UTILITY_QUADRATIC}
         for t, name in enumerate(s.task_names):
-            u = s.taskset.task(name).utility
+            u = ts.task(name).utility
             if isinstance(u, LogUtility):
                 assert (s.ut_scale[t], s.ut_soft[t], s.ut_crit[t]) == \
                     (u.scale, u.softness, u.critical_time)
@@ -390,7 +391,7 @@ class TestStructureWithNonlinearKinds:
         task = ts.task(s.task_names[t])
         task.utility = QuadraticUtility(task.critical_time)
         before = s.fingerprint
-        s.refresh_model()
+        s.refresh_model(ts)
         assert s.ut_kind[t] == UTILITY_QUADRATIC
         assert s.fingerprint != before
         assert int(s.concave.is_log.sum()) == logs - 1

@@ -1,6 +1,7 @@
 """Integration-grade unit tests for the LLA optimizer."""
 
 import math
+import struct
 
 import pytest
 
@@ -11,9 +12,13 @@ from repro.core.stepsize import (
     AdaptiveStepSize,
     FixedStepSize,
 )
+from repro.core.structure import compile_structure
+from repro.core.warmstart import apply_warm_start
 from repro.errors import OptimizationError
+from repro.model.task import TaskSet
 from repro.model.utility import ExponentialUtility
-from tests.conftest import make_chain_taskset
+from repro.workloads.paper import base_workload, prototype_workload
+from tests.conftest import MIXED_RESOURCES, make_chain_taskset, mixed_task
 
 
 class TestConvergence:
@@ -183,3 +188,77 @@ class TestConfig:
         structure = opt.structure
         lo = structure.lo[structure.subtask_names.index("T11")]
         assert lo == pytest.approx(base.min_latency(1.0) + 2.0)
+
+    def test_scalar_backend_is_refused(self):
+        """LLA runs on one kernel, whose backend name is the only one
+        accepted."""
+        assert LLAConfig().backend == "vectorized"
+        with pytest.raises(OptimizationError, match="'scalar'"):
+            LLAConfig(backend="scalar")
+
+
+def _mixed_taskset():
+    """The 4-task mixed workload: linear, inelastic, log and quadratic
+    utilities over hyperbolic, power-law and corrected shares."""
+    return TaskSet([mixed_task(i) for i in range(4)], MIXED_RESOURCES,
+                   allow_shared_resources=True)
+
+
+_WORKLOADS = {"base": base_workload, "prototype": prototype_workload,
+              "mixed": _mixed_taskset}
+_STEP_POLICIES = {"fixed": FixedStepSize(1.0), "adaptive": None}
+
+
+class TestStructureOnly:
+    """An optimizer built on a compiled structure alone."""
+
+    @pytest.mark.parametrize("policy", sorted(_STEP_POLICIES))
+    @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+    def test_iterates_equal_a_taskset_built_optimizer(self, workload,
+                                                      policy):
+        """300 steps, with adopt_prices at step 100 and reset at step
+        200, give the task-set-built optimizer's latencies, μ, λ, loads
+        and utility by bit pattern."""
+        ts = _WORKLOADS[workload]()
+        config = LLAConfig(step_policy=_STEP_POLICIES[policy],
+                           stop_on_convergence=False)
+        from_taskset = LLAOptimizer(ts, config)
+        from_structure = LLAOptimizer(
+            compile_structure(ts, config.max_latency_factor), config)
+        assert from_taskset.taskset is ts
+        assert from_structure.taskset is None
+        pair = (from_taskset, from_structure)
+        for k in range(300):
+            if k == 100:
+                warm = {r: 1.5 * price for r, price
+                        in from_taskset.resource_prices.prices.items()}
+                for opt in pair:
+                    opt.adopt_prices(warm)
+            elif k == 200:
+                for opt in pair:
+                    opt.reset()
+            if k in (100, 200):
+                assert from_taskset.latencies == from_structure.latencies
+            a, b = (opt.step() for opt in pair)
+            for name in ("lat", "mu", "lam", "loads"):
+                assert getattr(a.arrays, name).tobytes() == \
+                    getattr(b.arrays, name).tobytes(), (k, name)
+            assert struct.pack("<d", a.utility) == \
+                struct.pack("<d", b.utility), k
+
+    def test_refuses_what_reads_the_task_set(self):
+        """refresh_model() and a warm start read the object model, which
+        a structure-only optimizer does not have."""
+        structure = compile_structure(base_workload())
+        opt = LLAOptimizer(structure, LLAConfig())
+        with pytest.raises(OptimizationError, match="refresh_model"):
+            opt.refresh_model()
+        with pytest.raises(OptimizationError, match="warm start"):
+            apply_warm_start(opt)
+        with pytest.raises(OptimizationError, match="warm start"):
+            LLAOptimizer(structure, LLAConfig(warm_start=True))
+
+    def test_refuses_a_structure_of_another_clamp(self):
+        structure = compile_structure(base_workload(), max_latency_factor=2.0)
+        with pytest.raises(OptimizationError, match="max_latency_factor"):
+            LLAOptimizer(structure, LLAConfig())

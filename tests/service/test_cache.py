@@ -2,9 +2,7 @@
 
 import gc
 import weakref
-from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from repro.errors import ServiceError
@@ -24,44 +22,32 @@ class TestLookup:
     def test_first_lookup_misses_and_compiles(self):
         cache = StructureCache()
         ts = make_chain_taskset()
-        structure = cache.get(ts)
-        assert structure.taskset is ts
+        cache.get(ts)
         assert (cache.hits, cache.misses) == (0, 1)
         assert cache.hit_rate == 0.0
 
-    def test_equal_taskset_hits_and_rebinds(self):
+    def test_equal_task_sets_share_one_entry(self):
         """Two separately built but identical task sets share one compiled
-        structure; the hit hands out a view of it bound to the caller's
-        task-set object."""
+        structure; the hit hands the entry back as it is."""
         cache = StructureCache()
-        first = make_chain_taskset()
-        second = make_chain_taskset()
-        cache.get(first)
-        structure = cache.get(second)
-        assert structure.taskset is second
+        entry = cache.get(make_chain_taskset())
+        assert cache.get(make_chain_taskset()) is entry
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == pytest.approx(0.5)
 
-    def test_a_hit_is_a_view_and_never_rebinds_the_entry(self):
-        """The view shares the entry's arrays; the entry keeps its own
-        binding, so the caller's task set is freed with the caller."""
+    def test_no_entry_keeps_a_task_set_alive(self):
+        """A structure holds no task set: neither the one an entry was
+        compiled from nor the one of a later hit outlives its caller."""
         cache = StructureCache()
-        first = make_chain_taskset()
-        entry = cache.get(first)
-        second = make_chain_taskset()
-        view = cache.get(second)
-        assert view.taskset is second
-        assert entry.taskset is first
-        assert next(iter(cache._entries.values())) is entry
-        arrays = {name: value for name, value in vars(entry).items()
-                  if isinstance(value, np.ndarray)}
-        assert arrays
-        for name, value in arrays.items():
-            assert getattr(view, name) is value, name
-        freed = weakref.ref(second)
-        del view, second
+        compiled_from = make_chain_taskset()
+        hit_by = make_chain_taskset()
+        entry = cache.get(compiled_from)
+        assert cache.get(hit_by) is entry
+        freed = [weakref.ref(compiled_from), weakref.ref(hit_by)]
+        del compiled_from, hit_by
         gc.collect()
-        assert freed() is None
+        assert [ref() for ref in freed] == [None, None]
+        assert cache.peek(next(iter(cache._entries))[0]) is entry
 
     def test_hit_refreshes_model_after_availability_change(self):
         """Fingerprints cover availabilities, so a shocked task set maps
@@ -87,9 +73,8 @@ class TestLookup:
         cache = StructureCache()
         ts = make_chain_taskset()
         fp = taskset_fingerprint(ts)
-        cache.get(ts, fingerprint=fp)
-        structure = cache.get(ts, fingerprint=fp)
-        assert structure.taskset is ts
+        entry = cache.get(ts, fingerprint=fp)
+        assert cache.get(ts, fingerprint=fp) is entry
         assert cache.hits == 1
 
 
@@ -128,7 +113,7 @@ class TestBuildAndPeek:
         cache = StructureCache()
         built = compile_structure(make_chain_taskset())
         structure = cache.get(fingerprint="membership", build=lambda: built)
-        assert structure is built and structure.taskset is not None
+        assert structure is built
         assert (cache.hits, cache.misses) == (0, 1)
         again = cache.get(fingerprint="membership",
                           build=lambda: pytest.fail("hit must not build"))
@@ -137,15 +122,16 @@ class TestBuildAndPeek:
 
     def test_a_built_entry_stays_unbound(self):
         """A structure from the builder (the service's splice) is cached
-        unbound; the caller gets it bound to its task set as a view."""
+        and handed out as it is, also to a caller with a task set:
+        nothing binds it to one."""
         from repro.core.structure import compile_structure
         cache = StructureCache()
         ts = make_chain_taskset()
-        built = replace(compile_structure(ts), taskset=None)
+        built = compile_structure(ts)
         structure = cache.get(ts, fingerprint="membership",
                               build=lambda: built)
-        assert structure.taskset is ts
-        assert built.taskset is None
+        assert structure is built
+        assert not hasattr(built, "taskset")
         assert cache.peek("membership") is built
 
     def test_peek_neither_counts_nor_builds(self):
@@ -167,7 +153,8 @@ class TestBuildAndPeek:
         cache = StructureCache()
         cache.get(make_chain_taskset())
         monkeypatch.setattr(TaskSetStructure, "refresh_model",
-                            lambda self: pytest.fail("refreshed on a hit"))
+                            lambda self, taskset: pytest.fail(
+                                "refreshed on a hit"))
         cache.get(make_chain_taskset())
         assert cache.hits == 1
 

@@ -82,15 +82,14 @@ def _assert_matches_cold_compile(service):
         return
     structure = service._optimizer.structure
     taskset = service.taskset
-    assert structure.taskset is taskset
     assert tuple(t.name for t in taskset.tasks) == tuple(sorted(service.tasks))
     for task in taskset.tasks:
         assert task is service.task(task.name)
     for rname, resource in taskset.resources.items():
         assert resource is service.resource(rname)
-    lla = service.config.optimizer_config()
     _assert_byte_identical(
-        structure, compile_structure(taskset, lla.max_latency_factor))
+        structure,
+        compile_structure(taskset, LLAConfig().max_latency_factor))
 
 
 def _cold_fingerprint(service):
@@ -145,7 +144,7 @@ class TestSpliceParity:
         calls = []
         monkeypatch.setattr(
             "repro.core.structure.TaskSetStructure.refresh_model",
-            lambda self: calls.append("refresh"))
+            lambda self, taskset: calls.append("refresh"))
         monkeypatch.setattr("repro.service.cache.compile_structure",
                             lambda *a, **k: calls.append("compile"))
         monkeypatch.setattr("repro.service.cache.taskset_fingerprint",
@@ -243,15 +242,14 @@ class TestIterateParity:
         ), seed=7)
         service = AllocationService(list(taskset.resources.values()),
                                     list(taskset.tasks))
-        lla = service.config.optimizer_config()
+        lla = LLAConfig()
         service.step(40)
         for event in _churn_script(service, taskset):
             live = dict(service._optimizer.resource_prices.prices)
             event()
-            ts = service.taskset
             reference = LLAOptimizer(
-                ts, lla,
-                structure=compile_structure(ts, lla.max_latency_factor))
+                compile_structure(service.taskset, lla.max_latency_factor),
+                lla)
             reference.adopt_prices(live)
             optimizer = service._optimizer
             for _ in range(50):
@@ -260,49 +258,6 @@ class TestIterateParity:
                 assert optimizer.latencies == reference.latencies
                 assert optimizer.resource_prices.prices == \
                     reference.resource_prices.prices
-
-
-class TestWarmStartFallback:
-    def _count_calls(self, monkeypatch):
-        calls = []
-        original = service_module.warm_start_resource_prices
-        monkeypatch.setattr(
-            service_module, "warm_start_resource_prices",
-            lambda *a, **k: calls.append(1) or original(*a, **k))
-        return calls
-
-    def test_not_computed_while_every_resource_has_a_live_price(
-            self, monkeypatch):
-        calls = self._count_calls(monkeypatch)
-        service = AllocationService(list(MIXED_RESOURCES),
-                                    [mixed_task(i) for i in range(4)])
-        service.step(20)
-        service.deregister("m1")
-        service.register(mixed_task(1))
-        service.update_task("m2", critical_time=50.0)
-        service.set_availability("r3", 0.5)
-        service.apply_batch([ChurnEvent("deregister", "m0")])
-        assert calls == []
-
-    def test_computed_once_for_a_resource_without_a_live_price(
-            self, monkeypatch):
-        """The service's resources are fixed, so a missing live price is
-        made by hand: dropping one from the live map before a churn."""
-        calls = self._count_calls(monkeypatch)
-        service = AllocationService(list(MIXED_RESOURCES),
-                                    [mixed_task(i) for i in range(4)])
-        service.step(20)
-        live = service._optimizer.resource_prices.prices
-        kept = dict(live)
-        del live["r2"]
-        fallback = service_module.warm_start_resource_prices(
-            service.taskset, default=LLAConfig().initial_resource_price)
-        calls.clear()
-        service.deregister("m1")
-        assert calls == [1]
-        prices = service._optimizer.resource_prices.prices
-        assert prices["r0"] == kept["r0"]
-        assert prices["r2"] == fallback["r2"]
 
 
 class TestBatchIsOneTransaction:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.distributed.faults import ChurnStorm, FaultPlan, LossBurst, LoopStall
 from repro.errors import ServiceError
+from repro.model.fingerprint import taskset_fingerprint
 from repro.model.task import TaskSet
 from repro.service import (
     BrownoutConfig,
@@ -16,6 +17,7 @@ from repro.service import (
 )
 from repro.telemetry import Telemetry
 
+from tests.conftest import MIXED_RESOURCES, mixed_task
 from tests.service.test_service import make_resources, make_task
 
 
@@ -383,3 +385,54 @@ class TestDeterminism:
         second_trace, second_stats = run()
         assert first_trace == second_trace
         assert first_stats == second_stats
+
+
+class TestNoTaskSetOnTheTickPath:
+    def test_churn_and_ticks_build_no_task_set_until_read(self,
+                                                          monkeypatch):
+        """Every churn kind (a coalesced replace included), snapshots and
+        the last-good capture over 50 ticks construct no TaskSet; the
+        first read of ``taskset`` builds one, equal to a cold build of
+        the membership."""
+        tasks = [mixed_task(i) for i in range(4)]
+        service = SupervisedService(list(MIXED_RESOURCES), tasks,
+                                    config=HardeningConfig(
+                                        snapshot_interval=5))
+        built = []
+        construct = TaskSet.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(TaskSet, "__init__", counted)
+        script = {
+            2: lambda: service.deregister("m1"),
+            6: lambda: service.register(tasks[1]),
+            10: lambda: service.update_task("m2", critical_time=50.0),
+            14: lambda: service.set_availability("r2", 0.6),
+            18: lambda: service.register(mixed_task(5)),
+            22: lambda: (service.deregister("m0"),
+                         service.register(tasks[0])),
+        }
+        for tick in range(1, 51):
+            if tick in script:
+                script[tick]()
+            service.tick()
+        inner = service.service
+        assert service.snapshots_taken >= 10
+        assert inner.stats().churn_events == 1 + len(script)  # + install
+        assert built == []
+        taskset = inner.taskset
+        assert built == [1] and inner.taskset is taskset
+        cold = TaskSet(
+            sorted((inner.task(name) for name in inner.tasks),
+                   key=lambda t: t.name),
+            [inner.resource(r.name) for r in MIXED_RESOURCES],
+            allow_shared_resources=True)
+        assert [t.name for t in taskset.tasks] == \
+            [t.name for t in cold.tasks]
+        for task in taskset.tasks:
+            assert task is inner.task(task.name)
+        assert taskset.resources["r2"].availability == 0.6
+        assert taskset_fingerprint(taskset) == taskset_fingerprint(cold)
