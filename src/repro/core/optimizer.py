@@ -50,7 +50,8 @@ from repro.core.vectorized import (
     ArrayRecord,
     VectorizedEngine,
     arrays_feasible,
-    observe_assignment,
+    compute_loads,
+    path_latencies,
 )
 from repro.model.task import TaskSet
 from repro.telemetry import NULL_TELEMETRY, Telemetry, encode_record
@@ -201,46 +202,11 @@ class LLAConfig:
         return LLAConfig(step_policy=FixedStepSize(gamma), **kwargs)
 
 
-class _ArrayResourcePrices:
-    """``LLAOptimizer.resource_prices``: the engine's μ as a name-keyed map.
-
-    The engine owns μ as an array.  :attr:`prices` builds the map from
-    the latest iteration's array when first read and keeps it until the
-    next iteration, so a caller may still update it in place before a
-    (re)allocation adopts it.
-    """
-
-    def __init__(self, initial_price: float,
-                 names: Tuple[str, ...]) -> None:
-        self.initial_price = float(initial_price)
-        self._names = names
-        self._mu: Optional[np.ndarray] = None
-        self._prices: Optional[Dict[str, float]] = None
-        self.reset()
-
-    @property
-    def prices(self) -> Dict[str, float]:
-        if self._prices is None:
-            assert self._mu is not None
-            self._prices = dict(zip(self._names, self._mu.tolist()))
-        return self._prices
-
-    def track(self, mu: np.ndarray) -> None:
-        """Follow a new iteration's μ array; the map is rebuilt on read."""
-        self._mu = mu
-        self._prices = None
-
-    def reset(self) -> None:
-        """Every price back to the initial one."""
-        self._mu = None
-        self._prices = dict.fromkeys(self._names, self.initial_price)
-
-
 class LLAOptimizer:
     """Runs LLA on one problem: a :class:`~repro.model.task.TaskSet` or
     its compiled :class:`~repro.core.structure.TaskSetStructure`.
 
-    The optimizer owns the dual state (prices) and the last primal iterate
+    Its engine owns the dual state (prices) and the last primal iterate
     (latencies).  :meth:`run` executes a batch of iterations;
     :meth:`step` executes one, so callers that interleave optimization with
     a running system (the Section 6 prototype pattern) can drive it
@@ -253,11 +219,11 @@ class LLAOptimizer:
     :class:`~repro.errors.OptimizationError` without one, as does a task
     set outside the kernel's model family, naming the offending model.
 
-    An iteration works from the engine's
-    :class:`~repro.core.vectorized.StepArrays` alone: the convergence
-    detector gets a feasibility verdict computed from them, and the
-    name-keyed views — the :class:`IterationRecord` fields,
-    :attr:`latencies`, ``resource_prices.prices`` — are built only when
+    The engine's arrays are the only copy of the iterate.  An iteration
+    works from its :class:`~repro.core.vectorized.StepArrays` alone: the
+    convergence detector gets a feasibility verdict computed from them,
+    and the name-keyed views — the :class:`IterationRecord` fields,
+    :attr:`latencies`, :attr:`resource_prices` — are built only when
     something reads them.
     """
 
@@ -284,12 +250,9 @@ class LLAOptimizer:
         )
         self._engine = VectorizedEngine(problem, self.config,
                                         telemetry=self.telemetry)
-        self.resource_prices = _ArrayResourcePrices(
-            self.config.initial_resource_price,
-            self._engine.structure.resource_names,
-        )
         # The last iteration's record; None until a step, and again after
-        # every (re)allocation of the primal iterate.
+        # every re-solve of the primal iterate outside a step.  The
+        # latency map is built on first read.
         self._record: Optional[ArrayRecord] = None
         self._latencies: Optional[Dict[str, float]] = None
         self.iteration = 0
@@ -299,23 +262,35 @@ class LLAOptimizer:
         tracer = self.telemetry.tracer
         if tracer.enabled and not tracer.clock_injected:
             tracer.set_clock(lambda: float(self.iteration))
-        self.latencies = self._initial_latencies()
         if self.config.warm_start:
             from repro.core.warmstart import apply_warm_start
             apply_warm_start(self)
 
     @property
     def latencies(self) -> Dict[str, float]:
-        """The current primal iterate, subtask name → latency: the last
-        record's map, built on first read."""
+        """The current primal iterate, subtask name → latency, built on
+        first read: the last record's map, or the engine's array's after
+        a re-solve."""
         if self._latencies is None:
-            assert self._record is not None
-            self._latencies = self._record.latencies
+            record = self._record
+            self._latencies = record.latencies if record is not None \
+                else dict(zip(self.structure.subtask_names, self.lat.tolist()))
         return self._latencies
 
-    @latencies.setter
-    def latencies(self, value: Dict[str, float]) -> None:
-        self._latencies = value
+    @property
+    def lat(self) -> np.ndarray:
+        """The current primal iterate as the engine's array, in
+        ``structure.subtask_names`` order.  The engine replaces the array
+        instead of writing into it, so a held one keeps its iterate."""
+        return self._engine.lat
+
+    @property
+    def resource_prices(self) -> Dict[str, float]:
+        """Resource name → price μ_r: a new map built from the engine's
+        array on every read.  Writing into it changes nothing;
+        :meth:`adopt_prices` installs prices."""
+        return dict(zip(self.structure.resource_names,
+                        self._engine.mu.tolist()))
 
     @property
     def structure(self) -> TaskSetStructure:
@@ -324,11 +299,6 @@ class LLAOptimizer:
         over re-traversing the :class:`~repro.model.task.TaskSet` object
         graph (REP016)."""
         return self._engine.structure
-
-    def _initial_latencies(self) -> Dict[str, float]:
-        """Primal initialization: one allocation pass at the current prices."""
-        self._record = None
-        return self._engine.reallocate(self.resource_prices.prices)
 
     def refresh_model(self) -> None:
         """Re-read share functions after an external model change.
@@ -344,9 +314,8 @@ class LLAOptimizer:
                 "was built on a compiled structure alone"
             )
         self._engine.refresh_model(self.taskset)
-        # The last step's loads predate the refresh: keep its latencies,
-        # but re-measure them on the refreshed model.
-        self.latencies = self.latencies
+        # The last step's loads predate the refresh: its latencies stand,
+        # measured again on the refreshed model.
         self._record = None
         self.detector.revise_verdict(self.feasible())
 
@@ -354,42 +323,37 @@ class LLAOptimizer:
         """Whether the current iterate satisfies Eqs. 3–4 within ``tol``
         (default: the detector's ``feasibility_tol``).
 
-        The verdict comes from the last step's arrays, or from the
-        compiled structure right after a (re)allocation.
+        The verdict comes from the last step's loads and path sums, or,
+        right after a re-solve or a model refresh, from the engine's
+        latency array measured on the compiled structure.
         """
         tol = self.detector.feasibility_tol if tol is None else float(tol)
         structure = self._engine.structure
         if self._record is None:
-            return observe_assignment(structure, self.latencies,
-                                      tol=tol).feasible()
+            lat = self._engine.lat
+            return arrays_feasible(structure, compute_loads(structure, lat),
+                                   path_latencies(structure, lat), tol)
         out = self._record.arrays
         return arrays_feasible(structure, out.loads, out.path_lat, tol)
 
     def adopt_prices(self, resource_prices: Mapping[str, float]) -> None:
         """Adopt ``resource_prices`` as the dual iterate, consistently.
 
-        Installs the given μ map, resets every path price λ to the
-        configured initial value, snaps step-size escalation back to the
-        initial γ, clears the convergence window, and refreshes the primal
-        iterate — afterwards the optimizer state is exactly that of a
-        fresh instance constructed at these resource prices.  This is the
-        single entry point for warm starts and the service's churn path;
-        updating ``resource_prices.prices`` alone would leak stale λ and
-        escalated γ from a previous run into the next solve.
+        One engine call (:meth:`VectorizedEngine.adopt_prices`) installs
+        the given μ — a resource the map leaves out keeps its current
+        price, an unknown one raises
+        :class:`~repro.errors.OptimizationError` — resets every path price
+        λ to the configured initial value, snaps step-size escalation back
+        to the initial γ and solves Eq. 7 once; the convergence window is
+        cleared too.  Afterwards the iterate is exactly that of a fresh
+        instance constructed at these resource prices, with no stale λ or
+        escalated γ from a previous run.  This is the single entry point
+        for warm starts, snapshot restores and the service's churn path.
         """
-        unknown = sorted(
-            set(resource_prices) - set(self._engine.structure.resource_names))
-        if unknown:
-            raise OptimizationError(
-                f"adopt_prices got prices for unknown resources {unknown!r}"
-            )
-        self.resource_prices.prices.update(
-            {rname: float(price) for rname, price in resource_prices.items()}
-        )
+        self._engine.adopt_prices(resource_prices)
         self.detector.reset()
-        self._engine.reset_path_prices()
-        self._engine.reset_step_sizes()
-        self.latencies = self._initial_latencies()
+        self._record = None
+        self._latencies = None
 
     # -- iteration ---------------------------------------------------------------
 
@@ -403,13 +367,13 @@ class LLAOptimizer:
         instrumented = self.telemetry.enabled
         if instrumented:
             started = time.perf_counter()
-            prev_prices = dict(self.resource_prices.prices)
+            prev_mu = self._engine.mu
 
         record = self._iterate()
 
         if instrumented:
             self._observe_iteration(
-                record, prev_prices, time.perf_counter() - started
+                record, prev_mu, time.perf_counter() - started
             )
         if self.on_iteration is not None:
             self.on_iteration(record)
@@ -426,15 +390,13 @@ class LLAOptimizer:
             structure, out.loads, out.path_lat,
             self.detector.feasibility_tol,
         ))
-        self.resource_prices.track(out.mu)
         self.iteration += 1
         self._record = ArrayRecord(self.iteration, utility, structure, out)
         self._latencies = None
         return self._record
 
     def _observe_iteration(self, record: IterationRecord,
-                           prev_prices: Dict[str, float],
-                           duration: float) -> None:
+                           prev_mu: np.ndarray, duration: float) -> None:
         """Feed one iteration into the metrics registry and the tracer."""
         if self._metrics is None:
             registry = self.telemetry.registry
@@ -461,8 +423,8 @@ class LLAOptimizer:
             }
         m = self._metrics
         deltas = [
-            abs(price - prev_prices.get(rname, 0.0))
-            for rname, price in record.resource_prices.items()
+            abs(price - prev) for price, prev in
+            zip(self._engine.mu.tolist(), prev_mu.tolist())
         ]
         drift = sum(deltas) / len(deltas) if deltas else 0.0
         m["iterations"].inc()
@@ -562,19 +524,19 @@ class LLAOptimizer:
             iterations=self.iteration,
             latencies=dict(self.latencies),
             utility=final_utility,
-            resource_prices=dict(self.resource_prices.prices),
+            resource_prices=self.resource_prices,
             path_prices=self._engine.path_prices_dict(),
             history=history,
         )
 
     def reset(self) -> None:
         """Restore initial prices, step sizes and latencies."""
-        self.resource_prices.reset()
         self._engine.reset()
         self.detector.reset()
         self._prev_congested = None
         self.iteration = 0
-        self.latencies = self._initial_latencies()
+        self._record = None
+        self._latencies = None
         if self.config.warm_start:
             from repro.core.warmstart import apply_warm_start
             apply_warm_start(self)

@@ -399,17 +399,14 @@ class VectorizedEngine:
         self._gammas = _make_gammas(config, self.structure)
         self._telemetry = telemetry
         self._phases: Optional[PhaseTimers] = None
-        s = self.structure
-        self._mu = np.full(s.n_resources, float(config.initial_resource_price))
-        self._lam = np.full(s.n_paths, float(config.initial_path_price))
-        self._lam_idle = _all_positive_zero(self._lam)
         #: ``Σ_{p ∋ s} λ_p`` per subtask while every λ is +0.0.
-        self._zero_lam_sum = np.zeros(s.n_subtasks)
+        self._zero_lam_sum = np.zeros(self.structure.n_subtasks)
         self._idle_path_step = False
         #: path sums of ``_lat`` kept from the last step; ``None`` until
         #: a step computes them.
         self._path_lat: Optional[np.ndarray] = None
-        self._solve_primal()
+        # μ, λ and the latencies: the initial duals and Eq. 7 at them.
+        self.reset()
 
     def _phase_timers(self) -> Optional[PhaseTimers]:
         """Phase timers while metrics are collected; ``None`` when off."""
@@ -444,12 +441,6 @@ class VectorizedEngine:
             rows = block.subs
             lat[rows] = solve_concave(block, price[rows], lam_sum[rows])
         return lat
-
-    def _solve_primal(self) -> None:
-        """Replace the primal iterate by Eq. 7 at the current duals; the
-        kept path sums belong to the old latencies, so they go too."""
-        self._lat = self._allocate()
-        self._path_lat = None
 
     # -- load model (Eq. 3 LHS) -------------------------------------------------
 
@@ -534,47 +525,56 @@ class VectorizedEngine:
 
     # -- facade support ---------------------------------------------------------
 
-    def reallocate(self, resource_prices: Mapping[str, float]) -> Dict[str, float]:
-        """Adopt ``resource_prices`` as μ and redo the primal solve.
+    @property
+    def mu(self) -> np.ndarray:
+        """The resource prices μ, shape (R,); replaced, never written
+        into."""
+        return self._mu
 
-        Serves both primal initialization and warm starts: the optimizer
-        mutates its price dict, then asks for fresh latencies; the engine
-        must keep iterating from the same μ afterwards.
-        """
-        s = self.structure
-        self._mu = np.array(
-            [resource_prices.get(r, 0.0) for r in s.resource_names]
-        )
-        self._solve_primal()
-        return dict(zip(s.subtask_names, self._lat.tolist()))
+    @property
+    def lat(self) -> np.ndarray:
+        """The primal iterate, latency per subtask, shape (S,); replaced,
+        never written into."""
+        return self._lat
 
     def path_prices_dict(self) -> Dict[PathKey, float]:
         return dict(zip(self.structure.path_keys, self._lam.tolist()))
 
-    def reset_step_sizes(self) -> None:
-        """Snap every γ escalation back to the initial step size."""
-        self._gammas.reset()
+    def adopt_prices(self, resource_prices: Mapping[str, float]) -> None:
+        """Install ``resource_prices`` as μ and restart from it: λ and γ
+        back to their initial values, then Eq. 7 once.  A resource the
+        map leaves out keeps its current price; a name the structure does
+        not price raises :class:`~repro.errors.OptimizationError` before
+        anything changes."""
+        names = self.structure.resource_names
+        unknown = sorted(set(resource_prices).difference(names))
+        if unknown:
+            raise OptimizationError(
+                f"adopt_prices got prices for unknown resources {unknown!r}"
+            )
+        self._restart(np.array([
+            float(resource_prices.get(rname, price))
+            for rname, price in zip(names, self._mu.tolist())
+        ]))
 
-    def reset_path_prices(self) -> None:
-        """λ back to the configured initial value (μ and γ untouched).
+    def reset(self) -> None:
+        """Back to the initial duals and step sizes, then Eq. 7 once."""
+        self._restart(np.full(self.structure.n_resources,
+                              float(self.config.initial_resource_price)))
 
-        Used by :meth:`LLAOptimizer.adopt_prices`: adopting external
-        resource prices must not carry a previous run's path prices into
-        the next primal solve.  A fresh array, not a ``fill``: records of
-        earlier iterations still hold the old one."""
+    def _restart(self, mu: np.ndarray) -> None:
+        """μ ← ``mu``, λ and every γ escalation back to their initial
+        values, and the primal iterate re-solved at these duals.  Fresh
+        arrays, never a ``fill``: records of earlier iterations still
+        hold the old ones."""
+        self._mu = mu
         self._lam = np.full(self.structure.n_paths,
                             float(self.config.initial_path_price))
         self._lam_idle = _all_positive_zero(self._lam)
-
-    def reset(self) -> None:
-        """Back to initial duals and step sizes (primal follows via
-        the optimizer's ``reallocate`` call); fresh arrays, as in
-        :meth:`reset_path_prices`."""
-        self._mu = np.full(self.structure.n_resources,
-                           float(self.config.initial_resource_price))
-        self.reset_path_prices()
         self._gammas.reset()
-        self._solve_primal()
+        # The kept path sums belong to the old latencies.
+        self._lat = self._allocate()
+        self._path_lat = None
 
     def refresh_model(self, taskset: TaskSet) -> None:
         """Re-read mutable model state (share functions, availabilities)

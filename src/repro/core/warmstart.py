@@ -71,15 +71,16 @@ def warm_start_resource_prices(taskset: TaskSet,
 
 
 def apply_warm_start(optimizer: "LLAOptimizer") -> Dict[str, float]:
-    """Install warm-start prices into an :class:`LLAOptimizer` in place.
+    """Install warm-start prices into an :class:`LLAOptimizer`.
 
     Returns the applied price map.  Delegates to
-    :meth:`~repro.core.optimizer.LLAOptimizer.adopt_prices`, which resets
-    path prices to their initial value and refreshes the primal iterate —
-    on an already-run optimizer (the service's churn path) the resulting
-    state is identical to a fresh optimizer constructed at these prices,
-    with no stale λ leaking into the next solve.  An optimizer without
-    a task set raises :class:`~repro.errors.OptimizationError`.
+    :meth:`~repro.core.optimizer.LLAOptimizer.adopt_prices`, one engine
+    call that installs μ, resets λ and γ to their initial values and
+    solves Eq. 7 once — so on an already-run optimizer (``reset()`` with
+    ``warm_start``) the iterate is identical to a fresh optimizer's at
+    these prices, with no stale λ leaking into the next solve.  An
+    optimizer without a task set raises
+    :class:`~repro.errors.OptimizationError`.
     """
     if optimizer.taskset is None:
         raise OptimizationError(

@@ -15,6 +15,7 @@ from repro.service.churnqueue import ChurnEvent, ChurnQueue
 from repro.service.faults import ServiceFaultInjector
 from repro.service.retry import CircuitBreaker, Retrier, RetryPolicy
 from repro.service.service import (
+    Allocation,
     AllocationService,
     AllocationView,
     ServiceConfig,
@@ -28,6 +29,7 @@ from repro.service.supervisor import (
 )
 
 __all__ = [
+    "Allocation",
     "AllocationService",
     "AllocationView",
     "BrownoutConfig",

@@ -89,8 +89,8 @@ from repro.service.cache import StructureCache
 from repro.service.churnqueue import ChurnEvent
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
-__all__ = ["ServiceConfig", "AllocationService", "AllocationView",
-           "ServiceStats"]
+__all__ = ["ServiceConfig", "AllocationService", "Allocation",
+           "AllocationView", "ServiceStats"]
 
 #: CheckpointStore agent key for service snapshots.
 _SNAPSHOT_AGENT = "service"
@@ -151,6 +151,69 @@ class AllocationView:
     #: allocation by a degraded (browned-out) supervised service rather
     #: than the live iterate.
     degraded: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class Allocation:
+    """One iterate as queries read it: the epoch's compiled structure,
+    its latency array, and the optimizer iteration and service epoch it
+    was taken at.
+
+    Nothing writes into the structure or the array: the engine replaces
+    its arrays instead of editing them, and a service optimizer, built on
+    a structure alone, refuses ``refresh_model``.  So taking one copies
+    nothing, and a held one answers for its iterate however much the
+    service has moved on.
+    """
+
+    structure: TaskSetStructure
+    lat: np.ndarray
+    iteration: int
+    epoch: int
+
+    def view(self, task_name: str, converged: bool,
+             degraded: bool = False) -> Optional[AllocationView]:
+        """The task's allocation in this iterate (``None`` when the task
+        is not in it), read from the compiled structure ("compile once,
+        share everywhere") with no object traversal.
+
+        Matches the task object graph value-for-value: the weighted
+        aggregate and per-path sums run as sequential Python float
+        additions in the same operand order :meth:`Task.aggregated_latency`
+        and the graph's critical-path walk use, and the utility is the
+        kernel's own formula (:func:`~repro.core.vectorized.task_utility`,
+        whose log values may differ from ``math.log``'s in the last ulp).
+        """
+        s = self.structure
+        try:
+            t = s.task_index(task_name)
+        except ModelError:
+            return None
+        ssl = s.task_subtask_slice(t)
+        local = self.lat[ssl.start:ssl.stop].tolist()
+        agg = 0.0
+        for w, lat in zip(s.weights[ssl.start:ssl.stop].tolist(), local):
+            agg += w * lat
+        psl = s.task_path_slice(t)
+        # The flattened path membership is grouped by ascending path id,
+        # so the task's entries form one contiguous run.
+        lo = int(np.searchsorted(s.path_ids_flat, psl.start, side="left"))
+        hi = int(np.searchsorted(s.path_ids_flat, psl.stop, side="left"))
+        sums = [0.0] * (psl.stop - psl.start)
+        for flat in range(lo, hi):
+            path = int(s.path_ids_flat[flat]) - psl.start
+            sums[path] += local[int(s.path_sub_flat[flat]) - ssl.start]
+        return AllocationView(
+            task=task_name,
+            latencies=dict(zip(s.subtask_names[ssl.start:ssl.stop], local)),
+            aggregated_latency=agg,
+            utility=task_utility(s, t, agg),
+            meets_critical_time=max(sums) <= float(s.path_crit[psl.start]),
+            iteration=self.iteration,
+            epoch=self.epoch,
+            converged=converged,
+            degraded=degraded,
+        )
 
 
 @dataclass(frozen=True)
@@ -762,7 +825,7 @@ class AllocationService:
             return
         live_prices: Mapping[str, float] = {}
         if self._optimizer is not None:
-            live_prices = self._optimizer.resource_prices.prices
+            live_prices = self._optimizer.resource_prices
         had_optimizer = self._optimizer is not None
         if not self._tasks:
             self._optimizer = None
@@ -885,54 +948,29 @@ class AllocationService:
     # -- queries -----------------------------------------------------------------
 
     def query(self, task_name: str) -> AllocationView:
-        """The task's allocation under the current iterate, read from the
-        compiled :class:`~repro.core.structure.TaskSetStructure` ("compile
-        once, share everywhere"), with no object traversal.
-
-        Matches the task object graph value-for-value: the weighted
-        aggregate and per-path sums run as sequential Python float
-        additions in the same operand order :meth:`Task.aggregated_latency`
-        and the graph's critical-path walk use, and the utility is the
-        kernel's own formula (:func:`~repro.core.vectorized.task_utility`,
-        whose log values may differ from ``math.log``'s in the last ulp).
-        """
-        optimizer = self._optimizer
-        if task_name not in self._tasks or optimizer is None:
+        """The task's allocation under the current iterate: the
+        :meth:`Allocation.view` of :meth:`capture`, which slices the
+        engine's latency array."""
+        allocation = self.capture()
+        view = None if allocation is None else \
+            allocation.view(task_name, converged=self._reconverged)
+        if view is None:
             raise ServiceError(f"no task named {task_name!r} is registered")
         self._queries += 1
         if self.telemetry.enabled:
             self._metric("queries").inc()
-        s = optimizer.structure
-        t = s.task_index(task_name)
-        ssl = s.task_subtask_slice(t)
-        names = s.subtask_names[ssl.start:ssl.stop]
-        local = [optimizer.latencies[name] for name in names]
-        latencies = dict(zip(names, local))
-        agg = 0.0
-        for w, lat in zip(s.weights[ssl.start:ssl.stop].tolist(), local):
-            agg += w * lat
-        utility = task_utility(s, t, agg)
-        psl = s.task_path_slice(t)
-        # The flattened path membership is grouped by ascending path id,
-        # so the task's entries form one contiguous run.
-        lo = int(np.searchsorted(s.path_ids_flat, psl.start, side="left"))
-        hi = int(np.searchsorted(s.path_ids_flat, psl.stop, side="left"))
-        sums = [0.0] * (psl.stop - psl.start)
-        for flat in range(lo, hi):
-            path = int(s.path_ids_flat[flat]) - psl.start
-            sums[path] += local[int(s.path_sub_flat[flat]) - ssl.start]
-        worst = max(sums)
-        critical_time = float(s.path_crit[psl.start])
-        return AllocationView(
-            task=task_name,
-            latencies=latencies,
-            aggregated_latency=agg,
-            utility=utility,
-            meets_critical_time=worst <= critical_time,
-            iteration=optimizer.iteration,
-            epoch=self._epoch,
-            converged=self._reconverged,
-        )
+        return view
+
+    def capture(self) -> Optional[Allocation]:
+        """The current iterate as an :class:`Allocation` (``None`` with
+        no tasks registered).  It holds the live arrays, copying nothing,
+        and keeps answering for this iterate after later steps and
+        churn."""
+        optimizer = self._optimizer
+        if optimizer is None:
+            return None
+        return Allocation(optimizer.structure, optimizer.lat,
+                          optimizer.iteration, self._epoch)
 
     def allocations(self) -> Dict[str, float]:
         """Every subtask's latency under the current iterate."""
@@ -991,6 +1029,12 @@ class AllocationService:
         return self._reconverged
 
     @property
+    def iterations(self) -> int:
+        """Optimizer iterations run over every epoch (as in
+        :meth:`stats`)."""
+        return self._total_iterations
+
+    @property
     def cache(self) -> StructureCache:
         return self._cache
 
@@ -1016,7 +1060,7 @@ class AllocationService:
         if instrumented:
             started = time.perf_counter()
         # The store deep-copies the state it keeps.
-        prices = optimizer.resource_prices.prices
+        prices = optimizer.resource_prices
         self._snapshots.save(
             _SNAPSHOT_AGENT, self._total_iterations,
             {"resource_prices": prices, "digest": _price_digest(prices)},
@@ -1048,7 +1092,7 @@ class AllocationService:
             _SNAPSHOT_AGENT, fingerprint=self._fingerprint,
         )
         prices = None if checkpoint is None else _verified_prices(
-            checkpoint.state, optimizer.resource_prices.prices)
+            checkpoint.state, optimizer.resource_prices)
         self._epoch_iterations = 0
         self._reconverged = False
         optimizer.detector.reset()

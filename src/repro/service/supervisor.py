@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.admission import AdmissionDecision
 from repro.distributed.checkpoint import CheckpointStore
@@ -51,6 +51,7 @@ from repro.service.brownout import BrownoutConfig, BrownoutController
 from repro.service.churnqueue import ChurnEvent, ChurnQueue
 from repro.service.retry import CircuitBreaker, Retrier, RetryPolicy
 from repro.service.service import (
+    Allocation,
     AllocationService,
     AllocationView,
     ServiceConfig,
@@ -283,11 +284,8 @@ class SupervisedService:
         self._checkpoint_outage = False
         self._pending_corruptions = 0
         # Last known-good (critical-time-feasible) allocation.
-        self._last_good_latencies: Dict[str, float] = {}
-        self._last_good_tasks: Mapping[str, Task] = {}
+        self._last_good: Optional[Allocation] = None
         self._last_good_tick: Optional[int] = None
-        self._last_good_epoch = 0
-        self._last_good_iteration = 0
         # Counters.
         self.supervisor_restarts = 0
         self.stall_ticks = 0
@@ -450,7 +448,7 @@ class SupervisedService:
         self._advance()
         members = self.service.task_map
         restart_due = bool(
-            members and self.watchdog.beat(self.service.stats().iterations)
+            members and self.watchdog.beat(self.service.iterations)
         )
         interval = self.config.snapshot_interval
         snapshot_due = bool(
@@ -580,23 +578,18 @@ class SupervisedService:
                     )
 
     def _capture_last_good(self) -> None:
-        """Remember the live allocation whenever it is critical-time
-        feasible — the answer degraded mode keeps serving.  The verdict
-        is the live iterate's, at the 1e-2 feasibility tolerance (never
-        feasible with no tasks registered); the task map is held as it
-        is, since a commit replaces it rather than editing it."""
+        """Hold the live iterate whenever it is critical-time feasible —
+        the answer degraded mode keeps serving.  The verdict is the live
+        iterate's, at the 1e-2 feasibility tolerance (never feasible with
+        no tasks registered); the held :class:`Allocation` copies
+        nothing."""
         if not self.service.feasible(1e-2):
             return
-        self._last_good_latencies = self.service.allocations()
-        self._last_good_tasks = self.service.task_map
+        self._last_good = self.service.capture()
         self._last_good_tick = self._tick
-        stats = self.service.stats()
-        self._last_good_epoch = stats.epoch
-        self._last_good_iteration = stats.iterations
 
     def _observe_brownout(self) -> None:
-        stats = self.service.stats()
-        if not self.service.task_map or stats.converged:
+        if not self.service.task_map or self.service.converged:
             self._unconverged_ticks = 0
         else:
             self._unconverged_ticks += 1
@@ -631,7 +624,7 @@ class SupervisedService:
         last known-good allocation when degraded (or when the live
         lookup fails and a last-good answer exists)."""
         if self.brownout.degraded:
-            view = self._stale_view(name)
+            view = self._last_good_view(name)
             if view is not None:
                 self.degraded_served += 1
                 if self.telemetry.enabled:
@@ -640,7 +633,7 @@ class SupervisedService:
         try:
             view = self.service.query(name)
         except ServiceError:
-            fallback = self._stale_view(name)
+            fallback = self._last_good_view(name)
             if fallback is not None:
                 self.stale_served += 1
                 if self.telemetry.enabled:
@@ -651,28 +644,10 @@ class SupervisedService:
         self.live_served += 1
         return view
 
-    def _stale_view(self, name: str) -> Optional[AllocationView]:
-        task = self._last_good_tasks.get(name)
-        if task is None:
-            return None
-        latencies = {
-            sub: self._last_good_latencies[sub]
-            for sub in task.subtask_names
-            if sub in self._last_good_latencies
-        }
-        if len(latencies) != len(task.subtask_names):
-            return None
-        return AllocationView(
-            task=name,
-            latencies=latencies,
-            aggregated_latency=task.aggregated_latency(latencies),  # statan: disable=REP016 -- degraded last-good view: it keeps task objects, not a compiled structure
-            utility=task.utility_value(latencies),  # statan: disable=REP016 -- degraded last-good view: it keeps task objects, not a compiled structure
-            meets_critical_time=task.meets_critical_time(latencies),
-            iteration=self._last_good_iteration,
-            epoch=self._last_good_epoch,
-            converged=True,
-            degraded=True,
-        )
+    def _last_good_view(self, name: str) -> Optional[AllocationView]:
+        last = self._last_good
+        return None if last is None else \
+            last.view(name, converged=True, degraded=True)
 
     # -- fault hooks (driven by repro.service.faults) ----------------------------
 

@@ -315,7 +315,7 @@ class TestBackendParity:
             opt.step()
         engine = opt._engine
         kernel = engine._allocate()
-        prices = opt.resource_prices.prices
+        prices = opt.resource_prices
         path_prices = engine.path_prices_dict()
         expected = dict(zip(engine.structure.subtask_names, kernel.tolist()))
         for task in ts.tasks:

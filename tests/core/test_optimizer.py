@@ -13,6 +13,7 @@ from repro.core.stepsize import (
     FixedStepSize,
 )
 from repro.core.structure import compile_structure
+from repro.core.vectorized import VectorizedEngine
 from repro.core.warmstart import apply_warm_start
 from repro.errors import OptimizationError
 from repro.model.task import TaskSet
@@ -109,7 +110,7 @@ class TestMechanics:
         assert opt.latencies == pytest.approx(initial)
         assert all(
             v == opt.config.initial_resource_price
-            for v in opt.resource_prices.prices.values()
+            for v in opt.resource_prices.values()
         )
 
     def test_deterministic(self, base_ts):
@@ -231,7 +232,7 @@ class TestStructureOnly:
         for k in range(300):
             if k == 100:
                 warm = {r: 1.5 * price for r, price
-                        in from_taskset.resource_prices.prices.items()}
+                        in from_taskset.resource_prices.items()}
                 for opt in pair:
                     opt.adopt_prices(warm)
             elif k == 200:
@@ -262,3 +263,55 @@ class TestStructureOnly:
         structure = compile_structure(base_workload(), max_latency_factor=2.0)
         with pytest.raises(OptimizationError, match="max_latency_factor"):
             LLAOptimizer(structure, LLAConfig())
+
+
+class TestOneCopyOfTheIterate:
+    """The engine's arrays are the only copy of the iterate."""
+
+    @pytest.mark.parametrize("problem", ["taskset", "structure"])
+    @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
+    def test_each_re_solve_runs_eq7_once(self, workload, problem,
+                                         monkeypatch):
+        """Construction, adopt_prices and reset() each solve Eq. 7 once,
+        as a step does."""
+        solves = []
+        allocate = VectorizedEngine._allocate
+
+        def counted(engine):
+            solves.append(1)
+            return allocate(engine)
+
+        monkeypatch.setattr(VectorizedEngine, "_allocate", counted)
+        ts = _WORKLOADS[workload]()
+        opt = LLAOptimizer(ts if problem == "taskset"
+                           else compile_structure(ts), LLAConfig())
+        assert len(solves) == 1
+        for _ in range(10):
+            opt.step()
+        assert len(solves) == 11
+        opt.adopt_prices({r: 1.5 * price
+                          for r, price in opt.resource_prices.items()})
+        assert len(solves) == 12
+        opt.reset()
+        assert len(solves) == 13
+
+    def test_resource_prices_are_a_new_map_of_mu(self):
+        opt = LLAOptimizer(base_workload(), LLAConfig())
+        for _ in range(10):
+            opt.step()
+        prices = opt.resource_prices
+        assert prices is not opt.resource_prices
+        assert list(prices.values()) == opt._engine.mu.tolist()
+        prices["r0"] = 99.0
+        assert opt.resource_prices["r0"] != 99.0
+
+    def test_a_partial_map_keeps_the_other_prices(self):
+        opt = LLAOptimizer(base_workload(), LLAConfig())
+        for _ in range(10):
+            opt.step()
+        before = opt.resource_prices
+        opt.adopt_prices({"r0": 2.5})
+        assert opt.resource_prices == {**before, "r0": 2.5}
+        with pytest.raises(OptimizationError, match="unknown resources"):
+            opt.adopt_prices({"r0": 1.0, "nowhere": 1.0})
+        assert opt.resource_prices == {**before, "r0": 2.5}

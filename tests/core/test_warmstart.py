@@ -75,13 +75,13 @@ class TestIntegration:
     def test_apply_updates_optimizer(self, base_ts):
         opt = LLAOptimizer(base_ts, LLAConfig())
         applied = apply_warm_start(opt)
-        assert opt.resource_prices.prices == applied
+        assert opt.resource_prices == applied
         assert applied["r0"] > 1.0
 
     def test_config_flag(self, base_ts):
         opt = LLAOptimizer(base_ts, LLAConfig(warm_start=True))
         cold = warm_start_resource_prices(base_ts)
-        assert opt.resource_prices.prices == pytest.approx(cold)
+        assert opt.resource_prices == pytest.approx(cold)
 
     def test_warm_start_speeds_up_overprovisioned_convergence(self):
         # In the Figure 6 regime the estimate is not exact (latencies pin
@@ -106,10 +106,10 @@ class TestIntegration:
     def test_reset_reapplies_warm_start(self, base_ts):
         opt = LLAOptimizer(base_ts, LLAConfig(warm_start=True,
                                               max_iterations=50))
-        initial = dict(opt.resource_prices.prices)
+        initial = opt.resource_prices
         opt.run(20)
         opt.reset()
-        assert opt.resource_prices.prices == pytest.approx(initial)
+        assert opt.resource_prices == pytest.approx(initial)
 
     def test_apply_after_iterating_matches_fresh_optimizer(self):
         """Regression: applying a warm start to an optimizer that already
@@ -127,8 +127,8 @@ class TestIntegration:
             LLAConfig(max_iterations=500, stop_on_convergence=False,
                       warm_start=True),
         )
-        assert stale.resource_prices.prices == pytest.approx(
-            fresh.resource_prices.prices)
+        assert stale.resource_prices == pytest.approx(
+            fresh.resource_prices)
         assert stale._engine.path_prices_dict() == pytest.approx(
             fresh._engine.path_prices_dict())
         assert stale.latencies == pytest.approx(fresh.latencies)
@@ -136,5 +136,5 @@ class TestIntegration:
             stale.step()
             fresh.step()
         assert stale.latencies == pytest.approx(fresh.latencies)
-        assert stale.resource_prices.prices == pytest.approx(
-            fresh.resource_prices.prices)
+        assert stale.resource_prices == pytest.approx(
+            fresh.resource_prices)

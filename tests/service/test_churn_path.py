@@ -203,7 +203,7 @@ class TestMembershipFingerprint:
                                     [make_task("t0"), make_task("t1")])
         service.step(50)
         state = {"resource_prices":
-                 dict(service._optimizer.resource_prices.prices)}
+                 service._optimizer.resource_prices}
         service.snapshots.save(
             "service", 50, state,
             fingerprint=service_module.taskset_fingerprint(service.taskset))
@@ -245,7 +245,7 @@ class TestIterateParity:
         lla = LLAConfig()
         service.step(40)
         for event in _churn_script(service, taskset):
-            live = dict(service._optimizer.resource_prices.prices)
+            live = service._optimizer.resource_prices
             event()
             reference = LLAOptimizer(
                 compile_structure(service.taskset, lla.max_latency_factor),
@@ -256,8 +256,8 @@ class TestIterateParity:
                 service.step(1)
                 reference.step()
                 assert optimizer.latencies == reference.latencies
-                assert optimizer.resource_prices.prices == \
-                    reference.resource_prices.prices
+                assert optimizer.resource_prices == \
+                    reference.resource_prices
 
 
 class TestBatchIsOneTransaction:

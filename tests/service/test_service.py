@@ -99,8 +99,8 @@ class TestConstruction:
             batch.step(13)
             serial.step(13)
             assert batch.allocations() == serial.allocations()
-            assert batch._optimizer.resource_prices.prices == \
-                serial._optimizer.resource_prices.prices
+            assert batch._optimizer.resource_prices == \
+                serial._optimizer.resource_prices
         assert batch.fingerprint == serial.fingerprint
 
     def test_initial_set_failing_the_certificate_raises(self):
@@ -176,18 +176,18 @@ class TestChurn:
     def test_churn_warm_starts_from_live_prices(self):
         service = make_service(n_tasks=2)
         service.step(200)
-        live = dict(service._optimizer.resource_prices.prices)
+        live = service._optimizer.resource_prices
         service.deregister("t1")
-        rebuilt = service._optimizer.resource_prices.prices
+        rebuilt = service._optimizer.resource_prices
         for rname, price in rebuilt.items():
             assert price == pytest.approx(live[rname])
 
     def test_cold_config_restarts_from_estimate(self):
         service = make_service(n_tasks=2, warm_start_churn=False)
         service.step(200)
-        live = dict(service._optimizer.resource_prices.prices)
+        live = service._optimizer.resource_prices
         service.deregister("t1")
-        rebuilt = service._optimizer.resource_prices.prices
+        rebuilt = service._optimizer.resource_prices
         assert rebuilt != pytest.approx(live)
 
     def test_admission_blocks_provably_infeasible_arrival(self):
@@ -340,11 +340,11 @@ class TestSnapshots:
     def test_snapshot_restore_roundtrip(self):
         service = make_service()
         service.step(100)
-        prices = dict(service._optimizer.resource_prices.prices)
+        prices = service._optimizer.resource_prices
         service.snapshot()
         service.step(100)
         assert service.restore() is True
-        assert service._optimizer.resource_prices.prices == \
+        assert service._optimizer.resource_prices == \
             pytest.approx(prices)
 
     def test_stale_snapshot_demotes_to_cold_reset(self):
@@ -452,7 +452,7 @@ class TestSnapshots:
             snapshots=store,
         )
         service.step(100)
-        prices = dict(service._optimizer.resource_prices.prices)
+        prices = service._optimizer.resource_prices
         service.snapshot()
         with open(store.path_for("service"), encoding="utf-8") as handle:
             assert set(json.load(handle)["state"]) == \
@@ -460,7 +460,7 @@ class TestSnapshots:
         service.step(100)
         store._checkpoints.clear()          # the file alone remains
         assert service.restore() is True
-        restored = service._optimizer.resource_prices.prices
+        restored = service._optimizer.resource_prices
         assert set(restored) == set(prices)
         for name, price in prices.items():
             assert struct.pack("<d", restored[name]) == \

@@ -1,13 +1,22 @@
 """Tests for the hardened (supervised) service: watchdog restarts,
 batched churn backpressure, checkpoint retry/breaker, and brownout."""
 
+import dataclasses
+import math
+
 import pytest
 
+import repro.core.optimizer as optimizer_module
+import repro.core.vectorized as vectorized_module
+import repro.service.service as service_module
+import repro.service.supervisor as supervisor_module
 from repro.distributed.faults import ChurnStorm, FaultPlan, LossBurst, LoopStall
 from repro.errors import ServiceError
 from repro.model.fingerprint import taskset_fingerprint
 from repro.model.task import TaskSet
+from repro.model.utility import LogUtility
 from repro.service import (
+    AllocationService,
     BrownoutConfig,
     HardeningConfig,
     RetryPolicy,
@@ -166,7 +175,15 @@ class TestLastGoodCapture:
         live = svc.service
         assert live.feasible(1e-2) == live.taskset.is_feasible(
             live.allocations(), tol=1e-2)
-        assert svc._last_good_latencies == live.allocations()
+        # The held value is the live iterate itself, not a copy of it.
+        held = svc._last_good
+        optimizer = live._optimizer
+        assert held.structure is optimizer.structure
+        assert held.lat is optimizer.lat
+        assert (held.iteration, held.epoch) == \
+            (optimizer.iteration, live.stats().epoch)
+        assert dict(zip(held.structure.subtask_names, held.lat.tolist())) \
+            == live.allocations()
 
     def test_vectorized_capture_makes_no_object_graph_check(self,
                                                             monkeypatch):
@@ -436,3 +453,134 @@ class TestNoTaskSetOnTheTickPath:
             assert task is inner.task(task.name)
         assert taskset.resources["r2"].availability == 0.6
         assert taskset_fingerprint(taskset) == taskset_fingerprint(cold)
+
+
+def count_latency_maps(monkeypatch, subtask_names):
+    """Shadow ``zip`` in the engine's, the optimizer's and the service's
+    modules, as test_churn_cost_curve shadows ``TaskSet``, and return the
+    sizes of the subtask-keyed maps zipped through it: every name-keyed
+    map of the iterate is ``dict(zip(names, values))``."""
+    built = []
+
+    def counted(*iterables):
+        keys = iterables[0]
+        if isinstance(keys, tuple) and keys and set(keys) <= subtask_names:
+            built.append(len(keys))
+        return zip(*iterables)
+
+    for module in (optimizer_module, vectorized_module, service_module,
+                   supervisor_module):
+        monkeypatch.setattr(module, "zip", counted, raising=False)
+    return built
+
+
+#: Linear, log and quadratic utilities (an inelastic one keeps the
+#: iterate from settling feasible, and so from being captured), over
+#: chains and forks with hyperbolic, power-law and corrected shares.
+FEASIBLE_MIX = {t.name: t for t in (mixed_task(i) for i in (0, 2, 3, 4, 6))}
+
+
+class TestNoLatencyMapOnTheTickPath:
+    """The engine's latency array is the only copy of the iterate: a
+    churn epoch solves Eq. 7 in the engine's arrays, and the last-good
+    capture holds them."""
+
+    SUBTASKS = {sub.name for task in FEASIBLE_MIX.values()
+                for sub in task.subtasks}
+
+    def test_churn_and_ticks_build_none(self, monkeypatch):
+        """Every churn kind (a coalesced replace included), snapshots and
+        the last-good capture over 30 ticks build no subtask-keyed
+        latency map; a query builds its own task's."""
+        tasks = FEASIBLE_MIX
+        service = SupervisedService(
+            list(MIXED_RESOURCES), [tasks[n] for n in ("m0", "m2", "m3")],
+            config=HardeningConfig(snapshot_interval=5))
+        built = count_latency_maps(monkeypatch, self.SUBTASKS)
+        script = {
+            2: lambda: service.deregister("m2"),
+            6: lambda: service.register(tasks["m2"]),
+            10: lambda: service.update_task("m3", critical_time=70.0),
+            14: lambda: service.set_availability("r2", 0.6),
+            18: lambda: service.register(tasks["m4"]),
+            22: lambda: (service.deregister("m0"),
+                         service.register(tasks["m0"])),
+        }
+        captured = 0
+        for tick in range(1, 31):
+            if tick in script:
+                script[tick]()
+            service.tick()
+            captured += service._last_good_tick == tick
+            assert built == [], tick
+        assert service.service.stats().churn_events == 1 + len(script)
+        assert captured >= 25
+        assert service.snapshots_taken >= 6
+        service.query("m2")
+        assert built == [3]
+
+    def test_direct_churn_builds_none(self, monkeypatch):
+        tasks = FEASIBLE_MIX
+        service = AllocationService(
+            list(MIXED_RESOURCES), [tasks[n] for n in ("m0", "m2", "m3")])
+        built = count_latency_maps(monkeypatch, self.SUBTASKS)
+        for event in (lambda: service.deregister("m2"),
+                      lambda: service.register(tasks["m2"]),
+                      lambda: service.update_task("m3", critical_time=70.0),
+                      lambda: service.set_availability("r2", 0.6)):
+            service.step(3)
+            event()
+        assert service.stats().churn_events == 5
+        assert built == []
+
+
+def assert_same_answer(held, live, task):
+    """``held`` is ``live`` served degraded: every field but ``degraded``
+    and ``converged`` equal, a log utility's value to within one ulp."""
+    assert held.degraded and held.converged and not live.degraded
+    ulps = math.ulp(live.utility) if isinstance(task.utility, LogUtility) \
+        else 0.0
+    assert abs(held.utility - live.utility) <= ulps
+    assert dataclasses.replace(held, utility=live.utility, degraded=False,
+                               converged=live.converged) == live
+
+
+class TestDegradedAnswer:
+    TASKS = list(FEASIBLE_MIX.values())
+
+    def make(self):
+        return SupervisedService(
+            list(MIXED_RESOURCES), self.TASKS,
+            config=HardeningConfig(
+                stall_deadline=10,
+                brownout=BrownoutConfig(enter_after=2, exit_after=3)))
+
+    def test_equals_the_live_view_at_capture(self):
+        """A degraded answer is the live query() of the captured
+        iterate, stamped degraded."""
+        svc = self.make()
+        svc.run_ticks(10)
+        svc.inject_stall(6)
+        svc.run_ticks(4)                   # stalled, stressed: degraded
+        assert svc.degraded
+        # The stall froze the iterate: the held capture is the live one.
+        assert svc._last_good.lat is svc.service.capture().lat
+        live = {t.name: svc.service.query(t.name) for t in self.TASKS}
+        svc.service.step(5)                # the live iterate moves on
+        for task in self.TASKS:
+            held = svc.query(task.name)
+            assert_same_answer(held, live[task.name], task)
+            assert held.latencies != svc.service.query(task.name).latencies
+        assert svc.stats().degraded_served == len(self.TASKS)
+
+    def test_a_deregistered_task_is_served_stale(self):
+        svc = self.make()
+        svc.run_ticks(10)
+        assert svc._last_good_tick == 10 and not svc.degraded
+        live = svc.service.query("m2")
+        svc.service.deregister("m2")
+        with pytest.raises(ServiceError):
+            svc.service.query("m2")
+        assert_same_answer(svc.query("m2"), live, FEASIBLE_MIX["m2"])
+        stats = svc.stats()
+        assert (stats.stale_served, stats.failed_queries) == (1, 0)
