@@ -138,10 +138,11 @@ class _ChurnProbe(_Probe):
         import repro.core.vectorized as vectorized
         import repro.service.cache as cache
         import repro.service.service as service
+        from repro.core.optimizer import LLAOptimizer
 
         super().__init__(("taskset_fingerprint", "compile_structure",
-                          "refresh_model", "object_graph_certificate",
-                          "TaskSet"))
+                          "object_graph_certificate", "TaskSet",
+                          "resource_prices"))
         self.ms = dict.fromkeys(_COMPONENTS, 0.0)
         for name in _COMPONENTS:
             self._patch(service, name, self._timed(name,
@@ -154,9 +155,9 @@ class _ChurnProbe(_Probe):
             self._patch(module, "compile_structure",
                         self._counted("compile_structure",
                                       module.compile_structure))
-        self._patch(structure.TaskSetStructure, "refresh_model",
-                    self._counted("refresh_model",
-                                  structure.TaskSetStructure.refresh_model))
+        prices = LLAOptimizer.resource_prices
+        self._patch(LLAOptimizer, "resource_prices", property(
+            self._counted("resource_prices", prices.fget)))
         certify = service.certify_infeasible
 
         def certify_counted(problem, *args, **kwargs):
@@ -200,11 +201,14 @@ def _churn_events(service, taskset, k):
 def test_churn_cost_curve(size):
     """Cost of one churn event per kind, split by component, on llabench's
     generator shapes; and the calls an event must not make: no whole-set
-    fingerprint, compile, model refresh or object-graph certificate, and
-    no TaskSet.  The new epoch's optimizer runs on the spliced or cached
-    structure alone, and the service builds its TaskSet only when
-    ``taskset`` is read, which no event does.  Building one per event
-    was most of an event's cost (about 15 of 25 ms at 10k subtasks)."""
+    fingerprint, compile or object-graph certificate, no TaskSet and no
+    read of the name-keyed ``resource_prices``.  The new epoch's
+    optimizer runs on the spliced or cached structure alone, warm-started
+    from the old epoch's μ array, and the service builds its TaskSet only
+    when ``taskset`` is read, which no event does.  Building one per
+    event was most of an event's cost (about 15 of 25 ms at 10k
+    subtasks).  A structure's arrays are read-only, so no event can
+    refresh one in place."""
     from repro.workloads.generator import GeneratorConfig, random_workload
 
     n_tasks, n_resources = _CHURN_SIZES[size]
@@ -231,9 +235,9 @@ def test_churn_cost_curve(size):
             service.step(1)
             assert probe.counts["taskset_fingerprint"] == 0
             assert probe.counts["compile_structure"] == 0
-            assert probe.counts["refresh_model"] == 0
             assert probe.counts["object_graph_certificate"] == 0
             assert probe.counts["TaskSet"] == 0
+            assert probe.counts["resource_prices"] == 0
             samples.setdefault(kind, []).append((elapsed, probe.ms))
     assert set(service.tasks) == {t.name for t in taskset.tasks}
 
@@ -279,10 +283,10 @@ class _SnapshotProbe(_Probe):
                                 self._counted(name, getattr(module, name)))
         adopt = LLAOptimizer.adopt_prices
 
-        def timed_adopt(optimizer, prices):
+        def timed_adopt(optimizer, mu):
             started = time.perf_counter()
             try:
-                return adopt(optimizer, prices)
+                return adopt(optimizer, mu)
             finally:
                 self.adopt_ms += (time.perf_counter() - started) * 1e3
 
@@ -349,9 +353,8 @@ def test_snapshot_cost_curve(size, tmp_path):
 
     def price_edit(text):
         raw = json.loads(text)
-        prices = raw["state"]["resource_prices"]
-        name = min(prices)
-        prices[name] = prices[name] * 2.0 + 1.0
+        mu = raw["state"]["mu"]
+        mu[0] = mu[0] * 2.0 + 1.0
         return json.dumps(raw)
 
     assert rewritten(price_edit) is False

@@ -30,8 +30,10 @@ Two solve strategies, over the kernel's model family
   found by a safeguarded Newton iteration batched over tasks; the
   clipped closed form at that root is the exact box maximizer of the
   task-local Lagrangian.  The vectorized kernel and this module's
-  :class:`LatencyAllocator` call the same function, so both produce the
-  same bits.
+  :class:`LatencyAllocator` call the same function, so on hyperbolic
+  shares both produce the same bits.  On power-law shares (α ≠ 1) numpy's
+  vectorized ``**`` can round one ulp differently over the kernel's long
+  rows than over one task's, so the two agree within one ulp.
 """
 
 from __future__ import annotations
@@ -317,7 +319,8 @@ class LatencyAllocator:
         path_prices: Mapping[PathKey, float],
     ) -> Dict[str, float]:
         """:func:`solve_concave` on this task alone — the vectorized
-        kernel's call on the same rows, so the same bits."""
+        kernel's call on the same rows, so the same bits on hyperbolic
+        shares and within one ulp on power-law ones."""
         assert self._concave is not None
         price = np.array([resource_prices.get(r, 0.0)
                           for r in self._resources])

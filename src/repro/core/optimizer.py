@@ -21,8 +21,10 @@ utilities (:func:`repro.core.structure.task_model`); anything else is
 refused at construction.
 
 The message-passing form with explicit controller/resource agents lives in
-:mod:`repro.distributed`; it produces identical iterates under a lossless
-synchronous bus (asserted by integration tests).
+:mod:`repro.distributed`; on hyperbolic shares it produces identical
+iterates under a lossless synchronous bus (asserted by integration tests).
+On power-law shares each Eq. 7 solve agrees within one ulp, so the runs
+can drift apart (see :mod:`repro.core.vectorized`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 import time
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, Optional, Tuple, Union,
 )
 
 import numpy as np
@@ -45,7 +47,7 @@ from repro.core.stepsize import (
     FixedStepSize,
     StepSizePolicy,
 )
-from repro.core.structure import TaskSetStructure
+from repro.core.structure import TaskSetStructure, compile_structure
 from repro.core.vectorized import (
     ArrayRecord,
     VectorizedEngine,
@@ -53,6 +55,7 @@ from repro.core.vectorized import (
     compute_loads,
     path_latencies,
 )
+from repro.core.warmstart import warm_start_mu
 from repro.model.task import TaskSet
 from repro.telemetry import NULL_TELEMETRY, Telemetry, encode_record
 
@@ -219,10 +222,11 @@ class LLAOptimizer:
     :class:`~repro.errors.OptimizationError` without one, as does a task
     set outside the kernel's model family, naming the offending model.
 
-    The engine's arrays are the only copy of the iterate.  An iteration
-    works from its :class:`~repro.core.vectorized.StepArrays` alone: the
-    convergence detector gets a feasibility verdict computed from them,
-    and the name-keyed views — the :class:`IterationRecord` fields,
+    The engine's arrays are the only copy of the iterate: :attr:`lat`
+    and :attr:`mu`.  An iteration works from its
+    :class:`~repro.core.vectorized.StepArrays` alone: the convergence
+    detector gets a feasibility verdict computed from them, and the
+    name-keyed views — the :class:`IterationRecord` fields,
     :attr:`latencies`, :attr:`resource_prices` — are built only when
     something reads them.
     """
@@ -248,8 +252,13 @@ class LLAOptimizer:
             require_feasible=self.config.require_feasible,
             utility_floor=self.config.utility_floor,
         )
+        # A warm start's prices go into the engine's one Eq. 7 solve.
+        mu = None
+        if self.config.warm_start:
+            mu = warm_start_mu(self.taskset,
+                               self.config.initial_resource_price)
         self._engine = VectorizedEngine(problem, self.config,
-                                        telemetry=self.telemetry)
+                                        telemetry=self.telemetry, mu=mu)
         # The last iteration's record; None until a step, and again after
         # every re-solve of the primal iterate outside a step.  The
         # latency map is built on first read.
@@ -262,9 +271,6 @@ class LLAOptimizer:
         tracer = self.telemetry.tracer
         if tracer.enabled and not tracer.clock_injected:
             tracer.set_clock(lambda: float(self.iteration))
-        if self.config.warm_start:
-            from repro.core.warmstart import apply_warm_start
-            apply_warm_start(self)
 
     @property
     def latencies(self) -> Dict[str, float]:
@@ -285,10 +291,17 @@ class LLAOptimizer:
         return self._engine.lat
 
     @property
+    def mu(self) -> np.ndarray:
+        """The resource prices as the engine's array, in
+        ``structure.resource_names`` order; replaced, never written
+        into."""
+        return self._engine.mu
+
+    @property
     def resource_prices(self) -> Dict[str, float]:
-        """Resource name → price μ_r: a new map built from the engine's
-        array on every read.  Writing into it changes nothing;
-        :meth:`adopt_prices` installs prices."""
+        """Resource name → price μ_r: a new map built from :attr:`mu` on
+        every read.  Writing into it changes nothing; :meth:`adopt_prices`
+        installs prices."""
         return dict(zip(self.structure.resource_names,
                         self._engine.mu.tolist()))
 
@@ -301,21 +314,30 @@ class LLAOptimizer:
         return self._engine.structure
 
     def refresh_model(self) -> None:
-        """Re-read share functions after an external model change.
+        """Compile :attr:`taskset` again after its model changed (error
+        correction, ``set_availability``) and swap the new structure in.
 
-        Error correction swaps share functions on the task set (and
-        resource availabilities may shift at run time); the kernel's model
-        arrays — share coefficients, latency bounds, ``B_r`` — must be
-        recompiled from :attr:`taskset`.
+        The iterate (latencies, μ, λ, γ, kept path sums) stands; the last
+        record, whose loads predate the change, is dropped and the
+        detector's verdict revised.  What held the old structure keeps
+        the old model.  Changed subtask, resource or path names raise
+        :class:`~repro.errors.OptimizationError`.
         """
         if self.taskset is None:
             raise OptimizationError(
                 "refresh_model() re-reads the task set, and this optimizer "
                 "was built on a compiled structure alone"
             )
-        self._engine.refresh_model(self.taskset)
-        # The last step's loads predate the refresh: its latencies stand,
-        # measured again on the refreshed model.
+        structure = compile_structure(self.taskset,
+                                      self.config.max_latency_factor)
+        if any(getattr(structure, name) != getattr(self.structure, name)
+               for name in ("subtask_names", "resource_names", "path_keys")):
+            raise OptimizationError(
+                "refresh_model() follows a model change, and the task "
+                "set's subtasks, resources or paths changed; build a new "
+                "optimizer for a new task set"
+            )
+        self._engine.structure = structure
         self._record = None
         self.detector.revise_verdict(self.feasible())
 
@@ -336,21 +358,21 @@ class LLAOptimizer:
         out = self._record.arrays
         return arrays_feasible(structure, out.loads, out.path_lat, tol)
 
-    def adopt_prices(self, resource_prices: Mapping[str, float]) -> None:
-        """Adopt ``resource_prices`` as the dual iterate, consistently.
+    def adopt_prices(self, mu: np.ndarray) -> None:
+        """Adopt ``mu``, one price per resource in
+        ``structure.resource_names`` order, as the dual iterate.
 
         One engine call (:meth:`VectorizedEngine.adopt_prices`) installs
-        the given μ — a resource the map leaves out keeps its current
-        price, an unknown one raises
+        a copy of ``mu`` — a wrong shape raises
         :class:`~repro.errors.OptimizationError` — resets every path price
         λ to the configured initial value, snaps step-size escalation back
         to the initial γ and solves Eq. 7 once; the convergence window is
         cleared too.  Afterwards the iterate is exactly that of a fresh
         instance constructed at these resource prices, with no stale λ or
         escalated γ from a previous run.  This is the single entry point
-        for warm starts, snapshot restores and the service's churn path.
+        for snapshot restores and the service's churn path.
         """
-        self._engine.adopt_prices(resource_prices)
+        self._engine.adopt_prices(mu)
         self.detector.reset()
         self._record = None
         self._latencies = None
@@ -530,13 +552,15 @@ class LLAOptimizer:
         )
 
     def reset(self) -> None:
-        """Restore initial prices, step sizes and latencies."""
-        self._engine.reset()
+        """Restore initial prices (a warm start's, with
+        ``LLAConfig.warm_start``), step sizes and latencies."""
+        if self.config.warm_start:
+            self._engine.adopt_prices(warm_start_mu(
+                self.taskset, self.config.initial_resource_price))
+        else:
+            self._engine.reset()
         self.detector.reset()
         self._prev_congested = None
         self.iteration = 0
         self._record = None
         self._latencies = None
-        if self.config.warm_start:
-            from repro.core.warmstart import apply_warm_start
-            apply_warm_start(self)

@@ -32,9 +32,11 @@ those loops' iterates, not merely close ones):
   from the per-element loops by an ulp — enough to flip a congestion
   branch.
 
-A structure is a plain value that keeps no reference to its task set;
-only :meth:`TaskSetStructure.refresh_model` reads one, the task set
-whose model changed.  It is serializable (:func:`structure_to_dict` /
+A structure is an immutable value: its arrays are read-only and it keeps
+no reference to its task set, so optimizers, iteration records, the
+structure cache and the service's allocations share one without copies.
+A model change (error correction, a capacity change) compiles a new
+structure.  It is serializable (:func:`structure_to_dict` /
 :func:`structure_from_dict`, mirroring :mod:`repro.model.serialize`) and
 fingerprinted (:attr:`TaskSetStructure.fingerprint`, a SHA-256 over the
 canonical payload), so permuted-but-equal task sets give the same
@@ -51,19 +53,20 @@ quadratic tasks take the exact batched solve of
 :func:`~repro.core.allocation.solve_concave`, which needs each task's
 utility parameters (``ut_scale``/``ut_soft`` for log, ``ut_umax``/
 ``ut_curv`` for quadratic).  :func:`task_model` is the one per-task gate
-of that family: compilation, :meth:`TaskSetStructure.refresh_model`, the
-service's admission check and :class:`~repro.core.allocation.LatencyAllocator`
-all go through it.  Anything else (the convex
-:class:`~repro.model.utility.ExponentialUtility`, custom share classes)
-is outside the paper's model of non-increasing concave utilities and
-raises :class:`~repro.errors.OptimizationError` naming it.
+of that family: compilation, the service's fragments and admission check,
+and :class:`~repro.core.allocation.LatencyAllocator` all go through it.
+Anything else (the convex :class:`~repro.model.utility.ExponentialUtility`,
+custom share classes) is outside the paper's model of non-increasing
+concave utilities and raises :class:`~repro.errors.OptimizationError`
+naming it.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Any,
     Dict,
@@ -147,107 +150,100 @@ _FLOAT_ARRAYS = (
 ) + UTILITY_ARRAYS
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TaskSetStructure:
     """A :class:`TaskSet` compiled into flat numpy arrays.
 
-    Static shape data (orderings, incidence) is immutable after
-    compilation; model coefficients that can change at run time — share
-    parameters, latency bounds, availabilities, utilities — live in arrays
-    refreshed in place by :meth:`refresh_model`.
+    A value: the dataclass is frozen and the constructor makes every
+    array it is given read-only, taking ownership of it.  The derived
+    facts (:attr:`fingerprint`, :attr:`concave`, :attr:`kind_rows`,
+    :attr:`any_error`, :attr:`all_hyperbolic`) are computed on first read
+    and kept, since nothing they are derived from can change.
     """
 
     max_latency_factor: float
 
-    # -- orderings (static) -----------------------------------------------------
-    subtask_names: Tuple[str, ...] = ()
-    resource_names: Tuple[str, ...] = ()
-    task_names: Tuple[str, ...] = ()
-    path_keys: Tuple[PathKey, ...] = ()
+    # -- orderings ------------------------------------------------------------
+    subtask_names: Tuple[str, ...]
+    resource_names: Tuple[str, ...]
+    task_names: Tuple[str, ...]
+    path_keys: Tuple[PathKey, ...]
 
-    # -- incidence (static) -----------------------------------------------------
+    # -- incidence ------------------------------------------------------------
     #: resource index of each subtask, shape (S,)
-    sub_resource: np.ndarray = field(default=None)
+    sub_resource: np.ndarray
     #: task index of each subtask, shape (S,)
-    sub_task_ids: np.ndarray = field(default=None)
+    sub_task_ids: np.ndarray
     #: subtask indices flattened path-by-path (path order), shape (Σ|p|,)
-    path_sub_flat: np.ndarray = field(default=None)
+    path_sub_flat: np.ndarray
     #: owning path index of each ``path_sub_flat`` entry, shape (Σ|p|,)
-    path_ids_flat: np.ndarray = field(default=None)
+    path_ids_flat: np.ndarray
     #: path indices flattened subtask-by-subtask (ascending), shape (Σ,)
-    sub_path_flat: np.ndarray = field(default=None)
+    sub_path_flat: np.ndarray
     #: owning subtask index of each ``sub_path_flat`` entry, shape (Σ,)
-    sub_ids_flat: np.ndarray = field(default=None)
+    sub_ids_flat: np.ndarray
     #: start offset of each task's path segment, shape (T,)
-    task_path_starts: np.ndarray = field(default=None)
+    task_path_starts: np.ndarray
     #: start offset of each task's subtask segment, shape (T+1,) — the
     #: trailing sentinel makes ``starts[t]:starts[t+1]`` a valid slice.
-    task_sub_starts: np.ndarray = field(default=None)
+    task_sub_starts: np.ndarray
     #: path of each distinct (path, resource) incidence pair, sorted by
     #: path then resource, shape (K,)
-    pr_path: np.ndarray = field(default=None)
+    pr_path: np.ndarray
     #: resource of each incidence pair, shape (K,)
-    pr_res: np.ndarray = field(default=None)
+    pr_res: np.ndarray
     #: WCET of each subtask, shape (S,)
-    sub_exec: np.ndarray = field(default=None)
+    sub_exec: np.ndarray
 
-    # -- per-subtask model (refreshable) ----------------------------------------
+    # -- per-subtask model ----------------------------------------------------
     #: aggregation weight w_s, shape (S,)
-    weights: np.ndarray = field(default=None)
+    weights: np.ndarray
     #: w_s · slope_i — the utility component of the Eq. 7 pull; 0 for
     #: inelastic tasks and for log/quadratic ones, whose pull depends on
     #: the aggregated latency, shape (S,)
-    pull_base: np.ndarray = field(default=None)
+    pull_base: np.ndarray
     #: power-law exponent α_s, shape (S,)
-    alpha: np.ndarray = field(default=None)
+    alpha: np.ndarray
     #: power-law coefficient (c_s + l_r), shape (S,)
-    cost: np.ndarray = field(default=None)
+    cost: np.ndarray
     #: additive correction error e_s (0 when uncorrected), shape (S,)
-    err: np.ndarray = field(default=None)
+    err: np.ndarray
     #: whether the base share is the hyperbolic special case, shape (S,) bool
-    hyper_mask: np.ndarray = field(default=None)
+    hyper_mask: np.ndarray
     #: 1 / (α_s + 1) — the stationarity-solve exponent, shape (S,)
-    inv_exp: np.ndarray = field(default=None)
+    inv_exp: np.ndarray
     #: latency clamp bounds, shape (S,)
-    lo: np.ndarray = field(default=None)
-    hi: np.ndarray = field(default=None)
+    lo: np.ndarray
+    hi: np.ndarray
 
-    # -- per-resource / per-path / per-task model -------------------------------
-    #: availability B_r, shape (R,) (refreshable)
-    availability: np.ndarray = field(default=None)
+    # -- per-resource / per-path / per-task model -----------------------------
+    #: availability B_r, shape (R,)
+    availability: np.ndarray
     #: critical time of the path's owning task, shape (P,)
-    path_crit: np.ndarray = field(default=None)
-    #: utility kind codes, shape (T,) (refreshable, as are all ``ut_*``)
-    ut_kind: np.ndarray = field(default=None)
+    path_crit: np.ndarray
+    #: utility kind codes, shape (T,)
+    ut_kind: np.ndarray
     #: precomputed k_i · C_i for linear utilities, shape (T,)
-    ut_kc: np.ndarray = field(default=None)
+    ut_kc: np.ndarray
     #: linear slope, shape (T,)
-    ut_slope: np.ndarray = field(default=None)
+    ut_slope: np.ndarray
     #: u_max: the inelastic step height, the quadratic's value at 0,
     #: shape (T,)
-    ut_umax: np.ndarray = field(default=None)
+    ut_umax: np.ndarray
     #: the utility's own critical time: the inelastic step edge, the log
     #: utility's slack anchor, shape (T,)
-    ut_crit: np.ndarray = field(default=None)
+    ut_crit: np.ndarray
     #: log utility scale, shape (T,)
-    ut_scale: np.ndarray = field(default=None)
+    ut_scale: np.ndarray
     #: log utility softness, shape (T,)
-    ut_soft: np.ndarray = field(default=None)
+    ut_soft: np.ndarray
     #: quadratic curvature a in u_max − a·A², shape (T,)
-    ut_curv: np.ndarray = field(default=None)
+    ut_curv: np.ndarray
 
-    #: cached canonical fingerprint; invalidated with the model arrays.
-    _fingerprint: Optional[str] = field(default=None, repr=False)
-    #: cached :class:`ConcaveBlock` (``False`` until first built);
-    #: invalidated with the model arrays.
-    _concave: Any = field(default=False, repr=False)
-    #: cached :attr:`kind_rows`; invalidated with the model arrays.
-    _kind_rows: Optional[Tuple[Tuple[int, np.ndarray], ...]] = field(
-        default=None, repr=False)
-    #: cached :attr:`any_error` and :attr:`all_hyperbolic`; invalidated
-    #: with the model arrays.
-    _any_error: Optional[bool] = field(default=None, repr=False)
-    _all_hyperbolic: Optional[bool] = field(default=None, repr=False)
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_subtasks(self) -> int:
@@ -261,20 +257,18 @@ class TaskSetStructure:
     def n_paths(self) -> int:
         return len(self.path_keys)
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
-        """SHA-256 fingerprint of the compiled arrays (lazily computed).
+        """SHA-256 fingerprint of the compiled arrays.
 
         Canonical compilation makes this order-insensitive: equal task
         sets — regardless of task/resource declaration order — compile to
         identical arrays and therefore identical fingerprints.  The hash
-        covers the refreshable model arrays too, so a model mutation
-        (after :meth:`refresh_model`) changes the fingerprint exactly as
-        it changes the optimization problem.
+        covers the model arrays too, so a model change, which compiles a
+        new structure, changes the fingerprint exactly as it changes the
+        optimization problem.
         """
-        if self._fingerprint is None:
-            self._fingerprint = structure_fingerprint(_payload_dict(self))
-        return self._fingerprint
+        return structure_fingerprint(_payload_dict(self))
 
     def task_index(self, task_name: str) -> int:
         """Canonical index of ``task_name`` (binary search, names sorted)."""
@@ -302,61 +296,31 @@ class TaskSetStructure:
             else self.n_paths
         return slice(int(starts[task_idx]), end)
 
-    @property
+    @cached_property
     def concave(self) -> Optional["ConcaveBlock"]:
         """The log/quadratic tasks gathered for the exact Eq. 7 solve, or
-        ``None`` when every task is linear or inelastic (built on first
-        read, then kept until the model arrays change)."""
-        if self._concave is False:
-            self._concave = ConcaveBlock.of_structure(self)
-        return self._concave
+        ``None`` when every task is linear or inelastic."""
+        return ConcaveBlock.of_structure(self)
 
-    @property
+    @cached_property
     def kind_rows(self) -> Tuple[Tuple[int, np.ndarray], ...]:
         """``(kind code, task indices)`` of each utility kind present, in
-        ascending kind order (built on first read, then kept until the
-        model arrays change)."""
-        if self._kind_rows is None:
-            self._kind_rows = tuple(
-                (int(kind), np.flatnonzero(self.ut_kind == kind))
-                for kind in np.unique(self.ut_kind)
-            )
-        return self._kind_rows
+        ascending kind order."""
+        return tuple(
+            (int(kind), np.flatnonzero(self.ut_kind == kind))
+            for kind in np.unique(self.ut_kind)
+        )
 
-    @property
+    @cached_property
     def any_error(self) -> bool:
         """Whether any subtask's share carries a :class:`CorrectedShare`
-        offset (``err ≠ 0``; read on first use, then kept until the model
-        arrays change)."""
-        if self._any_error is None:
-            self._any_error = bool((self.err != 0.0).any())
-        return self._any_error
+        offset (``err ≠ 0``)."""
+        return bool((self.err != 0.0).any())
 
-    @property
+    @cached_property
     def all_hyperbolic(self) -> bool:
-        """Whether every subtask's base share is hyperbolic (α = 1; read
-        on first use, then kept until the model arrays change)."""
-        if self._all_hyperbolic is None:
-            self._all_hyperbolic = bool(self.hyper_mask.all())
-        return self._all_hyperbolic
-
-    def refresh_model(self, taskset: TaskSet) -> None:
-        """Re-read the mutable model state from ``taskset``, the task set
-        this structure was compiled from, after its model changed.
-
-        Mirrors :meth:`LatencyAllocator.refresh_bounds` plus availability:
-        error correction swaps/retunes share functions and
-        :meth:`TaskSet.set_availability` replaces resources, so share
-        coefficients, latency clamps and B_r must all be recomputed.
-        Invalidates the cached :attr:`fingerprint`, :attr:`concave`,
-        :attr:`kind_rows`, :attr:`any_error` and :attr:`all_hyperbolic`.
-        """
-        _fill_model_arrays(self, taskset, self.max_latency_factor)
-        self._fingerprint = None
-        self._concave = False
-        self._kind_rows = None
-        self._any_error = None
-        self._all_hyperbolic = None
+        """Whether every subtask's base share is hyperbolic (α = 1)."""
+        return bool(self.hyper_mask.all())
 
 
 def _unsupported(what: str) -> OptimizationError:
@@ -473,11 +437,10 @@ def task_model(taskset: ModelSource, task: Task,
                max_latency_factor: float = 1.0) -> TaskModel:
     """Compile one task of ``taskset`` into its model rows.
 
-    The single gate of the kernel's model family: compilation and
-    :meth:`TaskSetStructure.refresh_model` fill their model arrays from
-    it, the service screens arrivals with it before a rebuild, and
-    :class:`~repro.core.allocation.LatencyAllocator` builds its log and
-    quadratic solves from it.  Raises
+    The single gate of the kernel's model family: compilation fills its
+    model arrays from it, the service screens arrivals with it before a
+    rebuild, and :class:`~repro.core.allocation.LatencyAllocator` builds
+    its log and quadratic solves from it.  Raises
     :class:`~repro.errors.OptimizationError` for a utility or share
     function outside the family (see the module docstring).
     """
@@ -495,11 +458,13 @@ def _canonical_tasks(taskset: TaskSet) -> List[Task]:
     return sorted(taskset.tasks, key=lambda t: t.name)
 
 
-def _fill_model_arrays(s: TaskSetStructure, taskset: TaskSet,
-                       max_latency_factor: float) -> None:
-    """(Re)compute the refreshable per-subtask/per-resource/per-task
-    arrays from :func:`task_model`."""
-    n = s.n_subtasks
+def _model_arrays(taskset: TaskSet, tasks: Sequence[Task], n_subtasks: int,
+                  resource_names: Sequence[str],
+                  max_latency_factor: float) -> Dict[str, np.ndarray]:
+    """The per-subtask, per-resource and per-task model arrays of
+    ``tasks`` (``taskset``'s, in canonical order), from
+    :func:`task_model`."""
+    n = n_subtasks
     alpha = np.empty(n)
     cost = np.empty(n)
     err = np.empty(n)
@@ -507,34 +472,28 @@ def _fill_model_arrays(s: TaskSetStructure, taskset: TaskSet,
     lo = np.empty(n)
     hi = np.empty(n)
     pull_base = np.empty(n)
-    tasks = _canonical_tasks(taskset)
     kinds = np.empty(len(tasks), dtype=np.int8)
-    utility = {name: np.zeros(len(tasks)) for name in UTILITY_ARRAYS}
+    arrays: Dict[str, np.ndarray] = {
+        name: np.zeros(len(tasks)) for name in UTILITY_ARRAYS}
     i = 0
     for t, task in enumerate(tasks):
         model = task_model(taskset, task, max_latency_factor)
         kinds[t] = model.kind
         for name, value in model.utility.items():
-            utility[name][t] = value
+            arrays[name][t] = value
         slope = model.utility.get("ut_slope", 0.0)
         for sub, row in zip(task.subtasks, model.subtasks):
             alpha[i], cost[i], err[i], hyper[i], lo[i], hi[i] = row
             pull_base[i] = task.weight(sub.name) * slope
             i += 1
-    s.alpha = alpha
-    s.cost = cost
-    s.err = err
-    s.hyper_mask = hyper
-    s.inv_exp = 1.0 / (alpha + 1.0)
-    s.lo = lo
-    s.hi = hi
-    s.pull_base = pull_base
-    s.ut_kind = kinds
-    for name, values in utility.items():
-        setattr(s, name, values)
-    s.availability = np.array(
-        [taskset.resources[r].availability for r in s.resource_names]
+    arrays.update(
+        alpha=alpha, cost=cost, err=err, hyper_mask=hyper,
+        inv_exp=1.0 / (alpha + 1.0), lo=lo, hi=hi, pull_base=pull_base,
+        ut_kind=kinds,
+        availability=np.array(
+            [taskset.resources[r].availability for r in resource_names]),
     )
+    return arrays
 
 
 @dataclass
@@ -706,44 +665,43 @@ def compile_structure(taskset: TaskSet,
                 )
             sub_paths[sub_index[sub.name]] = [base + i for i in on_paths]
 
-    structure = TaskSetStructure(
-        max_latency_factor=float(max_latency_factor),
-        subtask_names=tuple(subtask_names),
-        resource_names=resource_names,
-        task_names=tuple(t.name for t in tasks),
-        path_keys=tuple(path_keys),
-    )
-
-    structure.sub_resource = np.asarray(sub_resource, dtype=np.intp)
-    structure.sub_task_ids = np.asarray(sub_task_ids, dtype=np.intp)
-    structure.path_sub_flat = np.asarray(path_sub_flat, dtype=np.intp)
-    structure.path_ids_flat = np.asarray(path_ids_flat, dtype=np.intp)
-    structure.task_path_starts = np.asarray(task_path_starts, dtype=np.intp)
-    structure.task_sub_starts = np.asarray(task_sub_starts, dtype=np.intp)
-    structure.sub_exec = np.asarray(sub_exec)
-    structure.weights = np.asarray(weights)
-    structure.path_crit = np.asarray(path_crit)
-
     sub_path_flat = []
     sub_ids_flat = []
     for s_idx, paths in enumerate(sub_paths[: len(subtask_names)]):
         sub_path_flat.extend(paths)
         sub_ids_flat.extend([s_idx] * len(paths))
-    structure.sub_path_flat = np.asarray(sub_path_flat, dtype=np.intp)
-    structure.sub_ids_flat = np.asarray(sub_ids_flat, dtype=np.intp)
-
+    arrays = _model_arrays(taskset, tasks, len(subtask_names),
+                           resource_names, float(max_latency_factor))
+    arrays.update(
+        sub_resource=np.asarray(sub_resource, dtype=np.intp),
+        sub_task_ids=np.asarray(sub_task_ids, dtype=np.intp),
+        path_sub_flat=np.asarray(path_sub_flat, dtype=np.intp),
+        path_ids_flat=np.asarray(path_ids_flat, dtype=np.intp),
+        sub_path_flat=np.asarray(sub_path_flat, dtype=np.intp),
+        sub_ids_flat=np.asarray(sub_ids_flat, dtype=np.intp),
+        task_path_starts=np.asarray(task_path_starts, dtype=np.intp),
+        task_sub_starts=np.asarray(task_sub_starts, dtype=np.intp),
+        sub_exec=np.asarray(sub_exec),
+        weights=np.asarray(weights),
+        path_crit=np.asarray(path_crit),
+    )
     # Distinct (path, resource) pairs, sorted by path then resource: the
     # sparse form of "path p traverses resource r".
     n_res = max(len(resource_names), 1)
     pairs = np.unique(
-        structure.path_ids_flat * n_res
-        + structure.sub_resource[structure.path_sub_flat]
+        arrays["path_ids_flat"] * n_res
+        + arrays["sub_resource"][arrays["path_sub_flat"]]
     )
-    structure.pr_path = (pairs // n_res).astype(np.intp)
-    structure.pr_res = (pairs % n_res).astype(np.intp)
-
-    _fill_model_arrays(structure, taskset, structure.max_latency_factor)
-    return structure
+    arrays["pr_path"] = (pairs // n_res).astype(np.intp)
+    arrays["pr_res"] = (pairs % n_res).astype(np.intp)
+    return TaskSetStructure(
+        max_latency_factor=float(max_latency_factor),
+        subtask_names=tuple(subtask_names),
+        resource_names=resource_names,
+        task_names=tuple(t.name for t in tasks),
+        path_keys=tuple(path_keys),
+        **arrays,
+    )
 
 
 # -- fragments and splices ---------------------------------------------------
@@ -867,18 +825,22 @@ def compile_fragment(task: Task, resources: Mapping[str, Resource],
 def empty_structure(resource_names: Sequence[str], availability: np.ndarray,
                     max_latency_factor: float = 1.0) -> TaskSetStructure:
     """A structure with no tasks over ``resource_names`` (sorted) — the
-    base a membership is spliced into when it starts from nothing."""
-    s = TaskSetStructure(max_latency_factor=float(max_latency_factor),
-                         resource_names=tuple(resource_names))
-    for name in _INDEX_ARRAYS:
-        setattr(s, name, np.zeros(0, dtype=np.intp))
-    s.task_sub_starts = np.zeros(1, dtype=np.intp)
-    for name in _FLOAT_ARRAYS:
-        setattr(s, name, np.zeros(0))
-    s.hyper_mask = np.zeros(0, dtype=bool)
-    s.ut_kind = np.zeros(0, dtype=np.int8)
-    s.availability = availability
-    return s
+    base a membership is spliced into when it starts from nothing.  It
+    takes ``availability`` as it is and makes it read-only."""
+    arrays: Dict[str, np.ndarray] = {
+        name: np.zeros(0, dtype=np.intp) for name in _INDEX_ARRAYS}
+    arrays.update((name, np.zeros(0)) for name in _FLOAT_ARRAYS)
+    arrays.update(
+        task_sub_starts=np.zeros(1, dtype=np.intp),
+        hyper_mask=np.zeros(0, dtype=bool),
+        ut_kind=np.zeros(0, dtype=np.int8),
+        availability=availability,
+    )
+    return TaskSetStructure(
+        max_latency_factor=float(max_latency_factor), subtask_names=(),
+        resource_names=tuple(resource_names), task_names=(), path_keys=(),
+        **arrays,
+    )
 
 
 def _splice_pieces(base: TaskSetStructure, fragments: List[TaskFragment],
@@ -935,12 +897,13 @@ def splice_structure(base: TaskSetStructure,
     fragments put in at their name-sorted positions (a fragment replaces a
     task of its name), every index array remapped.
 
-    The result is a new structure byte-identical to :func:`compile_structure` of the new membership,
-    provided the fragments were compiled against ``base``'s resource
-    order and ``availability`` (default: ``base``'s).  Copy on write:
-    ``base``'s arrays are read, never written, so records and caches that
-    hold them stay valid.  The cost is copying the arrays, plus Python
-    work per changed task, not per task.
+    The result is a new structure byte-identical to
+    :func:`compile_structure` of the new membership, provided the
+    fragments were compiled against ``base``'s resource order and
+    ``availability`` (default: ``base``'s; an array passed in is taken as
+    it is and made read-only).  ``base`` is a value and stays as it was.
+    The cost is copying the arrays, plus Python work per changed task,
+    not per task.
     """
     fragments = sorted(insert, key=lambda f: f.name)
     for a, b in zip(fragments, fragments[1:]):
@@ -1017,24 +980,26 @@ def splice_structure(base: TaskSetStructure,
         path_keys.append(base.path_keys[p0:p1])
         nt, ns, npath = nt + (t1 - t0), ns + (s1 - s0), npath + (p1 - p0)
 
-    out = empty_structure(
-        base.resource_names,
-        base.availability if availability is None else availability,
-        base.max_latency_factor,
-    )
-    out.subtask_names = tuple(itertools.chain.from_iterable(subtask_names))
-    out.task_names = tuple(itertools.chain.from_iterable(task_names))
-    out.path_keys = tuple(itertools.chain.from_iterable(path_keys))
+    if availability is None:
+        availability = base.availability
     if not nt:
-        return out
-    for name, parts in cols.items():
-        setattr(out, name, np.concatenate(parts))
+        return empty_structure(base.resource_names, availability,
+                               base.max_latency_factor)
+    arrays = {name: np.concatenate(parts) for name, parts in cols.items()}
     sub_sizes = np.concatenate(sub_counts)
     path_sizes = np.concatenate(path_counts)
-    out.task_sub_starts = np.concatenate(
-        (np.zeros(1, dtype=np.intp), np.cumsum(sub_sizes)))
-    out.task_path_starts = np.cumsum(path_sizes) - path_sizes
-    return out
+    return TaskSetStructure(
+        max_latency_factor=base.max_latency_factor,
+        subtask_names=tuple(itertools.chain.from_iterable(subtask_names)),
+        resource_names=base.resource_names,
+        task_names=tuple(itertools.chain.from_iterable(task_names)),
+        path_keys=tuple(itertools.chain.from_iterable(path_keys)),
+        task_sub_starts=np.concatenate(
+            (np.zeros(1, dtype=np.intp), np.cumsum(sub_sizes))),
+        task_path_starts=np.cumsum(path_sizes) - path_sizes,
+        availability=availability,
+        **arrays,
+    )
 
 
 # -- serialization -----------------------------------------------------------
@@ -1090,6 +1055,11 @@ def structure_from_dict(data: Mapping[str, Any]) -> TaskSetStructure:
         stamp = data["fingerprint"]
         if not isinstance(stamp, str):
             raise ModelError("structure payload has a non-string fingerprint")
+        arrays: Dict[str, np.ndarray] = {
+            name: np.asarray(data[name], dtype=np.intp)
+            for name in _INDEX_ARRAYS}
+        arrays.update((name, np.asarray(data[name], dtype=np.float64))
+                      for name in _FLOAT_ARRAYS)
         structure = TaskSetStructure(
             max_latency_factor=float(data["max_latency_factor"]),
             subtask_names=tuple(str(n) for n in data["subtask_names"]),
@@ -1098,27 +1068,20 @@ def structure_from_dict(data: Mapping[str, Any]) -> TaskSetStructure:
             path_keys=tuple(
                 PathKey(str(t), int(i)) for t, i in data["path_keys"]
             ),
+            ut_kind=np.asarray(data["ut_kind"], dtype=np.int8),
+            hyper_mask=np.asarray(data["hyper_mask"], dtype=bool),
+            **arrays,
         )
-        for name in _INDEX_ARRAYS:
-            setattr(structure, name, np.asarray(data[name], dtype=np.intp))
-        for name in _FLOAT_ARRAYS:
-            setattr(
-                structure, name, np.asarray(data[name], dtype=np.float64)
-            )
-        structure.ut_kind = np.asarray(data["ut_kind"], dtype=np.int8)
-        structure.hyper_mask = np.asarray(data["hyper_mask"], dtype=bool)
     except ModelError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed structure payload: {exc}") from exc
     _check_shapes(structure)
-    recomputed = structure_fingerprint(_payload_dict(structure))
-    if recomputed != stamp:
+    if structure.fingerprint != stamp:
         raise ModelError(
             "structure payload failed fingerprint verification "
             "(corrupted or hand-edited)"
         )
-    structure._fingerprint = recomputed
     return structure
 
 

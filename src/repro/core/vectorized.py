@@ -7,18 +7,21 @@ for log and quadratic ones), Eq. 8 resource-price step, congestion
 classification, step-size feedback, utility — as whole-array operations
 over the structure precompiled by :mod:`repro.core.structure`.
 
-The kernel is *trajectory-identical* to the paper's per-element loops
-(:class:`~repro.core.allocation.LatencyAllocator` and the updaters of
-:mod:`repro.core.prices`), not just approximately equal: every reduction
-is ordered like its per-element counterpart (see the structure module's
-layout notes), arithmetic uses the same expression shapes, and the
-free-resource / zero-pull special cases of
+On hyperbolic shares the kernel is *trajectory-identical* to the
+paper's per-element loops (:class:`~repro.core.allocation.LatencyAllocator`
+and the updaters of :mod:`repro.core.prices`), not just approximately
+equal: every reduction is ordered like its per-element counterpart (see
+the structure module's layout notes), arithmetic uses the same expression
+shapes, and the free-resource / zero-pull special cases of
 :func:`~repro.core.allocation.stationary_latency` are reproduced as masks.
 That matters because the adaptive step-size heuristic branches on strict
 comparisons (``load > B_r + tol``): a one-ulp difference in a load flips a
 doubling decision and the runs diverge visibly.  Parity tests assert
 bitwise-equal traces over full figure runs against a per-element
-reference kept with the tests.
+reference kept with the tests.  Power-law shares (α ≠ 1) are the
+exception: numpy's vectorized ``**`` can differ from Python's ``pow`` by
+one ulp once an operand array is long, so their Eq. 7 latencies and loads
+agree with the per-element loops within one ulp, not bit for bit.
 
 Step-size handling: :class:`FixedStepSize` folds to two scalars;
 :class:`AdaptiveStepSize`, and the default policy (``step_policy=None``),
@@ -375,14 +378,16 @@ class VectorizedEngine:
     so a step skips it and the λ gather.  The optimizer facade runs on
     :meth:`step_arrays`; :meth:`step` materializes an
     :class:`EngineStep` for callers that want dicts.
-    Model mutations (error correction, ``set_availability``) require
-    :meth:`refresh_model` with the mutated task set, same contract as
-    :meth:`LatencyAllocator.refresh_bounds`.
+    A model change compiles a new structure, which
+    :meth:`LLAOptimizer.refresh_model` swaps into :attr:`structure`.
+    ``mu`` starts the engine at those prices, as :meth:`adopt_prices`
+    takes them, instead of ``config.initial_resource_price``.
     """
 
     def __init__(self, problem: Union[TaskSetStructure, TaskSet],
                  config: "LLAConfig",
-                 telemetry: Optional[Telemetry] = None) -> None:
+                 telemetry: Optional[Telemetry] = None,
+                 mu: Optional[np.ndarray] = None) -> None:
         if isinstance(problem, TaskSetStructure):
             if problem.max_latency_factor != float(config.max_latency_factor):
                 raise OptimizationError(
@@ -406,7 +411,10 @@ class VectorizedEngine:
         #: a step computes them.
         self._path_lat: Optional[np.ndarray] = None
         # μ, λ and the latencies: the initial duals and Eq. 7 at them.
-        self.reset()
+        if mu is None:
+            self.reset()
+        else:
+            self.adopt_prices(mu)
 
     def _phase_timers(self) -> Optional[PhaseTimers]:
         """Phase timers while metrics are collected; ``None`` when off."""
@@ -540,22 +548,18 @@ class VectorizedEngine:
     def path_prices_dict(self) -> Dict[PathKey, float]:
         return dict(zip(self.structure.path_keys, self._lam.tolist()))
 
-    def adopt_prices(self, resource_prices: Mapping[str, float]) -> None:
-        """Install ``resource_prices`` as μ and restart from it: λ and γ
-        back to their initial values, then Eq. 7 once.  A resource the
-        map leaves out keeps its current price; a name the structure does
-        not price raises :class:`~repro.errors.OptimizationError` before
-        anything changes."""
-        names = self.structure.resource_names
-        unknown = sorted(set(resource_prices).difference(names))
-        if unknown:
+    def adopt_prices(self, mu: np.ndarray) -> None:
+        """Install a copy of ``mu``, one price per resource in
+        ``structure.resource_names`` order, and restart from it: λ and γ
+        back to their initial values, then Eq. 7 once.  A wrong shape
+        raises :class:`~repro.errors.OptimizationError`."""
+        n = self.structure.n_resources
+        if np.shape(mu) != (n,):
             raise OptimizationError(
-                f"adopt_prices got prices for unknown resources {unknown!r}"
+                f"adopt_prices takes one price per resource, shape ({n},); "
+                f"got shape {np.shape(mu)}"
             )
-        self._restart(np.array([
-            float(resource_prices.get(rname, price))
-            for rname, price in zip(names, self._mu.tolist())
-        ]))
+        self._restart(np.array(mu, dtype=np.float64))
 
     def reset(self) -> None:
         """Back to the initial duals and step sizes, then Eq. 7 once."""
@@ -575,13 +579,6 @@ class VectorizedEngine:
         # The kept path sums belong to the old latencies.
         self._lat = self._allocate()
         self._path_lat = None
-
-    def refresh_model(self, taskset: TaskSet) -> None:
-        """Re-read mutable model state (share functions, availabilities)
-        from the task set the structure was compiled from.  The kept
-        path sums and the idle flag stay: neither the latencies,
-        λ, the path incidence nor the critical times change."""
-        self.structure.refresh_model(taskset)
 
 
 def _all_positive_zero(values: np.ndarray) -> bool:

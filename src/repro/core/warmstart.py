@@ -24,7 +24,9 @@ configurations fall back to the default initialization.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional
+
+import numpy as np
 
 from repro.errors import OptimizationError
 from repro.model.share import CorrectedShare, HyperbolicShare
@@ -34,7 +36,7 @@ from repro.model.utility import LinearUtility
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.optimizer import LLAOptimizer
 
-__all__ = ["warm_start_resource_prices", "apply_warm_start"]
+__all__ = ["warm_start_resource_prices", "warm_start_mu", "apply_warm_start"]
 
 
 def warm_start_resource_prices(taskset: TaskSet,
@@ -70,25 +72,31 @@ def warm_start_resource_prices(taskset: TaskSet,
     return prices
 
 
+def warm_start_mu(taskset: Optional[TaskSet],
+                  default: float = 1.0) -> np.ndarray:
+    """:func:`warm_start_resource_prices` as an array in name-sorted
+    resource order, the structure's; without a task set raises
+    :class:`~repro.errors.OptimizationError`."""
+    if taskset is None:
+        raise OptimizationError(
+            "a warm start estimates prices from the task set, and this "
+            "optimizer was built on a compiled structure alone"
+        )
+    prices = warm_start_resource_prices(taskset, default=default)
+    return np.array([prices[r] for r in sorted(prices)])
+
+
 def apply_warm_start(optimizer: "LLAOptimizer") -> Dict[str, float]:
     """Install warm-start prices into an :class:`LLAOptimizer`.
 
     Returns the applied price map.  Delegates to
     :meth:`~repro.core.optimizer.LLAOptimizer.adopt_prices`, one engine
     call that installs μ, resets λ and γ to their initial values and
-    solves Eq. 7 once — so on an already-run optimizer (``reset()`` with
-    ``warm_start``) the iterate is identical to a fresh optimizer's at
-    these prices, with no stale λ leaking into the next solve.  An
-    optimizer without a task set raises
+    solves Eq. 7 once — so on an already-run optimizer the iterate is
+    identical to a fresh warm-started optimizer's, with no stale λ
+    leaking into the next solve.  An optimizer without a task set raises
     :class:`~repro.errors.OptimizationError`.
     """
-    if optimizer.taskset is None:
-        raise OptimizationError(
-            "a warm start estimates prices from the task set, and this "
-            "optimizer was built on a compiled structure alone"
-        )
-    prices = warm_start_resource_prices(
-        optimizer.taskset, default=optimizer.config.initial_resource_price
-    )
-    optimizer.adopt_prices(prices)
-    return prices
+    optimizer.adopt_prices(warm_start_mu(
+        optimizer.taskset, default=optimizer.config.initial_resource_price))
+    return optimizer.resource_prices

@@ -382,12 +382,15 @@ class DistributedLLARuntime:
 
     def refresh_model(self) -> None:
         """Re-read mutable model state (availabilities, corrected share
-        functions) into every controller's allocation bounds, the compiled
-        structure the omniscient observer reads, and the cached checkpoint
-        fingerprint."""
+        functions) into every controller's allocation bounds and the
+        cached checkpoint fingerprint, and compile the task set again
+        for the omniscient observer.  A structure taken before keeps the
+        old model."""
         for controller in self.controllers.values():
             controller.allocator.refresh_bounds()
-        self.structure.refresh_model(self.taskset)
+        self.structure = compile_structure(
+            self.taskset, max_latency_factor=self.config.max_latency_factor
+        )
         self._fingerprint = taskset_fingerprint(self.taskset)
 
     def crashed_agents(self):

@@ -200,7 +200,7 @@ def run_workload_variation(
     warm_opt = LLAOptimizer(combined_ts, LLAConfig(max_iterations=10 ** 9))
     # Carry the incumbent prices over (the task controllers' λ reset; the
     # resources keep their learned congestion prices).
-    warm_opt.adopt_prices(incumbent_opt.resource_prices)
+    warm_opt.adopt_prices(incumbent_opt.mu)
     after = _phase("with-newcomer", combined_ts, warm_opt,
                    iterations_per_phase)
 

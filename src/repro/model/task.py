@@ -307,10 +307,11 @@ class TaskSet:
 
         Models resource variation — degradation (co-located load, partial
         failure) or recovery.  :class:`~repro.model.resources.Resource` is
-        immutable, so the entry is swapped for an updated copy; running
-        optimizers observe the change immediately through the price update
-        and congestion classification, but cached latency bounds must be
-        refreshed (:meth:`repro.core.optimizer.LLAOptimizer.refresh_model`).
+        immutable, so the entry is swapped for an updated copy.  A compiled
+        structure is a value that keeps the availability it was compiled
+        at, so a running optimizer sees the change once
+        :meth:`repro.core.optimizer.LLAOptimizer.refresh_model` compiles
+        the task set again.
         """
         if resource_name not in self.resources:
             raise ModelError(f"no resource named {resource_name!r}")

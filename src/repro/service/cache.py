@@ -14,10 +14,9 @@ The service keys by its membership fingerprint
 (:func:`~repro.model.fingerprint.membership_fingerprint`) and, on a miss,
 builds the structure by splicing its predecessor; other callers key by
 :func:`~repro.model.fingerprint.taskset_fingerprint` and compile.  Cached
-structures are shared, so nobody may change their arrays in place
-(:func:`~repro.core.structure.splice_structure` is copy-on-write, and the
-service's optimizers, built on a structure alone, cannot
-``refresh_model``).
+structures are shared, and sharing is safe because a structure is an
+immutable value: its arrays are read-only, and a model change compiles a
+new structure instead of rewriting one.
 """
 
 from __future__ import annotations

@@ -14,7 +14,8 @@ enforces.  :class:`AllocationService` is that loop:
   :class:`~repro.service.cache.StructureCache` already holds the new
   membership under its fingerprint, and a fresh optimizer on that
   structure alone is **warm-started from the resources' live prices**
-  (the resource set is fixed, so every resource has one) — no
+  (the resource set and its order are fixed, so the previous epoch's
+  price array prices every resource of the next) — no
   :class:`~repro.model.task.TaskSet` is built, and re-convergence after
   churn costs a fraction of a cold restart;
 * **query API** — :meth:`query` answers allocation lookups from the
@@ -26,8 +27,8 @@ enforces.  :class:`AllocationService` is that loop:
   candidate structure's arrays; a provably infeasible task set is
   rejected before it can poison the live solve;
 * **snapshots** — :meth:`snapshot` / :meth:`restore` keep the resource
-  prices, the whole warm state, with a SHA-256 digest of them in the
-  distributed :class:`~repro.distributed.checkpoint.CheckpointStore`,
+  price array, the whole warm state, with a SHA-256 digest of its bytes
+  in the distributed :class:`~repro.distributed.checkpoint.CheckpointStore`,
   stamped with the membership fingerprint
   (:func:`~repro.model.fingerprint.membership_fingerprint`) so a snapshot
   taken for a different problem, or a damaged one, demotes to a cold
@@ -45,7 +46,6 @@ import asyncio
 import bisect
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -159,11 +159,11 @@ class Allocation:
     its latency array, and the optimizer iteration and service epoch it
     was taken at.
 
-    Nothing writes into the structure or the array: the engine replaces
-    its arrays instead of editing them, and a service optimizer, built on
-    a structure alone, refuses ``refresh_model``.  So taking one copies
-    nothing, and a held one answers for its iterate however much the
-    service has moved on.
+    Nothing writes into the structure or the array: the structure is a
+    value whose arrays are read-only, and the engine replaces its latency
+    array instead of editing it.  So taking one copies nothing, and a
+    held one answers for its iterate however much the service has moved
+    on.
     """
 
     structure: TaskSetStructure
@@ -297,32 +297,30 @@ def _mutated_task(old: Task, critical_time: Optional[float],
     )
 
 
-def _price_digest(prices: Mapping[str, Any]) -> str:
-    """SHA-256 of a price map: names sorted, each price as JSON writes it
-    (its ``repr``, which reads back as the same float)."""
-    encoded = json.dumps(prices, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(encoded).hexdigest()
+def _mu_digest(mu: np.ndarray) -> str:
+    """SHA-256 of a price array's little-endian float64 bytes."""
+    return hashlib.sha256(
+        np.ascontiguousarray(mu, dtype="<f8").tobytes()).hexdigest()
 
 
-def _verified_prices(state: Any, live: Mapping[str, float]
-                     ) -> Optional[Dict[str, float]]:
-    """The snapshot's price map when it passes its digest and prices
-    exactly the resources of ``live`` with numbers a price can take
-    (finite and non-negative, as Eq. 8's projection keeps μ); ``None``
-    otherwise."""
+def _verified_mu(state: Any, n_resources: int) -> Optional[np.ndarray]:
+    """The snapshot's price array when it holds one float per resource,
+    each a price Eq. 8's projection can produce (finite and
+    non-negative), and passes its digest; ``None`` otherwise.  A written
+    price reads back as a float, so a string, a bool or an int was not
+    written by :meth:`AllocationService.snapshot`."""
     if not isinstance(state, dict):
         return None
-    prices = state.get("resource_prices")
-    if not isinstance(prices, dict) or prices.keys() != live.keys():
+    values = state.get("mu")
+    if not isinstance(values, list) or len(values) != n_resources \
+            or not all(type(v) is float for v in values):
         return None
-    for price in prices.values():
-        if isinstance(price, bool) or not isinstance(price, (int, float)):
-            return None
-        if not (math.isfinite(price) and price >= 0.0):
-            return None
-    if state.get("digest") != _price_digest(prices):
+    mu = np.array(values)
+    if not (np.isfinite(mu).all() and (mu >= 0.0).all()):
         return None
-    return prices
+    if state.get("digest") != _mu_digest(mu):
+        return None
+    return mu
 
 
 def _admitted(name: str) -> AdmissionDecision:
@@ -823,10 +821,8 @@ class AllocationService:
         self._taskset = None
         if not rebuild:
             return
-        live_prices: Mapping[str, float] = {}
-        if self._optimizer is not None:
-            live_prices = self._optimizer.resource_prices
-        had_optimizer = self._optimizer is not None
+        live_mu = None if self._optimizer is None else self._optimizer.mu
+        had_optimizer = live_mu is not None
         if not self._tasks:
             self._optimizer = None
             self._structure = None
@@ -840,10 +836,10 @@ class AllocationService:
                 )
             optimizer = LLAOptimizer(structure, self._lla,
                                      telemetry=self.telemetry)
-            # The resource set is fixed, so the previous epoch prices
-            # every resource of the new one.
-            if self.config.warm_start_churn and live_prices:
-                optimizer.adopt_prices(live_prices)
+            # The resource set and its order are fixed, so the previous
+            # epoch's array prices every resource of the new one.
+            if self.config.warm_start_churn and live_mu is not None:
+                optimizer.adopt_prices(live_mu)
             self._optimizer = optimizer
             self._structure = structure
             # Equal fingerprints mean equal arrays: keep the structure's,
@@ -863,7 +859,7 @@ class AllocationService:
             if self.telemetry.tracer.enabled:
                 self.telemetry.tracer.emit(
                     "churn", epoch=self._epoch, tasks=len(self._tasks),
-                    warm=bool(self.config.warm_start_churn and live_prices),
+                    warm=self.config.warm_start_churn and had_optimizer,
                     cache_hits=self._cache.hits,
                     cache_misses=self._cache.misses,
                 )
@@ -1047,9 +1043,10 @@ class AllocationService:
     def snapshot(self) -> None:
         """Checkpoint the live dual state, stamped with the fingerprint.
 
-        The state is the resource-price map, the whole warm state (the
-        stamp already names the problem, whose structure the live
-        optimizer holds), plus a SHA-256 digest of the map, so
+        The state is ``{"mu": [...], "digest": ...}``: the resource price
+        array in the structure's resource order, the whole warm state
+        (the stamp already names the problem, whose structure the live
+        optimizer holds), plus a SHA-256 digest of its float64 bytes, so
         :meth:`restore` can tell a damaged or hand-edited price from a
         real one.
         """
@@ -1060,10 +1057,10 @@ class AllocationService:
         if instrumented:
             started = time.perf_counter()
         # The store deep-copies the state it keeps.
-        prices = optimizer.resource_prices
+        mu = optimizer.mu
         self._snapshots.save(
             _SNAPSHOT_AGENT, self._total_iterations,
-            {"resource_prices": prices, "digest": _price_digest(prices)},
+            {"mu": mu.tolist(), "digest": _mu_digest(mu)},
             fingerprint=self._fingerprint,
         )
         if instrumented:
@@ -1080,10 +1077,11 @@ class AllocationService:
         different task set (the workload churned since :meth:`snapshot`)
         demotes to a cold reset — restoring its prices would resume a
         different problem's dual state — and the fallback is counted.  So
-        does a snapshot whose price map fails its digest, lacks one (a
-        snapshot from before the digest), is not a map of every
-        resource's price, or holds a price that is not a number: a
-        malformed state never raises.
+        does a snapshot whose price array fails its digest or lacks one,
+        is not a list of one price per resource, or holds a price that is
+        not a finite, non-negative number, and one in an earlier format
+        (a price map): a malformed state never raises.  A verified array
+        is adopted as it was read, without encoding it again.
         """
         optimizer = self._optimizer
         if optimizer is None:
@@ -1091,12 +1089,12 @@ class AllocationService:
         checkpoint = self._snapshots.load(
             _SNAPSHOT_AGENT, fingerprint=self._fingerprint,
         )
-        prices = None if checkpoint is None else _verified_prices(
-            checkpoint.state, optimizer.resource_prices)
+        mu = None if checkpoint is None else _verified_mu(
+            checkpoint.state, optimizer.structure.n_resources)
         self._epoch_iterations = 0
         self._reconverged = False
         optimizer.detector.reset()
-        if prices is None:
+        if mu is None:
             optimizer.reset()
             self._snapshot_fallbacks += 1
             if self.telemetry.enabled:
@@ -1107,7 +1105,7 @@ class AllocationService:
                         "snapshot_fallback", epoch=self._epoch,
                     )
             return False
-        optimizer.adopt_prices(prices)
+        optimizer.adopt_prices(mu)
         if self.telemetry.enabled:
             self._metric("converged").set(0.0)
         return True

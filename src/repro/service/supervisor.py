@@ -728,7 +728,7 @@ class SupervisedService:
                 handle.write('{"agent": "service", "round": 7, "sta')
         else:
             self._store.save(
-                _SNAPSHOT_AGENT, 0, {"resource_prices": {}},
+                _SNAPSHOT_AGENT, 0, {"mu": []},
                 fingerprint="corrupted-by-fault-injection",
             )
         if self.telemetry.enabled and self.telemetry.tracer.enabled:

@@ -2,13 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.allocation import LatencyAllocator, stationary_latency
+from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.state import PathKey
+from repro.core.vectorized import compute_loads
 from repro.errors import OptimizationError
 from repro.model.share import CorrectedShare, HyperbolicShare, PowerLawShare
 from repro.model.utility import LogUtility
+from repro.workloads.generator import GeneratorConfig, random_workload
 from tests.conftest import make_chain_taskset
 from tests.core.reference import lbfgsb_allocate
 
@@ -171,3 +175,38 @@ class TestAllocatorNumeric:
         for name in task.subtask_names:
             _lo, hi = allocator._bounds[name]
             assert latencies[name] == pytest.approx(hi)
+
+
+class TestPowerLawParity:
+    def test_long_power_law_rows_agree_within_one_ulp(self):
+        """The parity promise on power-law shares is one ulp, not bits:
+        numpy's vectorized ``**`` can round differently from Python's
+        ``pow`` once an operand array is long.  On the 1k-subtask
+        generator instance with every share a power law, after 30 steps,
+        the kernel's Eq. 7 latencies and loads are within one ulp of the
+        per-element allocator's and the object graph's."""
+        taskset = random_workload(GeneratorConfig(
+            n_tasks=250, n_resources=200, min_subtasks=4, max_subtasks=4,
+        ), seed=7)
+        for sub in taskset.all_subtasks:
+            taskset.set_share_function(sub.name, PowerLawShare(
+                cost=3.0 + sub.exec_time, alpha=2.0))
+        opt = LLAOptimizer(taskset, LLAConfig(stop_on_convergence=False))
+        for _ in range(30):
+            opt.step()
+        s, engine = opt.structure, opt._engine
+        kernel = engine._allocate()
+        prices = opt.resource_prices
+        path_prices = engine.path_prices_dict()
+        reference = {}
+        for task in taskset.tasks:
+            reference.update(LatencyAllocator(taskset, task).allocate(
+                prices, path_prices))
+        np.testing.assert_array_max_ulp(
+            kernel, np.array([reference[n] for n in s.subtask_names]),
+            maxulp=1)
+        loads = taskset.resource_loads(
+            dict(zip(s.subtask_names, kernel.tolist())))
+        np.testing.assert_array_max_ulp(
+            compute_loads(s, kernel),
+            np.array([loads[r] for r in s.resource_names]), maxulp=1)

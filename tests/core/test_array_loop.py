@@ -13,6 +13,7 @@ iteration's values, and the kept path sums and model flags to what a
 fresh optimizer and the per-element allocator compute.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import vectorized
@@ -127,7 +128,7 @@ class TestArrayVerdict:
             assert opt.feasible(tol) == \
                 taskset.is_feasible(opt.latencies, tol=tol)
         opt.run(50)
-        opt.adopt_prices({r: 0.5 for r in taskset.resources})
+        opt.adopt_prices(np.full(opt.structure.n_resources, 0.5))
         assert opt.feasible(1e-2) == \
             taskset.is_feasible(opt.latencies, tol=1e-2)
 
@@ -197,7 +198,7 @@ class TestRecordsOwnTheirArrays:
         if mutate == "reset":
             lazy.reset()
         elif mutate == "adopt_prices":
-            lazy.adopt_prices({r: 0.25 for r in lazy.taskset.resources})
+            lazy.adopt_prices(np.full(lazy.structure.n_resources, 0.25))
         else:
             for _ in range(5):
                 lazy.step()
@@ -212,7 +213,7 @@ class TestRecordsOwnTheirArrays:
         if mutate == "reset":
             opt.reset()
         else:
-            prices = {r: 0.75 for r in opt.taskset.resources}
+            prices = np.full(opt.structure.n_resources, 0.75)
             opt.adopt_prices(prices)
             fresh.adopt_prices(prices)
         assert opt.latencies == fresh.latencies
@@ -268,7 +269,7 @@ class TestComputedOnce:
         if mutate == "reset":
             opt.reset()
         elif mutate == "adopt_prices":
-            opt.adopt_prices({r: 0.25 for r in taskset.resources})
+            opt.adopt_prices(np.full(opt.structure.n_resources, 0.25))
         else:
             for _ in range(5):
                 opt.step()
@@ -309,7 +310,7 @@ class TestComputedOnce:
         if mutate == "reset":
             opt.reset()
         else:
-            prices = {r: 0.75 for r in opt.taskset.resources}
+            prices = np.full(opt.structure.n_resources, 0.75)
             opt.adopt_prices(prices)
             fresh.adopt_prices(prices)
         assert_same_iterates(opt, fresh)

@@ -384,17 +384,24 @@ class TestStructureWithNonlinearKinds:
             structure_from_dict(payload)
 
     def test_refresh_follows_a_utility_swap(self):
+        """The optimizer's refresh compiles a new structure that follows
+        the swap; the structure read before it keeps the old model."""
         ts = nonlinear_taskset()
-        s = compile_structure(ts)
+        opt = LLAOptimizer(ts, LLAConfig())
+        s = opt.structure
         logs = int(s.concave.is_log.sum())
         t = next(i for i, k in enumerate(s.ut_kind) if k == UTILITY_LOG)
         task = ts.task(s.task_names[t])
         task.utility = QuadraticUtility(task.critical_time)
         before = s.fingerprint
-        s.refresh_model(ts)
-        assert s.ut_kind[t] == UTILITY_QUADRATIC
-        assert s.fingerprint != before
-        assert int(s.concave.is_log.sum()) == logs - 1
+        opt.refresh_model()
+        refreshed = opt.structure
+        assert refreshed.ut_kind[t] == UTILITY_QUADRATIC
+        assert refreshed.fingerprint != before
+        assert int(refreshed.concave.is_log.sum()) == logs - 1
+        assert s.ut_kind[t] == UTILITY_LOG
+        assert s.fingerprint == before
+        assert int(s.concave.is_log.sum()) == logs
 
 
 class TestUtilityEvaluation:

@@ -3,6 +3,7 @@
 import math
 import struct
 
+import numpy as np
 import pytest
 
 from repro.baselines.centralized import solve_centralized
@@ -16,6 +17,7 @@ from repro.core.structure import compile_structure
 from repro.core.vectorized import VectorizedEngine
 from repro.core.warmstart import apply_warm_start
 from repro.errors import OptimizationError
+from repro.model.share import CorrectedShare
 from repro.model.task import TaskSet
 from repro.model.utility import ExponentialUtility
 from repro.workloads.paper import base_workload, prototype_workload
@@ -231,8 +233,7 @@ class TestStructureOnly:
         pair = (from_taskset, from_structure)
         for k in range(300):
             if k == 100:
-                warm = {r: 1.5 * price for r, price
-                        in from_taskset.resource_prices.items()}
+                warm = 1.5 * from_taskset.mu
                 for opt in pair:
                     opt.adopt_prices(warm)
             elif k == 200:
@@ -289,29 +290,125 @@ class TestOneCopyOfTheIterate:
         for _ in range(10):
             opt.step()
         assert len(solves) == 11
-        opt.adopt_prices({r: 1.5 * price
-                          for r, price in opt.resource_prices.items()})
+        opt.adopt_prices(1.5 * opt.mu)
         assert len(solves) == 12
         opt.reset()
         assert len(solves) == 13
+
+    def test_a_warm_start_runs_eq7_once(self, monkeypatch):
+        """LLAConfig.warm_start installs its prices in construction's and
+        reset()'s one Eq. 7 solve, at the prices apply_warm_start
+        installs."""
+        solves = []
+        allocate = VectorizedEngine._allocate
+
+        def counted(engine):
+            solves.append(1)
+            return allocate(engine)
+
+        monkeypatch.setattr(VectorizedEngine, "_allocate", counted)
+        opt = LLAOptimizer(base_workload(), LLAConfig(warm_start=True))
+        assert len(solves) == 1
+        warm = opt.mu
+        for _ in range(10):
+            opt.step()
+        opt.reset()
+        assert len(solves) == 12
+        assert opt.mu.tobytes() == warm.tobytes()
+        cold = LLAOptimizer(base_workload(), LLAConfig())
+        applied = apply_warm_start(cold)
+        assert cold.mu.tobytes() == warm.tobytes()
+        assert applied == opt.resource_prices
+        assert cold.lat.tobytes() == opt.lat.tobytes()
 
     def test_resource_prices_are_a_new_map_of_mu(self):
         opt = LLAOptimizer(base_workload(), LLAConfig())
         for _ in range(10):
             opt.step()
+        assert opt.mu is opt._engine.mu
         prices = opt.resource_prices
         assert prices is not opt.resource_prices
-        assert list(prices.values()) == opt._engine.mu.tolist()
+        assert list(prices.values()) == opt.mu.tolist()
         prices["r0"] = 99.0
         assert opt.resource_prices["r0"] != 99.0
 
-    def test_a_partial_map_keeps_the_other_prices(self):
+    def test_a_wrong_shape_raises_and_changes_nothing(self):
+        """adopt_prices takes one price per resource, in the structure's
+        resource order; anything else, a price map included, raises
+        before the iterate changes."""
         opt = LLAOptimizer(base_workload(), LLAConfig())
         for _ in range(10):
             opt.step()
-        before = opt.resource_prices
-        opt.adopt_prices({"r0": 2.5})
-        assert opt.resource_prices == {**before, "r0": 2.5}
-        with pytest.raises(OptimizationError, match="unknown resources"):
-            opt.adopt_prices({"r0": 1.0, "nowhere": 1.0})
-        assert opt.resource_prices == {**before, "r0": 2.5}
+        mu, lat = opt.mu, opt.lat
+        for wrong in (mu[:-1], np.append(mu, 1.0), mu.reshape(1, -1),
+                      {"r0": 2.5}, 2.5):
+            with pytest.raises(OptimizationError,
+                               match="one price per resource"):
+                opt.adopt_prices(wrong)
+            assert opt.mu is mu and opt.lat is lat
+        prices = np.full(opt.structure.n_resources, 2.5)
+        opt.adopt_prices(prices)
+        prices[0] = 99.0
+        assert opt.mu.tolist() == [2.5] * opt.structure.n_resources
+
+
+class TestRefreshModel:
+    """refresh_model() compiles the mutated task set again and swaps the
+    new structure in; what was taken before keeps the old model."""
+
+    def _shocked(self):
+        taskset = base_workload()
+        opt = LLAOptimizer(taskset, LLAConfig())
+        for _ in range(30):
+            opt.step()
+        return taskset, opt
+
+    def test_held_structures_records_and_allocations_keep_their_model(
+            self):
+        from repro.service.service import Allocation
+
+        taskset, opt = self._shocked()
+        record = opt.step()
+        allocation = Allocation(opt.structure, opt.lat, opt.iteration, 0)
+        held = {name: getattr(opt.structure, name).copy()
+                for name in ("availability", "lo", "hi", "err")}
+        view = allocation.view("T1", converged=False)
+        taskset.set_availability("r1", 0.5)
+        base = taskset.share_function("T11")
+        taskset.set_share_function("T11", CorrectedShare(base, error=2.0))
+        opt.refresh_model()
+        assert opt.structure is not record.structure
+        assert opt.structure.availability[1] == 0.5
+        assert opt.structure.err.any()
+        for holder in (record.structure, allocation.structure):
+            for name, values in held.items():
+                assert getattr(holder, name).tobytes() == \
+                    values.tobytes(), name
+        assert allocation.view("T1", converged=False) == view
+
+    def test_the_iterate_stands_and_the_verdict_is_revised(self):
+        taskset, opt = self._shocked()
+        lat, mu = opt.lat, opt.mu
+        taskset.set_availability("r1", 0.25)
+        opt.refresh_model()
+        assert opt.lat is lat and opt.mu is mu
+        assert not opt.feasible()
+        assert not opt.detector.feasible()
+
+    @pytest.mark.parametrize("change", ["gained", "lost"])
+    def test_a_changed_membership_raises_and_keeps_the_structure(
+            self, change):
+        taskset, opt = self._shocked()
+        structure = opt.structure
+        tasks = list(taskset.tasks)
+        if change == "gained":
+            tasks.append(make_chain_taskset(n_subtasks=2).tasks[0])
+        else:
+            tasks.pop()
+        opt.taskset = TaskSet(tasks, taskset.resources.values())
+        with pytest.raises(OptimizationError, match="subtasks, resources"):
+            opt.refresh_model()
+        assert opt.structure is structure
+        for _ in range(5):
+            record = opt.step()
+        assert record.structure is structure

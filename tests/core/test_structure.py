@@ -8,6 +8,7 @@ serialization must round-trip bit-exactly and its fingerprint must be a
 pure function of the *problem*, not of declaration order or transport.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.errors import ModelError, OptimizationError
 from repro.model.resources import Resource
 from repro.model.task import TaskSet
 from repro.model.utility import ExponentialUtility
+from repro.service.cache import StructureCache
 from repro.workloads.generator import GeneratorConfig, random_workload
 from repro.workloads.paper import base_workload
 from tests.conftest import MIXED_RESOURCES, mixed_task
@@ -91,16 +93,6 @@ class TestRoundTrip:
         wire = json.loads(json.dumps(structure_to_dict(s)))
         restored = structure_from_dict(wire)
         _assert_structures_equal(s, restored)
-        assert restored.fingerprint == s.fingerprint
-
-    def test_rebound_structure_can_refresh(self):
-        """A structure holds no task set; refresh_model reads the one it
-        is handed, so a deserialized structure refreshes like a compiled
-        one."""
-        ts = base_workload()
-        s = compile_structure(ts)
-        restored = structure_from_dict(structure_to_dict(s))
-        restored.refresh_model(ts)        # no-op mutation: same model
         assert restored.fingerprint == s.fingerprint
 
 
@@ -248,3 +240,42 @@ class TestSplice:
         task.utility = ExponentialUtility(60.0)
         with pytest.raises(OptimizationError, match="ExponentialUtility"):
             _fragment(task)
+
+
+_ROUTES = ("compile", "empty", "splice", "from_dict", "cache_hit")
+
+
+def _built(route):
+    """A structure from one of the constructors, or from a cache hit."""
+    tasks = [mixed_task(i) for i in range(3)]
+    if route == "compile":
+        return _compiled(tasks)
+    if route == "empty":
+        return empty_structure(_NAMES, np.array([1.0, 1.0, 0.8, 1.0]))
+    if route == "splice":
+        return splice_structure(_compiled(tasks),
+                                [_fragment(mixed_task(4))], ["m0"])
+    if route == "from_dict":
+        return structure_from_dict(structure_to_dict(_compiled(tasks)))
+    cache = StructureCache()
+    taskset = TaskSet(tasks, MIXED_RESOURCES, allow_shared_resources=True)
+    first = cache.get(taskset)
+    hit = cache.get(taskset)
+    assert hit is first and cache.hits == 1
+    return hit
+
+
+class TestImmutable:
+    """A structure is a value: frozen, with read-only arrays."""
+
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_every_route_gives_a_frozen_value(self, route):
+        s = _built(route)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.lo = s.hi
+        for name in _ALL_ARRAYS:
+            values = getattr(s, name)
+            assert not values.flags.writeable, name
+            if values.size:
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = values[0]

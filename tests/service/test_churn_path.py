@@ -142,9 +142,6 @@ class TestSpliceParity:
         service = AllocationService(
             list(MIXED_RESOURCES), [mixed_task(i) for i in range(4)])
         calls = []
-        monkeypatch.setattr(
-            "repro.core.structure.TaskSetStructure.refresh_model",
-            lambda self, taskset: calls.append("refresh"))
         monkeypatch.setattr("repro.service.cache.compile_structure",
                             lambda *a, **k: calls.append("compile"))
         monkeypatch.setattr("repro.service.cache.taskset_fingerprint",
@@ -154,6 +151,31 @@ class TestSpliceParity:
         assert service.update_task("m0", critical_time=50.0).admitted
         service.set_availability("r2", 0.6)
         assert calls == []
+
+    def test_no_churn_event_reads_the_price_map(self, monkeypatch):
+        """Each epoch's μ array passes to the next as it is: no event of
+        any kind, alone or in a batch, builds the name-keyed price map."""
+        service = AllocationService(
+            list(MIXED_RESOURCES), [mixed_task(i) for i in range(4)])
+        service.step(5)
+        reads = []
+        prices = LLAOptimizer.resource_prices
+        monkeypatch.setattr(LLAOptimizer, "resource_prices", property(
+            lambda self: reads.append(1) or prices.fget(self)))
+        service.deregister("m1")
+        assert service.register(mixed_task(5)).admitted
+        assert service.update_task("m0", critical_time=50.0).admitted
+        service.set_availability("r2", 0.6)
+        decisions = service.apply_batch([
+            ChurnEvent("deregister", "m2"),
+            ChurnEvent("register", "m6", task=mixed_task(6)),
+            ChurnEvent("replace", "m5", task=mixed_task(5, 55.0)),
+            ChurnEvent("update", "m0", critical_time=52.0),
+            ChurnEvent("availability", "r1", availability=0.7),
+        ])
+        assert all(d.admitted for d in decisions)
+        service.step(5)
+        assert reads == []
 
 
 class TestMembershipFingerprint:
@@ -202,8 +224,7 @@ class TestMembershipFingerprint:
         service = AllocationService(make_resources(),
                                     [make_task("t0"), make_task("t1")])
         service.step(50)
-        state = {"resource_prices":
-                 service._optimizer.resource_prices}
+        state = {"mu": service._optimizer.mu.tolist()}
         service.snapshots.save(
             "service", 50, state,
             fingerprint=service_module.taskset_fingerprint(service.taskset))
@@ -245,7 +266,7 @@ class TestIterateParity:
         lla = LLAConfig()
         service.step(40)
         for event in _churn_script(service, taskset):
-            live = service._optimizer.resource_prices
+            live = service._optimizer.mu
             event()
             reference = LLAOptimizer(
                 compile_structure(service.taskset, lla.max_latency_factor),

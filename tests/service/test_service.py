@@ -7,9 +7,9 @@ import hashlib
 import json
 import math
 import os
-import struct
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.core.structure import structure_to_dict
@@ -356,7 +356,7 @@ class TestSnapshots:
         assert service.stats().snapshot_fallbacks == 1
 
     def test_corrupted_price_payload_demotes_to_cold_reset(self):
-        """A snapshot whose price map fails its own digest is
+        """A snapshot whose price array fails its own digest is
         untrustworthy: the restore must demote to a cold reset (same
         counter and trace event as a fingerprint mismatch), never adopt
         the prices."""
@@ -364,7 +364,7 @@ class TestSnapshots:
         service.step(100)
         service.snapshot()
         stored = service.snapshots._checkpoints["service"]
-        stored.state["resource_prices"]["r0"] += 1.0
+        stored.state["mu"][0] += 1.0
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
 
@@ -373,7 +373,7 @@ class TestSnapshots:
         service.step(100)
         service.snapshot()
         stored = service.snapshots._checkpoints["service"]
-        del stored.state["resource_prices"]["r2"]
+        del stored.state["mu"][2]
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
 
@@ -382,7 +382,7 @@ class TestSnapshots:
         service.step(100)
         service.snapshot()
         state = service.snapshots._checkpoints["service"].state
-        assert set(state) == {"resource_prices", "digest"}
+        assert set(state) == {"mu", "digest"}
         assert service.restore() is True
         assert service.stats().snapshot_fallbacks == 0
 
@@ -417,33 +417,53 @@ class TestSnapshots:
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
 
-    @pytest.mark.parametrize("prices", [
-        {"r0": "0.5", "r1": 0.5, "r2": 0.5},
-        {"r0": True, "r1": 0.5, "r2": 0.5},
-        [["r0", 0.5], ["r1", 0.5], ["r2", 0.5]],
-        {"r0": 0.5, "r1": 0.5, "r2": 0.5, "r9": 0.5},
-        {"r0": 0.5, "r1": float("nan"), "r2": 0.5},
-        {"r0": 0.5, "r1": float("inf"), "r2": 0.5},
-        {"r0": 0.5, "r1": -5.0, "r2": 0.5},
-    ], ids=["string", "bool", "not-a-map", "unknown-resource", "nan",
-            "inf", "negative"])
-    def test_malformed_price_map_demotes_without_raising(self, prices):
-        """A malformed map demotes to cold even when its digest matches
-        it: restore never raises on a snapshot's contents, and a price
-        Eq. 8 cannot produce (NaN, infinite, negative) is never adopted,
-        so every latency stays finite."""
+    @pytest.mark.parametrize("mu", [
+        ["0.5", 0.5, 0.5],
+        [True, 0.5, 0.5],
+        0.5,
+        [0.5, 0.5, 0.5, 0.5],
+        [0.5, float("nan"), 0.5],
+        [0.5, float("inf"), 0.5],
+        [0.5, -5.0, 0.5],
+    ], ids=["string", "bool", "not-a-list", "wrong-length", "nan", "inf",
+            "negative"])
+    def test_malformed_price_map_demotes_without_raising(self, mu):
+        """A malformed price array demotes to cold even when its digest
+        matches it: restore never raises on a snapshot's contents, and a
+        price Eq. 8 cannot produce (NaN, infinite, negative) is never
+        adopted, so every latency stays finite."""
         service = make_service()
         service.step(100)
         service.snapshot()
         stored = service.snapshots._checkpoints["service"]
-        stored.state["resource_prices"] = prices
+        stored.state["mu"] = mu
         stored.state["digest"] = hashlib.sha256(
-            json.dumps(prices, sort_keys=True).encode("utf-8")).hexdigest()
+            np.asarray(mu, dtype="<f8").tobytes()).hexdigest()
         assert service.restore() is False
         assert service.stats().snapshot_fallbacks == 1
         service.step(5)
         assert all(math.isfinite(lat)
                    for lat in service.allocations().values())
+
+    def test_a_price_map_snapshot_demotes_once(self):
+        """A snapshot in the earlier format, a price map with a digest of
+        its JSON encoding, restores cold once; the next snapshot is an
+        array and restores warm."""
+        service = make_service()
+        service.step(100)
+        prices = service._optimizer.resource_prices
+        service.snapshots.save(
+            "service", 100,
+            {"resource_prices": prices,
+             "digest": hashlib.sha256(json.dumps(
+                 prices, sort_keys=True).encode("utf-8")).hexdigest()},
+            fingerprint=service.fingerprint,
+        )
+        assert service.restore() is False
+        assert service.stats().snapshot_fallbacks == 1
+        service.snapshot()
+        assert service.restore() is True
+        assert service.stats().snapshot_fallbacks == 1
 
     def test_file_round_trip_restores_prices_bit_for_bit(self, tmp_path):
         store = CheckpointStore(directory=str(tmp_path))
@@ -452,19 +472,14 @@ class TestSnapshots:
             snapshots=store,
         )
         service.step(100)
-        prices = service._optimizer.resource_prices
+        mu = service._optimizer.mu
         service.snapshot()
         with open(store.path_for("service"), encoding="utf-8") as handle:
-            assert set(json.load(handle)["state"]) == \
-                {"resource_prices", "digest"}
+            assert set(json.load(handle)["state"]) == {"mu", "digest"}
         service.step(100)
         store._checkpoints.clear()          # the file alone remains
         assert service.restore() is True
-        restored = service._optimizer.resource_prices
-        assert set(restored) == set(prices)
-        for name, price in prices.items():
-            assert struct.pack("<d", restored[name]) == \
-                struct.pack("<d", price), name
+        assert service._optimizer.mu.tobytes() == mu.tobytes()
 
     def test_snapshot_needs_tasks(self):
         empty = AllocationService(make_resources())
