@@ -54,18 +54,3 @@ def test_fig8_quantum_scheduler(benchmark):
           f"slow {payload['slow_share_before']:.3f} -> "
           f"{payload['slow_share_after']:.3f}")
 
-
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_fully_distributed(benchmark):
-    """The complete architecture: message-passing controllers and resource
-    agents (5% control-message loss) driving the live simulator with
-    online error correction — the Figure 8 endpoint must still hold."""
-    from repro.experiments.fig8 import run_fig8_distributed
-
-    final = benchmark.pedantic(run_fig8_distributed, rounds=1, iterations=1)
-    assert final.shares["fast1_s0"] == pytest.approx(0.20, abs=0.01)
-    assert final.shares["slow1_s0"] == pytest.approx(0.25, abs=0.01)
-    print()
-    print(f"  distributed endpoint: fast {final.shares['fast1_s0']:.3f}, "
-          f"slow {final.shares['slow1_s0']:.3f} "
-          f"(error {final.smoothed_errors['fast1_s0']:+.1f} ms)")

@@ -5,14 +5,7 @@ from repro.analysis.admission import (
     AdmissionDecision,
     certify_infeasible,
 )
-from repro.analysis.comparison import (
-    AlgorithmStats,
-    ComparisonReport,
-    compare_algorithms,
-    sweep_random_workloads,
-)
 from repro.analysis.reporting import (
-    format_comparison,
     format_table,
     format_table1,
     series_to_csv,
@@ -35,10 +28,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "certify_infeasible",
-    "compare_algorithms",
-    "sweep_random_workloads",
-    "ComparisonReport",
-    "AlgorithmStats",
     "TraceSummary",
     "summarize_trace",
     "settling_iteration",
@@ -51,5 +40,4 @@ __all__ = [
     "format_table",
     "format_table1",
     "series_to_csv",
-    "format_comparison",
 ]

@@ -17,7 +17,6 @@ __all__ = [
     "format_table",
     "format_table1",
     "series_to_csv",
-    "format_comparison",
 ]
 
 
@@ -90,18 +89,3 @@ def series_to_csv(columns: Mapping[str, Sequence]) -> str:
             cells.append(_fmt(col[i]) if i < len(col) else "")
         out.write(",".join(cells) + "\n")
     return out.getvalue()
-
-
-def format_comparison(scores: Mapping[str, "object"],
-                      title: str = "Algorithm comparison") -> str:
-    """Render baseline-vs-LLA scores (AssignmentScore-like objects)."""
-    headers = ["algorithm", "utility", "feasible", "max load"]
-    rows = []
-    for name, score in scores.items():
-        rows.append([
-            name,
-            getattr(score, "utility", float("nan")),
-            getattr(score, "feasible", "?"),
-            getattr(score, "max_load", float("nan")),
-        ])
-    return format_table(headers, rows, title=title)

@@ -9,21 +9,13 @@ Components:
 * :mod:`repro.core.prices` — gradient-projection price updates (Eqs. 8–9);
 * :mod:`repro.core.stepsize` — fixed and adaptive step-size policies;
 * :mod:`repro.core.convergence` — utility-and-feasibility convergence test;
-* :mod:`repro.core.lagrangian` — Lagrangian evaluation and KKT audit;
 * :class:`~repro.core.error_correction.ErrorCorrector` — Section 6.3's
   online additive model-error correction.
 """
 
 from repro.core.allocation import LatencyAllocator, stationary_latency
 from repro.core.convergence import ConvergenceDetector
-from repro.core.enactment import (
-    AlwaysEnact,
-    EnactmentPolicy,
-    PeriodicEnactment,
-    ThresholdEnactment,
-)
 from repro.core.error_correction import ErrorCorrector, ErrorSample
-from repro.core.lagrangian import KKTReport, kkt_report, lagrangian_value
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.prices import (
     PathPriceUpdater,
@@ -49,9 +41,6 @@ __all__ = [
     "ConvergenceDetector",
     "ErrorCorrector",
     "ErrorSample",
-    "KKTReport",
-    "kkt_report",
-    "lagrangian_value",
     "PathPriceUpdater",
     "ResourcePriceUpdater",
     "update_path_price",
@@ -62,10 +51,6 @@ __all__ = [
     "StepSizePolicy",
     "FixedStepSize",
     "AdaptiveStepSize",
-    "EnactmentPolicy",
-    "AlwaysEnact",
-    "ThresholdEnactment",
-    "PeriodicEnactment",
     "warm_start_resource_prices",
     "apply_warm_start",
     "TaskSetStructure",

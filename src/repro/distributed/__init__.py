@@ -29,10 +29,6 @@ from repro.distributed.faults import (
     PartitionWindow,
     ReorderWindow,
 )
-from repro.distributed.closedloop import (
-    DistributedClosedLoop,
-    DistributedEpochRecord,
-)
 from repro.distributed.agents import (
     LocalGamma,
     ResourceAgent,
@@ -56,8 +52,6 @@ __all__ = [
     "EveryRound",
     "PeriodicActivation",
     "RandomActivation",
-    "DistributedClosedLoop",
-    "DistributedEpochRecord",
     "FaultPlan",
     "CheckpointCorruption",
     "CheckpointOutage",

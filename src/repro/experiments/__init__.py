@@ -50,7 +50,7 @@ from repro.experiments.percentiles import (
 )
 from repro.experiments.fig6 import Fig6Point, Fig6Result, run_fig6
 from repro.experiments.fig7 import Fig7Result, run_fig7
-from repro.experiments.fig8 import Fig8Result, run_fig8, run_fig8_distributed
+from repro.experiments.fig8 import Fig8Result, run_fig8
 from repro.experiments.overload import OverloadReport, run_overload
 from repro.experiments.resilience import (
     ResilienceReport,
@@ -73,7 +73,6 @@ __all__ = [
     "run_fig7",
     "Fig7Result",
     "run_fig8",
-    "run_fig8_distributed",
     "Fig8Result",
     "ablate_utility_variant",
     "ablate_max_gamma",

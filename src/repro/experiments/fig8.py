@@ -36,7 +36,7 @@ from repro.workloads.paper import (
     prototype_workload,
 )
 
-__all__ = ["Fig8Result", "run_fig8", "run_fig8_distributed", "SPEC"]
+__all__ = ["Fig8Result", "run_fig8", "SPEC"]
 
 #: Representative subtasks plotted by the paper (one fast, one slow).
 FAST_REP = "fast1_s0"
@@ -122,35 +122,6 @@ def run_fig8(
         fast_share_after=after.shares[FAST_REP],
         slow_share_after=after.shares[SLOW_REP],
     )
-
-
-def run_fig8_distributed(
-    epochs_before: int = 4,
-    epochs_after: int = 22,
-    window: float = 2000.0,
-    rounds_per_epoch: int = 400,
-    loss_probability: float = 0.05,
-    seed: int = 7,
-    runtime_seed: int = 3,
-) -> EpochRecord:
-    """Figure 8 on the complete architecture: message-passing controllers
-    and resource agents (with control-message loss) driving the live
-    simulator with online error correction.  Returns the final epoch
-    record; the Figure 8 endpoint (fast 0.20 / slow 0.25) must hold."""
-    from repro.distributed import DistributedClosedLoop, DistributedConfig
-
-    loop = DistributedClosedLoop(
-        prototype_workload(), window=window,
-        rounds_per_epoch=rounds_per_epoch, seed=seed,
-        runtime_config=DistributedConfig(
-            record_history=False, loss_probability=loss_probability,
-            seed=runtime_seed,
-        ),
-    )
-    loop.run_epochs(epochs_before)
-    loop.enable_correction()
-    loop.run_epochs(epochs_after)
-    return loop.history[-1]
 
 
 def _check_overallocated_before(result: Fig8Result):

@@ -102,9 +102,6 @@ class ServiceConfig:
 
     Attributes
     ----------
-    admission_control:
-        Screen arriving tasks with the closed-form infeasibility
-        certificate before rebuilding.
     warm_start_churn:
         Warm-start rebuilt optimizers from the previous optimizer's live
         resource prices (the service's whole point; ``False`` exists so
@@ -118,7 +115,6 @@ class ServiceConfig:
     Every epoch's optimizer runs the paper's defaults (``LLAConfig()``).
     """
 
-    admission_control: bool = True
     warm_start_churn: bool = True
     cache_capacity: int = 64
     batch_size: int = 32
@@ -404,24 +400,21 @@ class _Draft:
             return str(exc)
         digest_sum = (self.digest_sum - self.digests.get(task.name, 0)
                       + digest) % DIGEST_MODULUS
-        if self._service.config.admission_control:
-            candidate = self._service._cache.peek(
-                self.fingerprint(digest_sum), self._factor)
-            if candidate is None:
-                pending = [f for name, f in self._insert.items()
-                           if name != task.name]
-                candidate = splice_structure(
-                    self._base(), pending + [fragment], self._remove,
-                    self.availability,
-                )
-            certificate = certify_infeasible(candidate)
-            if certificate is not None:
-                return f"provably infeasible: {certificate}"
-            self.structure = candidate
-            self._insert.clear()
-            self._remove.clear()
-        else:
-            self._insert[task.name] = fragment
+        candidate = self._service._cache.peek(
+            self.fingerprint(digest_sum), self._factor)
+        if candidate is None:
+            pending = [f for name, f in self._insert.items()
+                       if name != task.name]
+            candidate = splice_structure(
+                self._base(), pending + [fragment], self._remove,
+                self.availability,
+            )
+        certificate = certify_infeasible(candidate)
+        if certificate is not None:
+            return f"provably infeasible: {certificate}"
+        self.structure = candidate
+        self._insert.clear()
+        self._remove.clear()
         self._drop(task.name)
         self.tasks[task.name] = task
         self.owners.update((sub.name, task.name) for sub in task.subtasks)
@@ -781,13 +774,12 @@ class AllocationService:
             )
         except (ModelError, OptimizationError) as exc:
             raise ServiceError(f"initial tasks rejected: {exc}") from exc
-        if self.config.admission_control:
-            certificate = certify_infeasible(structure)
-            if certificate is not None:
-                raise ServiceError(
-                    "initial tasks rejected: provably infeasible: "
-                    f"{certificate}"
-                )
+        certificate = certify_infeasible(structure)
+        if certificate is not None:
+            raise ServiceError(
+                "initial tasks rejected: provably infeasible: "
+                f"{certificate}"
+            )
         for task in tasks:
             draft.owners.update((sub.name, task.name) for sub in task.subtasks)
         draft.structure = structure

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.enactment import AlwaysEnact, EnactmentPolicy
 from repro.core.error_correction import ErrorCorrector
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.errors import SimulationError
@@ -43,7 +42,6 @@ class EpochRecord:
     epoch: int
     time: float
     correction_enabled: bool
-    enacted: bool
     shares: Dict[str, float]
     latency_targets: Dict[str, float]
     smoothed_errors: Dict[str, float]
@@ -66,7 +64,6 @@ class ClosedLoopRuntime:
         corrector: Optional[ErrorCorrector] = None,
         optimizer_steps_per_epoch: int = 400,
         exec_time_factor=None,
-        enactment: Optional[EnactmentPolicy] = None,
         recorder_max_samples: Optional[int] = None,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -79,7 +76,6 @@ class ClosedLoopRuntime:
         self.corrector = corrector or ErrorCorrector(
             taskset, telemetry=telemetry
         )
-        self.enactment = enactment or AlwaysEnact()
         self.optimizer = LLAOptimizer(
             taskset,
             optimizer_config or LLAConfig(max_iterations=2000),
@@ -173,16 +169,12 @@ class ClosedLoopRuntime:
             self.optimizer.step()
         self.latencies = dict(self.optimizer.latencies)
         shares = self._shares_for(self.latencies)
-        enacted = self.enactment.should_enact(shares)
-        if enacted:
-            self.system.enact_shares(shares)
-            self.enactment.notify_enacted(shares)
+        self.system.enact_shares(shares)
 
         record = EpochRecord(
             epoch=self.epoch,
             time=self.system.engine.now,
             correction_enabled=self.correction_enabled,
-            enacted=enacted,
             shares=shares,
             latency_targets=dict(self.latencies),
             smoothed_errors={
@@ -195,9 +187,9 @@ class ClosedLoopRuntime:
         )
         self.history.append(record)
         logger.debug(
-            "epoch %d (t=%.1f): utility %.6f, enacted=%s, "
+            "epoch %d (t=%.1f): utility %.6f, "
             "correction=%s, %d corrections observed",
-            record.epoch, record.time, record.utility, record.enacted,
+            record.epoch, record.time, record.utility,
             record.correction_enabled, len(raw_errors),
         )
         if instrumented:
@@ -211,7 +203,7 @@ class ClosedLoopRuntime:
             if self.telemetry.tracer.enabled:
                 self.telemetry.tracer.emit(
                     "epoch", epoch=record.epoch, time=record.time,
-                    utility=float(record.utility), enacted=record.enacted,
+                    utility=float(record.utility),
                     correction_enabled=record.correction_enabled,
                     corrections=len(raw_errors),
                 )

@@ -2,12 +2,10 @@
 
 
 from repro.analysis.reporting import (
-    format_comparison,
     format_table,
     format_table1,
     series_to_csv,
 )
-from repro.baselines.slicing import evaluate_assignment, even_slicing
 from repro.workloads.paper import TABLE1_LATENCIES, base_workload
 
 
@@ -57,11 +55,3 @@ class TestSeriesToCsv:
     def test_empty(self):
         assert series_to_csv({}) == "\n"
 
-
-class TestFormatComparison:
-    def test_renders_scores(self):
-        ts = base_workload()
-        score = evaluate_assignment(ts, even_slicing(ts))
-        text = format_comparison({"even": score})
-        assert "even" in text
-        assert "utility" in text

@@ -1,5 +1,8 @@
 """Shared fixtures: canonical task sets used across the test suite."""
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.model.events import PeriodicEvent
@@ -8,6 +11,17 @@ from repro.model.resources import Resource
 from repro.model.task import Subtask, Task, TaskSet
 from repro.model.utility import LinearUtility
 from repro.workloads.paper import base_workload, prototype_workload
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def python_env(**extra: str) -> dict:
+    """The environment of a fresh interpreter that imports ``repro`` from
+    this checkout's ``src/``, whatever its working directory."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -11,8 +11,17 @@ every reduction like these loops, so its records must match bit for bit.
 
 :func:`lbfgsb_allocate` maximizes one task's Lagrangian numerically, the
 cross-check of the closed form and of the exact concave solve.
+
+:func:`lagrangian_value` evaluates the full Lagrangian (Eq. 5) at a
+primal/dual point, and :func:`kkt_report` the Karush–Kuhn–Tucker
+residuals there: stationarity ``∂L/∂lat_s ≈ 0`` for every interior
+latency, primal feasibility (Eqs. 3–4) and complementary slackness
+``μ_r·(B_r − load_r) ≈ 0``, ``λ_p·(C_i − lat_p) ≈ 0`` (dual feasibility
+holds by projection).  They certify that a converged LLA point is
+(near-)optimal.
 """
 
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -216,3 +225,131 @@ def lbfgsb_allocate(
                                bounds=list(zip(lo, hi)), method="L-BFGS-B")
     assert np.all(np.isfinite(result.x)), result.message
     return dict(zip(names, np.clip(result.x, lo, hi).tolist()))
+
+
+def lagrangian_value(
+    taskset: TaskSet,
+    latencies: Mapping[str, float],
+    resource_prices: Mapping[str, float],
+    path_prices: Mapping[PathKey, float],
+) -> float:
+    """Evaluate Eq. 5 at the given primal/dual point."""
+    value = taskset.total_utility(latencies)
+    for rname, resource in taskset.resources.items():
+        load = taskset.resource_load(rname, latencies)
+        value -= resource_prices.get(rname, 0.0) * (load - resource.availability)
+    for task in taskset.tasks:
+        for i, path in enumerate(task.graph.paths):
+            lat = task.graph.path_latency(path, latencies)
+            price = path_prices.get(PathKey(task.name, i), 0.0)
+            value -= price * (lat - task.critical_time)
+    return value
+
+
+@dataclass
+class KKTReport:
+    """Residuals of the KKT conditions at a candidate optimum.
+
+    All residuals are non-negative; zero means the condition holds exactly.
+    ``stationarity`` omits subtasks clamped at a latency bound (there the
+    box constraint's multiplier, which we do not track, absorbs the
+    gradient).
+    """
+
+    stationarity: Dict[str, float]
+    primal_resource: Dict[str, float]
+    primal_path: Dict[PathKey, float]
+    complementary_resource: Dict[str, float]
+    complementary_path: Dict[PathKey, float]
+
+    def max_stationarity(self) -> float:
+        return max(self.stationarity.values()) if self.stationarity else 0.0
+
+    def max_primal(self) -> float:
+        values = list(self.primal_resource.values()) + list(
+            self.primal_path.values()
+        )
+        return max(values) if values else 0.0
+
+    def max_complementary(self) -> float:
+        values = list(self.complementary_resource.values()) + list(
+            self.complementary_path.values()
+        )
+        return max(values) if values else 0.0
+
+    def is_approximately_optimal(self, stationarity_tol: float = 1e-3,
+                                 primal_tol: float = 1e-3,
+                                 complementary_tol: float = 1e-2) -> bool:
+        return (
+            self.max_stationarity() <= stationarity_tol
+            and self.max_primal() <= primal_tol
+            and self.max_complementary() <= complementary_tol
+        )
+
+
+def kkt_report(
+    taskset: TaskSet,
+    latencies: Mapping[str, float],
+    resource_prices: Mapping[str, float],
+    path_prices: Mapping[PathKey, float],
+    bound_tol: float = 1e-6,
+) -> KKTReport:
+    """Compute KKT residuals at ``(latencies, prices)``.
+
+    ``bound_tol`` controls which latencies count as clamped at a box bound
+    and are therefore excluded from the stationarity check.
+    """
+    stationarity: Dict[str, float] = {}
+    for task in taskset.tasks:
+        grad_u = task.utility_gradient(latencies)
+        for sub in task.subtasks:
+            share_fn = taskset.share_function(sub.name)
+            availability = taskset.resources[sub.resource].availability
+            lat = latencies[sub.name]
+            lo = share_fn.min_latency(availability)
+            hi = task.critical_time
+            if lat <= lo + bound_tol or lat >= hi - bound_tol:
+                continue
+            lam_sum = sum(
+                path_prices.get(PathKey(task.name, i), 0.0)
+                for i in task.graph.paths_through(sub.name)
+            )
+            grad = (
+                grad_u[sub.name]
+                - lam_sum
+                - resource_prices.get(sub.resource, 0.0)
+                * share_fn.dshare_dlat(lat)
+            )
+            stationarity[sub.name] = abs(grad)
+
+    primal_resource: Dict[str, float] = {}
+    complementary_resource: Dict[str, float] = {}
+    for rname, resource in taskset.resources.items():
+        load = taskset.resource_load(rname, latencies)
+        slack = resource.availability - load
+        primal_resource[rname] = max(0.0, -slack)
+        complementary_resource[rname] = abs(
+            resource_prices.get(rname, 0.0) * slack
+        )
+
+    primal_path: Dict[PathKey, float] = {}
+    complementary_path: Dict[PathKey, float] = {}
+    for task in taskset.tasks:
+        for i, path in enumerate(task.graph.paths):
+            key = PathKey(task.name, i)
+            lat = task.graph.path_latency(path, latencies)
+            slack = task.critical_time - lat
+            primal_path[key] = max(0.0, -slack)
+            # Normalize by the critical time so tasks with different
+            # deadlines contribute comparable residuals.
+            complementary_path[key] = abs(
+                path_prices.get(key, 0.0) * slack / task.critical_time
+            )
+
+    return KKTReport(
+        stationarity=stationarity,
+        primal_resource=primal_resource,
+        primal_path=primal_path,
+        complementary_resource=complementary_resource,
+        complementary_path=complementary_path,
+    )

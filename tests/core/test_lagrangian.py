@@ -1,10 +1,10 @@
-"""Unit tests for Lagrangian evaluation and KKT diagnostics."""
+"""Unit tests for the reference Lagrangian and KKT diagnostics."""
 
 import pytest
 
-from repro.core.lagrangian import kkt_report, lagrangian_value
 from repro.core.optimizer import LLAConfig, LLAOptimizer
 from repro.core.state import PathKey
+from tests.core.reference import kkt_report, lagrangian_value
 
 
 class TestLagrangianValue:

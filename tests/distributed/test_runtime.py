@@ -10,6 +10,7 @@ from repro.distributed import (
     DistributedConfig,
     DistributedLLARuntime,
     LocalGamma,
+    TaskControllerAgent,
 )
 from repro.errors import DistributedError, OptimizationError
 from repro.model.utility import ExponentialUtility
@@ -175,3 +176,29 @@ class TestLocalGamma:
         gamma = LocalGamma(initial=2.0, adapt=False)
         assert gamma.observe(True) == 2.0
         assert gamma.observe(False) == 2.0
+
+
+class TestControllerRestart:
+    def test_controller_crash_and_restart_reconverges(self):
+        """A controller losing all state (crash) re-initializes its path
+        prices and latencies; the protocol re-converges around it."""
+        ts = base_workload()
+        runtime = DistributedLLARuntime(
+            ts, DistributedConfig(record_history=False)
+        )
+        for _ in range(1500):
+            runtime.step()
+        utility_before = ts.total_utility(runtime.global_latencies())
+
+        # Crash: replace T1's controller with a fresh instance (λ = 0,
+        # price view reset to the protocol's initial value).
+        runtime.controllers["T1"] = TaskControllerAgent(
+            ts, ts.task("T1"), runtime.bus
+        )
+        for _ in range(2000):
+            runtime.step()
+        latencies = runtime.global_latencies()
+        assert ts.is_feasible(latencies, tol=1e-2)
+        assert ts.total_utility(latencies) == pytest.approx(
+            utility_before, abs=1.0
+        )

@@ -8,6 +8,8 @@ for the same membership, the same iterates from the same warm prices,
 and the same admission verdicts as the object-graph certificate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,12 +96,22 @@ def _assert_matches_cold_compile(service):
 
 def _cold_fingerprint(service):
     """The fingerprint of a fresh service installing the same membership
-    in reverse arrival order."""
+    in reverse arrival order, then taking the live availabilities.
+
+    An availability change is not screened, so the live membership can
+    be provably infeasible at the live availabilities.  The fresh service
+    installs it at availability 1.0, the most any resource here has,
+    where the certificate (monotone in availability) passes every
+    membership the live service admitted."""
     fresh = AllocationService(
-        [service.resource(r.name) for r in MIXED_RESOURCES],
+        [dataclasses.replace(r, availability=1.0) for r in MIXED_RESOURCES],
         [service.task(name) for name in reversed(service.tasks)],
-        config=ServiceConfig(admission_control=False),
     )
+    fresh.apply_batch([
+        ChurnEvent("availability", r.name,
+                   availability=service.resource(r.name).availability)
+        for r in MIXED_RESOURCES
+    ])
     return fresh.fingerprint
 
 
